@@ -1,9 +1,9 @@
 """Synthetic calibration: similarity-distribution percentile rules and
 per-signal ROC-AUC weight derivation.
 
-The shipped defaults (0.559 / 0.404 / 0.542 and the four-signal weights)
-come from an unpublished corpus; this module re-derives a profile from any
-labeled corpus, deterministically, with no benchmark exposure.
+The shipped thresholds (0.559 / 0.404 / 0.542) come from an unpublished
+corpus; this module re-derives a profile from any labeled corpus,
+deterministically, with no benchmark exposure.
 """
 
 from __future__ import annotations
@@ -12,19 +12,13 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateLabels, InsufficientSamples
-from .scoring import (
-    SignalWeights,
-    content_length_signal,
-    surprise_factor,
-    turn_position_signal,
-)
+from .scoring import SignalWeights, surprise_factor
 
 LABEL_SUBSTANTIVE = "substantive"
 LABEL_FILLER = "filler"
@@ -92,8 +86,7 @@ class CalibrationProfile:
             "near_dedup_threshold": self.near_dedup_threshold,
             "cluster_distance": self.cluster_distance,
             "interference_threshold": self.interference_threshold,
-            "signal_weights": {"mode": self.signal_weights.mode,
-                               "weights": dict(self.signal_weights.weights)},
+            "signal_weights": dict(self.signal_weights.weights),
             "per_signal_auc": dict(self.per_signal_auc),
             "corpus_fingerprint": self.corpus_fingerprint,
         }
@@ -174,6 +167,18 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return u / (n_pos * n_neg)
 
 
+def content_length_signal(text: str, p95_length: float) -> float:
+    if p95_length <= 0:
+        return 0.0
+    return min(len(text) / p95_length, 1.0)
+
+
+def turn_position_signal(index: int, session_length: int) -> float:
+    if session_length <= 0:
+        return 0.0
+    return 1.0 - index / session_length
+
+
 def signal_scores(corpus: CalibrationCorpus, embedder,
                   lambda_decay: float = 0.001
                   ) -> tuple[dict[str, list[float]], list[int]]:
@@ -220,7 +225,7 @@ def derive_weights(corpus: CalibrationCorpus, embedder,
     # renormalize exactly to 1 to absorb float residue
     s = sum(weights.values())
     weights = {k: v / s for k, v in weights.items()}
-    return SignalWeights(mode="calibrated_four", weights=weights), aucs
+    return SignalWeights(weights=weights), aucs
 
 
 def derive_profile(corpus: CalibrationCorpus, embedder) -> CalibrationProfile:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import calibration, harness
-from .consolidation import MODE_DEDUP, run_consolidation
+from .consolidation import MODE_DEDUP, MODE_NONE, MODES, run_consolidation
 from .embedding import HashEmbedder
 from .forgetting import run_forgetting
 from .model import MemoryEvent, StoreConfig, rfc3339, utc
@@ -210,14 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--every-n", type=int, default=1, dest="every_n")
     p.add_argument("--budget", type=int)
-    p.add_argument("--mode", default=MODE_DEDUP,
-                   choices=["dedup", "dedup-adaptive", "aggressive", "none"])
+    p.add_argument("--mode", default=MODE_DEDUP, choices=MODES)
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("consolidate", help="run one consolidation batch")
     p.add_argument("--mode", default=MODE_DEDUP,
-                   choices=["dedup", "dedup-adaptive", "aggressive"])
+                   choices=[m for m in MODES if m != MODE_NONE])
     p.add_argument("--budget", type=int)
     p.add_argument("--now", help="logical now (RFC3339)")
     p.add_argument("--ledger", help="append report JSON to this file")

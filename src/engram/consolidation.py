@@ -13,11 +13,12 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from . import forgetting
 from .graph import KnowledgeGraph, SemanticMemory
 from .model import (
     STATE_PENDING,
@@ -29,7 +30,6 @@ from .model import (
     FidelityLevel,
     MemoryEvent,
     StoreConfig,
-    estimate_tokens,
     hours_between,
 )
 from .scoring import SignalWeights, classify, score_record
@@ -38,9 +38,9 @@ from .store import MemoryStore
 log = logging.getLogger("engram.consolidation")
 
 MODE_DEDUP = "dedup"
-MODE_DEDUP_ADAPTIVE = "dedup-adaptive"
 MODE_AGGRESSIVE = "aggressive"
 MODE_NONE = "none"
+MODES = (MODE_DEDUP, MODE_AGGRESSIVE, MODE_NONE)
 
 REASON_OUT_OF_ORDER = "out_of_order"
 REASON_DUPLICATE = "duplicate"
@@ -231,7 +231,6 @@ class GistDraft:
     gist: str
     source_ids: frozenset[str]
     entities: tuple[str, ...]
-    member_ids: tuple[str, ...]
 
 
 def make_gist(cluster_records: Sequence[EpisodicRecord],
@@ -264,8 +263,7 @@ def make_gist(cluster_records: Sequence[EpisodicRecord],
         for name in rec.entities:
             entities.setdefault(name, None)
     return GistDraft(gist=text, source_ids=frozenset(source_ids),
-                     entities=tuple(entities),
-                     member_ids=tuple(r.id for r in cluster_records))
+                     entities=tuple(entities))
 
 
 def promote(draft: GistDraft, graph: KnowledgeGraph, embedder,
@@ -302,9 +300,10 @@ def run_consolidation(store: MemoryStore, now: datetime,
                       mode: str = MODE_DEDUP,
                       weights: Optional[SignalWeights] = None,
                       summarizer=None) -> ConsolidationReport:
-    if mode not in (MODE_DEDUP, MODE_DEDUP_ADAPTIVE, MODE_AGGRESSIVE, MODE_NONE):
+    if mode not in MODES:
         raise ValueError(f"unknown consolidation mode {mode!r}")
     config = store.config
+    warm_ttl = now + timedelta(hours=config.warm_ttl_hours)
     with store.lock:
         chk = store._checkpoint()
         try:
@@ -341,7 +340,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 for rec in batch:
                     store.replace(replace(rec, state=STATE_RETAINED,
                                           tier=TIER_WARM,
-                                          ttl_expires_at=now + _warm_ttl(config)))
+                                          ttl_expires_at=warm_ttl))
                 report.retained = len(batch)
                 report.store_size_after = store.active_count()
                 report.tokens_after = store.active_tokens()
@@ -381,7 +380,6 @@ def run_consolidation(store: MemoryStore, now: datetime,
                         and r.id not in batch_ids]
             combined = existing + batch
             survivors, exact_removed = exact_dedup(combined)
-            near_removed: list[EpisodicRecord] = []
             survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
             exact_removed_ids = {r.id for r in exact_removed}
             for rec in exact_removed + near_removed:
@@ -410,7 +408,6 @@ def run_consolidation(store: MemoryStore, now: datetime,
                         merged_member_ids.update(r.id for r in group)
 
             # 6. apply classification / gists / promotion
-            warm_ttl = now + _warm_ttl(config)
             for rec in batch_survivors:
                 if rec.id in merged_member_ids:
                     continue
@@ -421,10 +418,9 @@ def run_consolidation(store: MemoryStore, now: datetime,
                                           tier=TIER_WARM, ttl_expires_at=warm_ttl))
                     report.promoted += 1
                 elif b == "prune":
-                    from .forgetting import degrade
                     pruned = replace(rec, state=STATE_RETAINED, tier=TIER_WARM,
                                      ttl_expires_at=warm_ttl)
-                    store.replace(degrade(pruned, now))
+                    store.replace(forgetting.degrade(pruned, now))
                     report.pruned += 1
                 else:
                     store.replace(replace(rec, state=STATE_RETAINED,
@@ -447,9 +443,3 @@ def run_consolidation(store: MemoryStore, now: datetime,
         except Exception:
             store._restore(chk)
             raise
-
-
-def _warm_ttl(config: StoreConfig):
-    from datetime import timedelta
-
-    return timedelta(hours=config.warm_ttl_hours)

@@ -9,6 +9,7 @@ external model.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import time
@@ -76,6 +77,20 @@ class HashEmbedder:
         return normalize(vec)
 
 
+def _urllib_post(endpoint: str, payload: dict, headers: dict) -> dict:
+    """POST `payload` as JSON and decode the JSON reply; an HTTP error status
+    raises `urllib.error.HTTPError`."""
+    # imported here: urllib.request pulls in http.client, email and ssl,
+    # which the offline default embedder never needs
+    import urllib.request
+
+    request = urllib.request.Request(
+        endpoint, data=json.dumps(payload).encode("utf-8"), method="POST",
+        headers={**headers, "Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=30) as resp:
+        return json.load(resp)
+
+
 class RemoteEmbedder:
     """Opaque HTTP embedding provider with capped exponential backoff.
 
@@ -100,17 +115,10 @@ class RemoteEmbedder:
         self.expected_dimension = expected_dimension
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
-        self._post = post or self._requests_post
+        self._post = post or _urllib_post
         self._sleep = sleep
         self._log = logger or (lambda msg: None)
         self.dimension = expected_dimension
-
-    def _requests_post(self, endpoint: str, payload: dict, headers: dict) -> dict:
-        import requests
-
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=30)
-        resp.raise_for_status()
-        return resp.json()
 
     def embed(self, text: str) -> np.ndarray:
         headers = {}

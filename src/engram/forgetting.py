@@ -98,11 +98,6 @@ def interference(memory: EpisodicRecord,
                                   contributors=contributors)
 
 
-def forget_priority(assessment: InterferenceAssessment,
-                    decayed: float) -> float:
-    return assessment.interference / (decayed + EPSILON)
-
-
 def _eligible(store: MemoryStore, now: datetime) -> list[EpisodicRecord]:
     out = []
     for rec in store.records.values():
@@ -209,25 +204,21 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int,
     if budget_tokens <= 0:
         raise ValueError("budget must be positive")
     report = ForgettingReport()
-    if store.active_tokens() <= budget_tokens:
-        report.tokens_after = store.active_tokens()
-        report.active_after = store.active_count()
-        return report
-    ranked = rank_forget_candidates(store, now)
-    for _prio, _dec, rec in ranked:
-        while store.active_tokens() > budget_tokens:
-            current = store.records.get(rec.id)
-            if current is None or current.state == STATE_TOMBSTONE:
+    tokens = store.active_tokens()
+    if tokens > budget_tokens:
+        for _prio, _dec, rec in rank_forget_candidates(store, now):
+            current = store.records[rec.id]
+            while tokens > budget_tokens and current.state != STATE_TOMBSTONE:
+                updated = degrade(current, now)
+                store.replace(updated)
+                tokens -= estimate_tokens(current.content) - estimate_tokens(updated.content)
+                report.budget_steps += 1
+                if updated.state == STATE_TOMBSTONE:
+                    report.budget_tombstoned += 1
+                current = updated
+            if tokens <= budget_tokens:
                 break
-            updated = degrade(current, now)
-            store.replace(updated)
-            report.budget_steps += 1
-            if updated.state == STATE_TOMBSTONE:
-                report.budget_tombstoned += 1
-                break
-        if store.active_tokens() <= budget_tokens:
-            break
-    report.tokens_after = store.active_tokens()
+    report.tokens_after = tokens
     report.active_after = store.active_count()
     return report
 
@@ -242,11 +233,8 @@ def run_forgetting(store: MemoryStore, now: datetime,
         report.expired_ids = apply_ttl(store, now)
         report.ttl_expired = len(report.expired_ids)
 
-        floor = config.forget_priority_floor
-        for prio, _dec, rec in rank_forget_candidates(store, now):
-            if prio <= floor:
-                continue
-            current = store.records[rec.id]
+        for rec_id in select_forget_candidates(store, now):
+            current = store.records[rec_id]
             if current.event.metadata.get("error_signal") == "true":
                 continue
             if degradation_due(current, now, config):

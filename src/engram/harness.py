@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .consolidation import MODE_DEDUP, MODE_NONE, run_consolidation
 from .forgetting import run_forgetting
-from .model import FidelityLevel, MemoryEvent, StoreConfig, STATE_TOMBSTONE
+from .model import FidelityLevel, MemoryEvent, StoreConfig, STATE_TOMBSTONE, utc
 from .store import MemoryStore
 
 log = logging.getLogger("engram.harness")
@@ -43,7 +43,6 @@ class StreamSpec:
     def from_dict(cls, d: dict[str, Any]) -> "StreamSpec":
         kwargs = dict(d)
         if "start_time" in kwargs and isinstance(kwargs["start_time"], str):
-            from .model import utc
             kwargs["start_time"] = utc(kwargs["start_time"])
         return cls(**kwargs)
 

@@ -15,6 +15,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .errors import NegativeElapsed
+
 ACTORS = ("user", "agent", "system", "automation")
 
 
@@ -65,12 +67,13 @@ _RETAINED_FRACTION = {
 }
 
 # Record lifecycle is a one-way lattice:
-# pending -> {retained, promoted, quarantined} -> tombstone,
-# with quarantined -> pending allowed on re-admission.
+# pending -> {retained, promoted} -> tombstone.
+# A quarantined event is not a record state: the event leaves `records` for
+# the store's quarantine and re-enters as a new pending record if
+# re-admitted.
 STATE_PENDING = "pending"
 STATE_RETAINED = "retained"
 STATE_PROMOTED = "promoted"
-STATE_QUARANTINED = "quarantined"
 STATE_TOMBSTONE = "tombstone"
 
 TIER_HOT = "hot"
@@ -272,7 +275,6 @@ class StoreConfig:
 def decayed_importance(importance: float, encoded_at: datetime, now: datetime,
                        lam: float) -> float:
     """Exponential importance decay; does not mutate the stored base value."""
-    from .errors import NegativeElapsed
     dt = hours_between(encoded_at, now)
     if dt < 0:
         raise NegativeElapsed(f"now precedes encoding by {-dt:.3f}h")

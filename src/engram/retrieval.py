@@ -12,19 +12,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from typing import Any, Optional
 
 import numpy as np
 
 from .embedding import normalize
 from .errors import LabilityExpired
-from .graph import RETRIEVAL_THRESHOLD, SemanticMemory
+from .graph import SemanticMemory
 from .model import (
     STATE_TOMBSTONE,
     TIER_HOT,
     TIER_WARM,
-    EpisodicRecord,
     decayed_importance,
     hours_between,
     rfc3339,
@@ -89,17 +88,14 @@ def _rank_key(hit: Hit):
             -hit.timestamp.timestamp(), hit.memory_id)
 
 
-def episodic_search(store: MemoryStore, query: str, k: int,
-                    now: datetime,
-                    time_range: Optional[tuple[datetime, datetime]] = None,
-                    session_id: Optional[str] = None,
-                    tier: Optional[str] = None,
-                    importance_filter: Optional[float] = None) -> list[Hit]:
-    """Exact cosine scan over non-tombstone episodic records passing the
-    temporal/session filters, top-k by similarity."""
+def _episodic_scan(store: MemoryStore, qvec: np.ndarray, k: int,
+                   now: datetime,
+                   time_range: Optional[tuple[datetime, datetime]] = None,
+                   session_id: Optional[str] = None,
+                   tier: Optional[str] = None,
+                   importance_filter: Optional[float] = None) -> list[Hit]:
     if importance_filter is None:
         importance_filter = store.config.importance_filter
-    qvec = store.embedder.embed(query)
     hits: list[Hit] = []
     for rec in store.records.values():
         if rec.state == STATE_TOMBSTONE:
@@ -123,19 +119,34 @@ def episodic_search(store: MemoryStore, query: str, k: int,
     return hits[:k]
 
 
+def _memory_hit(mem: SemanticMemory, qvec: np.ndarray,
+                hop_distance: Optional[int] = None) -> Hit:
+    sim = float(np.dot(qvec, mem.embedding))
+    return Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
+               final_score=sim, timestamp=mem.created_at, content=mem.gist,
+               source_ids=tuple(sorted(mem.source_ids)),
+               hop_distance=hop_distance)
+
+
+def episodic_search(store: MemoryStore, query: str, k: int,
+                    now: datetime,
+                    time_range: Optional[tuple[datetime, datetime]] = None,
+                    session_id: Optional[str] = None,
+                    tier: Optional[str] = None,
+                    importance_filter: Optional[float] = None) -> list[Hit]:
+    """Exact cosine scan over non-tombstone episodic records passing the
+    temporal/session filters, top-k by similarity."""
+    return _episodic_scan(store, store.embedder.embed(query), k, now,
+                          time_range, session_id, tier, importance_filter)
+
+
 def semantic_search(store: MemoryStore, query: str, k: int,
                     now: datetime) -> list[Hit]:
     """Cosine scan over semantic memories that have matured past the
     retrieval threshold (all of them when maturation is disabled)."""
     qvec = store.embedder.embed(query)
-    hits: list[Hit] = []
-    for mem in store.graph.memories.values():
-        if not mem.is_explicitly_retrievable(now, store.config):
-            continue
-        sim = float(np.dot(qvec, mem.embedding))
-        hits.append(Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
-                        final_score=sim, timestamp=mem.created_at,
-                        content=mem.gist, source_ids=tuple(sorted(mem.source_ids))))
+    hits = [_memory_hit(mem, qvec) for mem in store.graph.memories.values()
+            if mem.is_explicitly_retrievable(now, store.config)]
     hits.sort(key=_rank_key)
     return hits[:k]
 
@@ -145,15 +156,17 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
                     session_id: Optional[str] = None) -> RetrievalResult:
     """Hot-tier session hits, then warm episodic hits, then graph traversal
     seeded by entities of the top episodic hits; merged, deduplicated by
-    source-id overlap, recency-boosted and primed, truncated to k."""
+    source-id overlap, recency-boosted and primed, truncated to k. The query
+    is embedded once. `now` defaults to the store's logical now."""
     config = store.config
     if k is None:
         k = config.retrieval_k
     if now is None:
-        now = store.watermark or datetime.now().astimezone()
-    hot = episodic_search(store, query, k, now, tier=TIER_HOT,
-                          session_id=session_id)
-    warm = episodic_search(store, query, k, now, tier=TIER_WARM)
+        now = store.logical_now() or datetime.now(timezone.utc)
+    qvec = store.embedder.embed(query)
+    hot = _episodic_scan(store, qvec, k, now, tier=TIER_HOT,
+                         session_id=session_id)
+    warm = _episodic_scan(store, qvec, k, now, tier=TIER_WARM)
 
     episodic_hits: list[Hit] = []
     seen_ids: set[str] = set()
@@ -169,24 +182,18 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
         if rec is not None:
             for name in rec.entities:
                 seed_entities.setdefault(name, None)
-    qvec = store.embedder.embed(query)
     graph_hits: list[Hit] = []
     silent_by_entity: dict[str, float] = {}
     if seed_entities:
         for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
-            a = mem.activation(now, config)
-            if a >= RETRIEVAL_THRESHOLD or not config.maturation_enabled:
-                sim = float(np.dot(qvec, mem.embedding))
-                graph_hits.append(Hit(memory_id=mem.id, tier=TIER_GRAPH,
-                                      base_sim=sim, final_score=sim,
-                                      timestamp=mem.created_at, content=mem.gist,
-                                      source_ids=tuple(sorted(mem.source_ids)),
-                                      hop_distance=hops))
+            weight = mem.priming_weight(now, config)
+            if weight == 0.0:  # matured: surfaces as a hit of its own
+                graph_hits.append(_memory_hit(mem, qvec, hops))
             else:
                 # silent memories prime episodic results sharing an entity
                 for name in mem.entities:
                     key = name.casefold()
-                    silent_by_entity[key] = max(silent_by_entity.get(key, 0.0), a)
+                    silent_by_entity[key] = max(silent_by_entity.get(key, 0.0), weight)
 
     # merge + dedupe: an episodic copy beats its own semantic gist
     covered_sources: set[str] = set()

@@ -1,5 +1,5 @@
-"""Importance scoring: five-factor composite, calibrated four-signal variant,
-decay, and promote/retain/prune classification."""
+"""Importance scoring: five-factor composite, decay, and
+promote/retain/prune classification."""
 
 from __future__ import annotations
 
@@ -21,31 +21,16 @@ FIVE_FACTOR_DEFAULTS = {
     "outcome": 0.15,
 }
 
-CALIBRATED_FOUR_DEFAULTS = {
-    "content_length": 0.363,
-    "turn_position": 0.325,
-    "surprise": 0.293,
-    "recency": 0.019,
-}
-
 
 @dataclass(frozen=True)
 class SignalWeights:
-    mode: str = "five_factor"  # or "calibrated_four"
     weights: dict[str, float] = field(default_factory=lambda: dict(FIVE_FACTOR_DEFAULTS))
 
     def __post_init__(self):
-        if self.mode not in ("five_factor", "calibrated_four"):
-            raise InvalidWeights(f"unknown mode {self.mode!r}")
         if any(w < 0 for w in self.weights.values()):
             raise InvalidWeights("weights must be non-negative")
         if abs(sum(self.weights.values()) - 1.0) > 1e-9:
             raise InvalidWeights("weights must sum to 1")
-
-    @classmethod
-    def calibrated_four(cls, weights: Optional[dict[str, float]] = None) -> "SignalWeights":
-        return cls(mode="calibrated_four",
-                   weights=dict(weights or CALIBRATED_FOUR_DEFAULTS))
 
 
 def recency_factor(encoded_at: datetime, now: datetime, lam: float) -> float:
@@ -95,7 +80,7 @@ def outcome_factor(event: MemoryEvent) -> float:
 
 def composite_importance(factors: dict[str, float],
                          weights: SignalWeights) -> tuple[float, dict[str, float]]:
-    """Weighted sum of the mode's factors. Returns (composite, breakdown)
+    """Weighted sum of the factors named in `weights`. Returns (composite, breakdown)
     where the breakdown carries every factor plus the composite itself."""
     missing = set(weights.weights) - set(factors)
     if missing:
@@ -141,35 +126,6 @@ def apply_authority_downweight(composite: float, event: MemoryEvent,
     if authority < 0.5:
         return composite * config.authority_downweight
     return composite
-
-
-def content_length_signal(text: str, p95_length: float) -> float:
-    if p95_length <= 0:
-        return 0.0
-    return min(len(text) / p95_length, 1.0)
-
-
-def turn_position_signal(index: int, session_length: int) -> float:
-    if session_length <= 0:
-        return 0.0
-    return 1.0 - index / session_length
-
-
-def calibrated_four_score(text: str, index: int, session_length: int,
-                          embedding: np.ndarray,
-                          prior_centroid: Optional[np.ndarray],
-                          p95_length: float,
-                          encoded_at: datetime, now: datetime, lam: float,
-                          weights: Optional[SignalWeights] = None
-                          ) -> tuple[float, dict[str, float]]:
-    weights = weights or SignalWeights.calibrated_four()
-    factors = {
-        "content_length": content_length_signal(text, p95_length),
-        "turn_position": turn_position_signal(index, session_length),
-        "surprise": surprise_factor(embedding, prior_centroid),
-        "recency": recency_factor(encoded_at, now, lam),
-    }
-    return composite_importance(factors, weights)
 
 
 @dataclass

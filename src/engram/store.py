@@ -8,8 +8,10 @@ id.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
+import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -22,7 +24,6 @@ from .errors import DuplicateId, EmbeddingFailure, SnapshotFormatError
 from .graph import KnowledgeGraph, extract_entities
 from .model import (
     STATE_PENDING,
-    STATE_QUARANTINED,
     STATE_TOMBSTONE,
     TIER_HOT,
     EpisodicRecord,
@@ -75,7 +76,6 @@ class MemoryStore:
         self.labile_until: dict[str, datetime] = {}
         self.total_ingested: int = 0
         self.batch_seq: int = 0
-        self.calibration_profile: Optional[dict[str, Any]] = None
         self.lock = threading.RLock()
 
     # -- ingest -----------------------------------------------------------
@@ -122,11 +122,6 @@ class MemoryStore:
 
     def active_records(self) -> list[EpisodicRecord]:
         return [r for r in self.records.values() if r.state != STATE_TOMBSTONE]
-
-    def pending_records(self) -> list[EpisodicRecord]:
-        pending = [r for r in self.records.values() if r.state == STATE_PENDING]
-        pending.sort(key=lambda r: (r.event.timestamp, r.id))
-        return pending
 
     def active_count(self) -> int:
         return sum(1 for r in self.records.values() if r.state != STATE_TOMBSTONE)
@@ -190,15 +185,25 @@ class MemoryStore:
             "labile_until": {k: rfc3339(v) for k, v in sorted(self.labile_until.items())},
             "total_ingested": self.total_ingested,
             "batch_seq": self.batch_seq,
-            "calibration_profile": self.calibration_profile,
         }
 
     def snapshot_json(self) -> str:
         return json.dumps(self.state_dict(), sort_keys=True, separators=(",", ":"))
 
     def save_snapshot(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.snapshot_json())
+        """Write to a sibling temp file, then rename it over `path`, so a
+        crash mid-write leaves the previous file intact. There is no fsync:
+        this covers process crashes, not power loss."""
+        text = self.snapshot_json()
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def from_state_dict(cls, d: dict[str, Any], embedder=None) -> "MemoryStore":
@@ -220,7 +225,6 @@ class MemoryStore:
         store.labile_until = {k: utc(v) for k, v in d["labile_until"].items()}
         store.total_ingested = d["total_ingested"]
         store.batch_seq = d["batch_seq"]
-        store.calibration_profile = d.get("calibration_profile")
         return store
 
     @classmethod
@@ -242,7 +246,6 @@ class MemoryStore:
             "labile_until": dict(self.labile_until),
             "total_ingested": self.total_ingested,
             "batch_seq": self.batch_seq,
-            "calibration_profile": copy.deepcopy(self.calibration_profile),
         }
 
     def _restore(self, chk: dict[str, Any]) -> None:
@@ -256,4 +259,3 @@ class MemoryStore:
         self.labile_until = chk["labile_until"]
         self.total_ingested = chk["total_ingested"]
         self.batch_seq = chk["batch_seq"]
-        self.calibration_profile = chk["calibration_profile"]

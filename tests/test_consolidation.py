@@ -444,5 +444,6 @@ def test_run_consolidation_rolls_back_on_failure(store):
 
 
 def test_unknown_mode_rejected(store):
-    with pytest.raises(ValueError):
-        run_consolidation(store, T0, mode="nope")
+    for mode in ("nope", "dedup-adaptive"):
+        with pytest.raises(ValueError):
+            run_consolidation(store, T0, mode=mode)

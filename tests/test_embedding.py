@@ -1,4 +1,9 @@
+import io
 import itertools
+import json
+import subprocess
+import sys
+import urllib.request
 
 import numpy as np
 import pytest
@@ -125,6 +130,39 @@ class TestRemoteEmbedder:
         with pytest.raises(DimensionMismatch):
             emb.embed("hi")
         assert len(calls) == 1
+
+    def test_default_post_uses_urllib(self, monkeypatch):
+        sent = []
+
+        def urlopen(request, timeout):
+            sent.append((request, timeout))
+            return io.BytesIO(json.dumps({"embedding": [3.0, 4.0]}).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        emb = RemoteEmbedder(endpoint="https://embed.test/v1", token="tok")
+        assert emb.embed("hi") == pytest.approx([0.6, 0.8])
+        [(request, timeout)] = sent
+        assert request.full_url == "https://embed.test/v1"
+        assert request.get_method() == "POST"
+        assert json.loads(request.data) == {"input": "hi"}
+        assert request.get_header("Authorization") == "Bearer tok"
+        assert request.get_header("Content-type") == "application/json"
+        assert timeout == 30
+
+    def test_needs_no_requests_package(self):
+        code = (
+            "import io, sys, urllib.request\n"
+            "sys.modules['requests'] = None\n"
+            "import engram\n"
+            "from engram.embedding import RemoteEmbedder\n"
+            "urllib.request.urlopen = lambda request, timeout: "
+            "io.BytesIO(b'{\"embedding\": [1.0, 0.0]}')\n"
+            "emb = RemoteEmbedder(endpoint='https://embed.test/v1', "
+            "sleep=lambda s: None)\n"
+            "assert list(emb.embed('hi')) == [1.0, 0.0]\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("ENGRAM_EMBED_ENDPOINT", raising=False)

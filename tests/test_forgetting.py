@@ -239,6 +239,7 @@ def test_forget_to_budget_walks_one_record_at_a_time(store):
     tokens = store.active_tokens()
     keep_tokens = estimate_tokens(store.records["keep"].content)
     report = forget_to_budget(store, keep_tokens + 2, T0 + hours(2))
+    assert report.tokens_after == store.active_tokens()
     assert store.active_tokens() <= keep_tokens + 2
     assert report.budget_steps >= 1
     assert store.records["keep"].state != STATE_TOMBSTONE
@@ -274,7 +275,8 @@ def test_budget_tokens_monotone_in_budget(seed):
             store.ingest(make_event(f"e{i:02d}", ts=T0 + minutes(i),
                                     content=words))
         run_consolidation(store, T0 + hours(1))
-        forget_to_budget(store, budget, T0 + hours(2))
+        report = forget_to_budget(store, budget, T0 + hours(2))
+        assert report.tokens_after == store.active_tokens()
         # may end above budget only when promoted minima alone exceed it
         if store.active_tokens() > budget:
             assert all(r.state in (STATE_PROMOTED, STATE_TOMBSTONE)

@@ -136,6 +136,39 @@ def test_source_id_dedupe_episodic_beats_gist(store):
     assert not any(i.startswith("sem-") for i in ids)
 
 
+def test_hybrid_defaults_now_to_logical_now(store):
+    # a record newer than the last consolidation must not put the default
+    # `now` before its encoding time
+    store.ingest(make_event("a", ts=T0, content="alpha topic"))
+    run_consolidation(store, T0)
+    store.ingest(make_event("b", ts=T0 + hours(2), content="alpha topic"))
+    result = hybrid_retrieve(store, "alpha topic")
+    assert result.as_of == T0 + hours(2)
+    assert [h.memory_id for h in result.hits] == ["b", "a"]
+
+
+def test_hybrid_embeds_query_once():
+    class CountingEmbedder(HashEmbedder):
+        calls = 0
+
+        def embed(self, text):
+            self.calls += 1
+            return super().embed(text)
+
+    embedder = CountingEmbedder(256, 0)
+    store = MemoryStore(StoreConfig(), embedder=embedder)
+    store.ingest(make_event("warm", ts=T0, content="Kestrel incident report"))
+    run_consolidation(store, T0 + hours(1))
+    store.ingest(make_event("hot", ts=T0 + hours(2), content="Kestrel follow-up"))
+    store.graph.insert_memory("Kestrel postmortem summary",
+                              EMB.embed("Kestrel postmortem summary"),
+                              frozenset({"other"}), ("Kestrel",), T0)
+    embedder.calls = 0
+    result = hybrid_retrieve(store, "Kestrel postmortem", now=T0 + hours(400))
+    assert {h.tier for h in result.hits} == {TIER_HOT, TIER_WARM, TIER_GRAPH}
+    assert embedder.calls == 1
+
+
 def test_recency_boost_decays_with_age(store):
     store.ingest(make_event("old", ts=T0, content="alpha beta gamma"))
     store.ingest(make_event("new", ts=T0 + hours(200), content="alpha beta gamma"))

@@ -3,25 +3,23 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engram.calibration import content_length_signal, turn_position_signal
 from engram.embedding import HashEmbedder
 from engram.errors import EmptyBatch, InvalidWeights
 from engram.graph import KnowledgeGraph
 from engram.model import StoreConfig
 from engram.scoring import (
-    CALIBRATED_FOUR_DEFAULTS,
     FIVE_FACTOR_DEFAULTS,
     SignalWeights,
     apply_authority_downweight,
     classify,
     composite_importance,
-    content_length_signal,
     entity_salience_factor,
     frequency_factor,
     outcome_factor,
     recency_factor,
     score_record,
     surprise_factor,
-    turn_position_signal,
 )
 
 from conftest import T0, hours, make_event, make_record
@@ -31,7 +29,6 @@ EMB = HashEmbedder(256, 0)
 
 def test_default_weights_sum_to_one():
     assert sum(FIVE_FACTOR_DEFAULTS.values()) == pytest.approx(1.0)
-    assert sum(CALIBRATED_FOUR_DEFAULTS.values()) == pytest.approx(1.0)
 
 
 def test_weights_validation():
@@ -39,8 +36,6 @@ def test_weights_validation():
         SignalWeights(weights={"recency": 0.5, "frequency": 0.6})
     with pytest.raises(InvalidWeights):
         SignalWeights(weights={"recency": 1.2, "frequency": -0.2})
-    with pytest.raises(InvalidWeights):
-        SignalWeights(mode="other")
 
 
 def test_recency_factor_decays():

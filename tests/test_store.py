@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from engram import store as store_module
 from engram.consolidation import run_consolidation
 from engram.errors import DuplicateId, SnapshotFormatError
 from engram.model import StoreConfig
@@ -60,9 +61,47 @@ def test_snapshot_roundtrip_byte_identical(store, tmp_path):
     store.save_snapshot(str(path))
     again = MemoryStore.load_snapshot(str(path))
     assert again.snapshot_json() == store.snapshot_json()
+    # snapshots written before `calibration_profile` was dropped still load
+    legacy = dict(store.state_dict(), calibration_profile=None)
+    assert MemoryStore.from_state_dict(legacy).snapshot_json() == store.snapshot_json()
     # loaded store keeps working
     again.ingest(make_event("new", ts=T0 + hours(2), content="more data"))
     assert again.total_ingested == store.total_ingested + 1
+
+
+def test_failed_save_keeps_previous_snapshot(store, tmp_path, monkeypatch):
+    store.ingest(make_event("a", ts=T0, content="first note"))
+    path = tmp_path / "snap.json"
+    store.save_snapshot(str(path))
+    before = path.read_bytes()
+    store.ingest(make_event("b", ts=T0 + minutes(1), content="second note"))
+
+    class HalfWrite:
+        """Writes half of the text, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(store_module, "open",
+                        lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        store.save_snapshot(str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
+    store.save_snapshot(str(path))
+    assert path.read_text(encoding="utf-8") == store.snapshot_json()
 
 
 def test_snapshot_version_check(tmp_path):
