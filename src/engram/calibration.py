@@ -17,6 +17,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from .codec import encode
 from .errors import DegenerateLabels, InsufficientSamples
 from .scoring import SignalWeights, surprise_factor
 
@@ -33,9 +34,6 @@ class Turn:
     label: str
     position: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"text": self.text, "label": self.label, "position": self.position}
-
 
 @dataclass
 class CalibrationCorpus:
@@ -47,7 +45,7 @@ class CalibrationCorpus:
 
     def fingerprint(self) -> str:
         payload = json.dumps(
-            [[sid, [t.to_dict() for t in turns]] for sid, turns in self.sessions],
+            [[sid, [encode(t) for t in turns]] for sid, turns in self.sessions],
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -55,7 +53,7 @@ class CalibrationCorpus:
         lines = []
         for sid, turns in self.sessions:
             for t in turns:
-                lines.append(json.dumps({"session_id": sid, **t.to_dict()},
+                lines.append(json.dumps({"session_id": sid, **encode(t)},
                                         sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -82,14 +80,7 @@ class CalibrationProfile:
     corpus_fingerprint: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "near_dedup_threshold": self.near_dedup_threshold,
-            "cluster_distance": self.cluster_distance,
-            "interference_threshold": self.interference_threshold,
-            "signal_weights": dict(self.signal_weights.weights),
-            "per_signal_auc": dict(self.per_signal_auc),
-            "corpus_fingerprint": self.corpus_fingerprint,
-        }
+        return {**encode(self), "signal_weights": dict(self.signal_weights.weights)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

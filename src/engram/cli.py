@@ -16,12 +16,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import calibration, harness
+from .codec import decode, encode, utc
 from .consolidation import MODE_DEDUP, MODE_NONE, MODES, run_consolidation
 from .embedding import HashEmbedder
 from .forgetting import run_forgetting
-from .model import MemoryEvent, StoreConfig, rfc3339, utc
+from .model import StoreConfig
 from .retrieval import hybrid_retrieve
-from .store import MemoryStore
+from .store import MemoryStore, read_events
 
 log = logging.getLogger("engram")
 
@@ -59,15 +60,14 @@ def cmd_generate(args) -> int:
     spec = harness.StreamSpec()
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
-            spec = harness.StreamSpec.from_dict(json.load(fh))
+            spec = decode(harness.StreamSpec, json.load(fh))
     manifest = harness.generate_stream(spec, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for ev in manifest.events:
-            fh.write(json.dumps(ev.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(encode(ev), sort_keys=True) + "\n")
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as fh:
-            json.dump({eid: vars(gt) for eid, gt in manifest.ground_truth.items()},
-                      fh, sort_keys=True)
+            json.dump(encode(manifest.ground_truth), fh, sort_keys=True)
     print(json.dumps({"events": len(manifest.events),
                       "future_referenced_rate": manifest.base_rate()}))
     return 0
@@ -75,15 +75,13 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     with open(args.stream, encoding="utf-8") as fh:
-        events = [MemoryEvent.from_dict(json.loads(line))
-                  for line in fh if line.strip()]
+        events = list(read_events(fh))
     manifest = harness.StreamManifest(events=events, ground_truth={},
                                       planted_rates={})
     if args.manifest:
         with open(args.manifest, encoding="utf-8") as fh:
             raw = json.load(fh)
-        manifest.ground_truth = {
-            eid: harness.GroundTruth(**gt) for eid, gt in raw.items()}
+        manifest.ground_truth = decode(dict[str, harness.GroundTruth], raw)
     config = StoreConfig()
     metrics = harness.stream_run(manifest, config, every_n=args.every_n,
                                  mode=args.mode, budget=args.budget)
@@ -106,8 +104,8 @@ def cmd_forget(args) -> int:
     store = _load_store(args.store)
     report = run_forgetting(store, _now(args, store), budget=args.budget)
     _save_store(store, args.store)
-    print(json.dumps(report.to_dict(), sort_keys=True))
-    _append_ledger(args.ledger, report.to_dict())
+    print(json.dumps(encode(report), sort_keys=True))
+    _append_ledger(args.ledger, encode(report))
     return 0
 
 
@@ -116,7 +114,7 @@ def cmd_retrieve(args) -> int:
     now = utc(args.as_of) if args.as_of else _now(args, store)
     result = hybrid_retrieve(store, args.query, k=args.k, now=now)
     for hit in result.hits:
-        print(json.dumps(hit.to_dict(), sort_keys=True))
+        print(json.dumps(encode(hit), sort_keys=True))
     return 0
 
 
@@ -129,7 +127,7 @@ def cmd_stats(args) -> int:
         "quarantined": len(store.quarantine),
         "semantic_memories": len(store.graph.memories),
         "entities": len(store.graph.entities),
-        "watermark": rfc3339(store.watermark) if store.watermark else None,
+        "watermark": encode(store.watermark),
     }, sort_keys=True))
     return 0
 

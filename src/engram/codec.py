@@ -1,0 +1,163 @@
+"""The one JSON form of engram's values: snapshots, reports and event files.
+
+`encode(value)` turns a value into plain JSON data; `decode(tp, data)` turns
+JSON data back into a value of type `tp`. A dataclass maps to an object with
+one key per field, named after the field unless `field(metadata={"key": ...})`
+renames it. Each type's converter is built once from `dataclasses.fields` and
+`typing.get_type_hints`, then cached. The type rules:
+
+    datetime      <-> RFC3339 string in UTC
+    np.ndarray    <-> list of floats (read back as float64)
+    IntEnum       <-> int
+    frozenset      -> sorted list
+    tuple          -> list
+    dataclass, list/tuple/dict of them: recursive
+    Optional[X]    -> X, with None as null
+
+Decoding a dataclass rejects keys it does not declare. A declared key that is
+absent or null takes the field's default; without a default it is an error.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from datetime import datetime, timezone
+from enum import IntEnum
+from functools import lru_cache
+from typing import Any, Callable, Optional, Union
+
+import numpy as np
+
+Converter = Optional[Callable[[Any], Any]]  # None: the value is already JSON
+
+
+def encode(value: Any) -> Any:
+    """The JSON form of `value`."""
+    enc = _encoder(type(value))
+    return value if enc is None else enc(value)
+
+
+def decode(tp: Any, data: Any) -> Any:
+    """The value of type `tp` whose JSON form is `data`."""
+    dec = _decoder(tp)
+    return data if dec is None else dec(data)
+
+
+def utc(ts: str) -> datetime:
+    """Parse an RFC3339 timestamp into an aware UTC datetime."""
+    dt = datetime.fromisoformat(ts.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
+
+
+def rfc3339(dt: datetime) -> str:
+    """Format an aware datetime as RFC3339 in UTC, with a `Z` suffix."""
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def field_keys(cls: type) -> frozenset[str]:
+    """The JSON keys a dataclass declares."""
+    return frozenset(key for _name, key, _conv, _default in _fields(cls, _decoder))
+
+
+@lru_cache(maxsize=None)
+def _fields(cls: type, conv: Callable[[Any], Converter]
+            ) -> tuple[tuple[str, str, Converter, bool], ...]:
+    """(name, key, converter, has_default) per field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), conv(hints[f.name]),
+         f.default is not dataclasses.MISSING
+         or f.default_factory is not dataclasses.MISSING)
+        for f in dataclasses.fields(cls))
+
+
+def _each(conv: Converter, build: Callable) -> Converter:
+    """A collection converter: `build` over the converted elements."""
+    return build if conv is None else lambda v: build(conv(x) for x in v)
+
+
+def _optional(args: tuple, conv: Callable[[Any], Converter]) -> Converter:
+    """Optional[X]: X's converter, with None passed through."""
+    (inner,) = [a for a in args if a is not type(None)]
+    inner = conv(inner)
+    return inner and (lambda v: None if v is None else inner(v))
+
+
+@lru_cache(maxsize=None)
+def _encoder(tp: Any) -> Converter:
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin in (Union, types.UnionType):
+        return _optional(args, _encoder)
+    if dataclasses.is_dataclass(origin):
+        return _dataclass_encoder(origin)
+    if origin is datetime:
+        return rfc3339
+    if origin is np.ndarray:
+        return np.ndarray.tolist
+    if isinstance(origin, type) and issubclass(origin, IntEnum):
+        return int
+    if origin is dict:
+        inner = _encoder(args[1]) if args else encode
+        return dict if inner is None else lambda d: {k: inner(v) for k, v in d.items()}
+    if origin in (list, tuple, frozenset):
+        inner = _encoder(args[0]) if args else encode
+        return _each(inner, sorted if origin is frozenset else list)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _decoder(tp: Any) -> Converter:
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin in (Union, types.UnionType):
+        return _optional(args, _decoder)
+    if dataclasses.is_dataclass(origin):
+        return _dataclass_decoder(origin)
+    if origin is datetime:
+        return utc
+    if origin is np.ndarray:
+        return lambda v: np.array(v, dtype=np.float64)
+    if isinstance(origin, type) and issubclass(origin, IntEnum):
+        return origin
+    if origin is dict:
+        inner = _decoder(args[1]) if args else None
+        return dict if inner is None else lambda d: {k: inner(v) for k, v in d.items()}
+    if origin in (list, tuple, frozenset):
+        return _each(_decoder(args[0]) if args else None, origin)
+    return None
+
+
+def _dataclass_encoder(cls: type) -> Callable[[Any], dict]:
+    plan = _fields(cls, _encoder)
+
+    def enc(obj: Any) -> dict:
+        out = {}
+        for name, key, fenc, _default in plan:
+            v = getattr(obj, name)
+            out[key] = v if fenc is None else fenc(v)
+        return out
+
+    return enc
+
+
+def _dataclass_decoder(cls: type) -> Callable[[dict], Any]:
+    plan = _fields(cls, _decoder)
+    keys = frozenset(key for _name, key, _dec, _default in plan)
+
+    def dec(data: dict) -> Any:
+        if not keys.issuperset(data):
+            raise ValueError(f"{cls.__name__}: unknown keys {sorted(set(data) - keys)}")
+        kwargs = {}
+        for name, key, fdec, has_default in plan:
+            v = data.get(key)
+            if v is None:
+                if has_default:
+                    continue
+                raise ValueError(f"{cls.__name__}: missing key {key!r}")
+            kwargs[name] = v if fdec is None else fdec(v)
+        return cls(**kwargs)
+
+    return dec

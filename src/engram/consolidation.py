@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import forgetting
+from .codec import encode
 from .graph import KnowledgeGraph, SemanticMemory
 from .model import (
     STATE_PENDING,
@@ -74,9 +75,7 @@ class ConsolidationReport:
                                     self.promoted + self.pruned + self.retained)
 
     def to_dict(self) -> dict[str, Any]:
-        d = dict(self.__dict__)
-        d["removed"] = self.removed
-        return d
+        return {**encode(self), "removed": self.removed}
 
 
 def validate_temporal(events: Sequence[MemoryEvent],

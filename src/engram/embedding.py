@@ -13,6 +13,7 @@ import json
 import os
 import re
 import time
+import urllib.error
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,7 +95,9 @@ def _urllib_post(endpoint: str, payload: dict, headers: dict) -> dict:
 class RemoteEmbedder:
     """Opaque HTTP embedding provider with capped exponential backoff.
 
-    POSTs {"input": text} and expects {"embedding": [...]}. Endpoint and
+    POSTs {"input": text} and expects {"embedding": [...]}. A 4xx answer is
+    final and raises at once; a 5xx answer, a transport error or any other
+    failure of the post is retried. Endpoint and
     bearer token come from arguments or the ENGRAM_EMBED_ENDPOINT /
     ENGRAM_EMBED_TOKEN environment variables. `post` and `sleep` are
     injectable for testing.
@@ -143,6 +146,8 @@ class RemoteEmbedder:
                 return vec
             except DimensionMismatch:
                 raise
-            except Exception as exc:  # transient provider failure
+            except Exception as exc:
+                if isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
+                    raise ProviderUnavailable(f"not retried: {exc}") from exc
                 last_err = exc
         raise ProviderUnavailable(f"retry budget exhausted: {last_err}")

@@ -12,7 +12,7 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class ForgettingReport:
     tokens_after: int = 0
     active_after: int = 0
     expired_ids: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return dict(self.__dict__)
 
 
 def apply_ttl(store: MemoryStore, now: datetime) -> list[str]:

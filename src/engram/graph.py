@@ -16,8 +16,9 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import NegativeElapsed
-from .model import StoreConfig, hours_between, rfc3339, utc
+from .model import StoreConfig, hours_between
 
 RETRIEVAL_THRESHOLD = 0.5
 
@@ -90,14 +91,6 @@ class EntityNode:
     first_seen: datetime = None  # type: ignore[assignment]
     last_seen: datetime = None  # type: ignore[assignment]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "importance": self.importance,
-            "first_seen": rfc3339(self.first_seen),
-            "last_seen": rfc3339(self.last_seen),
-        }
-
 
 @dataclass(eq=False)
 class SemanticMemory:
@@ -123,29 +116,6 @@ class SemanticMemory:
         the memory surfaces directly."""
         a = self.activation(now, config)
         return 0.0 if a >= RETRIEVAL_THRESHOLD else a
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "gist": self.gist,
-            "embedding": [float(x) for x in self.embedding],
-            "source_ids": sorted(self.source_ids),
-            "created_at": rfc3339(self.created_at),
-            "entities": list(self.entities),
-            "access_count": self.access_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SemanticMemory":
-        return cls(
-            id=d["id"],
-            gist=d["gist"],
-            embedding=np.array(d["embedding"], dtype=np.float64),
-            source_ids=frozenset(d["source_ids"]),
-            created_at=utc(d["created_at"]),
-            entities=tuple(d["entities"]),
-            access_count=d["access_count"],
-        )
 
 
 class KnowledgeGraph:
@@ -287,8 +257,8 @@ class KnowledgeGraph:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "entities": [self.entities[k].to_dict() for k in sorted(self.entities)],
-            "memories": [self.memories[k].to_dict() for k in sorted(self.memories)],
+            "entities": [encode(self.entities[k]) for k in sorted(self.entities)],
+            "memories": [encode(self.memories[k]) for k in sorted(self.memories)],
             "co_occurs": [[a, b, w] for (a, b), w in sorted(self.co_occurs.items())],
             "next_memory_seq": self._next_memory_seq,
         }
@@ -297,13 +267,11 @@ class KnowledgeGraph:
     def from_dict(cls, d: dict[str, Any]) -> "KnowledgeGraph":
         g = cls()
         for ed in d["entities"]:
-            node = EntityNode(name=ed["name"], importance=ed["importance"],
-                              first_seen=utc(ed["first_seen"]),
-                              last_seen=utc(ed["last_seen"]))
+            node = decode(EntityNode, ed)
             g.entities[g._key(node.name)] = node
             g.entity_memories[g._key(node.name)] = set()
         for md in d["memories"]:
-            mem = SemanticMemory.from_dict(md)
+            mem = decode(SemanticMemory, md)
             g.memories[mem.id] = mem
             g._by_source_set[mem.source_ids] = mem.id
             for name in mem.entities:

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Any, Callable, Optional, Sequence
 
+from .codec import encode
 from .consolidation import MODE_DEDUP, MODE_NONE, run_consolidation
 from .forgetting import run_forgetting
-from .model import FidelityLevel, MemoryEvent, StoreConfig, STATE_TOMBSTONE, utc
+from .model import FidelityLevel, MemoryEvent, StoreConfig, STATE_TOMBSTONE
 from .store import MemoryStore
 
 log = logging.getLogger("engram.harness")
@@ -38,13 +39,6 @@ class StreamSpec:
     start_time: datetime = DEFAULT_START
     core_pool_size: Optional[int] = None   # recurring-content pool, if any
     planted_violations: int = 0
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "StreamSpec":
-        kwargs = dict(d)
-        if "start_time" in kwargs and isinstance(kwargs["start_time"], str):
-            kwargs["start_time"] = utc(kwargs["start_time"])
-        return cls(**kwargs)
 
 
 @dataclass
@@ -206,9 +200,6 @@ class Checkpoint:
     active_tokens: int
     state_fingerprint: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RunMetrics:
@@ -227,17 +218,6 @@ class RunMetrics:
     @property
     def token_totals(self) -> list[int]:
         return [c.active_tokens for c in self.checkpoints]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "retention_precision": self.retention_precision,
-            "store_reduction": self.store_reduction,
-            "retained_count": self.retained_count,
-            "retained_referenced": self.retained_referenced,
-            "total_ingested": self.total_ingested,
-            "checkpoints": [c.to_dict() for c in self.checkpoints],
-            "config_used": self.config_used,
-        }
 
 
 def retained_records(store: MemoryStore):
@@ -288,7 +268,7 @@ def stream_run(manifest: StreamManifest,
     if max_sessions is not None:
         session_ids = session_ids[:max_sessions]
 
-    metrics = RunMetrics(config_used=config.to_dict())
+    metrics = RunMetrics(config_used=encode(config))
     max_ts: Optional[datetime] = None
     since_checkpoint = 0
     for idx, sid in enumerate(session_ids, start=1):
@@ -363,7 +343,7 @@ def budget_sweep(manifest: StreamManifest, config: StoreConfig,
 
 def report(metrics: RunMetrics, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(metrics.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(encode(metrics), sort_keys=True, indent=2)
     if fmt == "text":
         lines = [
             f"retention_precision  {metrics.retention_precision:.4f}",

@@ -9,27 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from enum import IntEnum
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NegativeElapsed
 
 ACTORS = ("user", "agent", "system", "automation")
-
-
-def utc(ts: str) -> datetime:
-    """Parse an RFC3339 timestamp into an aware UTC datetime."""
-    dt = datetime.fromisoformat(ts.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
-def rfc3339(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 def hours_between(earlier: datetime, later: datetime) -> float:
@@ -83,11 +71,11 @@ TIER_WARM = "warm"
 @dataclass(frozen=True)
 class MemoryEvent:
     id: str
-    timestamp: datetime
-    session_id: str
-    actor: str
-    kind: str
-    content: str
+    timestamp: datetime = field(metadata={"key": "ts"})
+    session_id: str = ""
+    actor: str = "user"
+    kind: str = "event"
+    content: str = ""
     metadata: dict[str, str] = field(default_factory=dict)
     causes: tuple[str, ...] = ()
 
@@ -97,31 +85,6 @@ class MemoryEvent:
         if self.actor not in ACTORS:
             raise ValueError(f"unknown actor {self.actor!r}")
         object.__setattr__(self, "causes", tuple(self.causes))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "ts": rfc3339(self.timestamp),
-            "session_id": self.session_id,
-            "actor": self.actor,
-            "kind": self.kind,
-            "content": self.content,
-            "metadata": dict(self.metadata),
-            "causes": list(self.causes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "MemoryEvent":
-        return cls(
-            id=d["id"],
-            timestamp=utc(d["ts"]),
-            session_id=d.get("session_id", ""),
-            actor=d.get("actor", "user"),
-            kind=d.get("kind", "event"),
-            content=d.get("content", ""),
-            metadata=dict(d.get("metadata") or {}),
-            causes=tuple(d.get("causes") or ()),
-        )
 
 
 @dataclass(eq=False)
@@ -163,41 +126,6 @@ class EpisodicRecord:
 
     def is_active(self) -> bool:
         return self.state != STATE_TOMBSTONE
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "event": self.event.to_dict(),
-            "embedding": [float(x) for x in self.embedding],
-            "importance": self.importance,
-            "score_breakdown": dict(self.score_breakdown),
-            "fidelity": int(self.fidelity),
-            "tier": self.tier,
-            "encoded_at": rfc3339(self.encoded_at),
-            "last_accessed": rfc3339(self.last_accessed),
-            "access_count": self.access_count,
-            "ttl_expires_at": rfc3339(self.ttl_expires_at),
-            "state": self.state,
-            "entities": list(self.entities),
-            "source_ids": list(self.source_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EpisodicRecord":
-        return cls(
-            event=MemoryEvent.from_dict(d["event"]),
-            embedding=np.array(d["embedding"], dtype=np.float64),
-            importance=d["importance"],
-            score_breakdown=dict(d["score_breakdown"]),
-            fidelity=FidelityLevel(d["fidelity"]),
-            tier=d["tier"],
-            encoded_at=utc(d["encoded_at"]),
-            last_accessed=utc(d["last_accessed"]),
-            access_count=d["access_count"],
-            ttl_expires_at=utc(d["ttl_expires_at"]),
-            state=d["state"],
-            entities=tuple(d["entities"]),
-            source_ids=tuple(d["source_ids"]),
-        )
 
 
 @dataclass
@@ -257,19 +185,6 @@ class StoreConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-
-    def to_dict(self) -> dict[str, Any]:
-        d = {}
-        for k, v in self.__dict__.items():
-            d[k] = list(v) if isinstance(v, tuple) else v
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "StoreConfig":
-        kwargs = dict(d)
-        if "degrade_age_hours" in kwargs:
-            kwargs["degrade_age_hours"] = tuple(kwargs["degrade_age_hours"])
-        return cls(**kwargs)
 
 
 def decayed_importance(importance: float, encoded_at: datetime, now: datetime,

@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .model import (
     TIER_WARM,
     decayed_importance,
     hours_between,
-    rfc3339,
 )
 from .store import MemoryStore
 
@@ -49,20 +48,6 @@ class Hit:
     source_ids: tuple[str, ...] = ()
     hop_distance: Optional[int] = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "memory_id": self.memory_id,
-            "tier": self.tier,
-            "base_sim": self.base_sim,
-            "recency_boost": self.recency_boost,
-            "priming_boost": self.priming_boost,
-            "final_score": self.final_score,
-            "timestamp": rfc3339(self.timestamp),
-            "content": self.content,
-            "source_ids": list(self.source_ids),
-            "hop_distance": self.hop_distance,
-        }
-
 
 @dataclass
 class RetrievalResult:
@@ -70,10 +55,6 @@ class RetrievalResult:
     k: int
     as_of: datetime
     hits: list[Hit] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"query": self.query, "k": self.k, "as_of": rfc3339(self.as_of),
-                "hits": [h.to_dict() for h in self.hits]}
 
 
 @dataclass
@@ -98,7 +79,7 @@ def _episodic_scan(store: MemoryStore, qvec: np.ndarray, k: int,
         importance_filter = store.config.importance_filter
     hits: list[Hit] = []
     for rec in store.records.values():
-        if rec.state == STATE_TOMBSTONE:
+        if rec.state == STATE_TOMBSTONE or rec.encoded_at > now:
             continue
         if tier is not None and rec.tier != tier:
             continue
@@ -135,7 +116,8 @@ def episodic_search(store: MemoryStore, query: str, k: int,
                     tier: Optional[str] = None,
                     importance_filter: Optional[float] = None) -> list[Hit]:
     """Exact cosine scan over non-tombstone episodic records passing the
-    temporal/session filters, top-k by similarity."""
+    temporal/session filters, top-k by similarity. Records encoded after
+    `now` are not visible."""
     return _episodic_scan(store, store.embedder.embed(query), k, now,
                           time_range, session_id, tier, importance_filter)
 
@@ -143,10 +125,12 @@ def episodic_search(store: MemoryStore, query: str, k: int,
 def semantic_search(store: MemoryStore, query: str, k: int,
                     now: datetime) -> list[Hit]:
     """Cosine scan over semantic memories that have matured past the
-    retrieval threshold (all of them when maturation is disabled)."""
+    retrieval threshold (all of them when maturation is disabled). Memories
+    created after `now` are not visible."""
     qvec = store.embedder.embed(query)
     hits = [_memory_hit(mem, qvec) for mem in store.graph.memories.values()
-            if mem.is_explicitly_retrievable(now, store.config)]
+            if mem.created_at <= now
+            and mem.is_explicitly_retrievable(now, store.config)]
     hits.sort(key=_rank_key)
     return hits[:k]
 
@@ -157,7 +141,9 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     """Hot-tier session hits, then warm episodic hits, then graph traversal
     seeded by entities of the top episodic hits; merged, deduplicated by
     source-id overlap, recency-boosted and primed, truncated to k. The query
-    is embedded once. `now` defaults to the store's logical now."""
+    is embedded once. `now` defaults to the store's logical now. A query is
+    point-in-time: records encoded and memories created after `now` are not
+    visible to it."""
     config = store.config
     if k is None:
         k = config.retrieval_k
@@ -186,6 +172,8 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     silent_by_entity: dict[str, float] = {}
     if seed_entities:
         for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
+            if mem.created_at > now:
+                continue
             weight = mem.priming_weight(now, config)
             if weight == 0.0:  # matured: surfaces as a hit of its own
                 graph_hits.append(_memory_hit(mem, qvec, hops))

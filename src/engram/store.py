@@ -15,10 +15,11 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
+from .codec import decode, encode, field_keys
 from .embedding import HashEmbedder, normalize
 from .errors import DuplicateId, EmbeddingFailure, SnapshotFormatError
 from .graph import KnowledgeGraph, extract_entities
@@ -31,11 +32,19 @@ from .model import (
     MemoryEvent,
     StoreConfig,
     estimate_tokens,
-    rfc3339,
-    utc,
 )
 
 SNAPSHOT_VERSION = 1
+
+
+def read_events(lines: Iterable[str]) -> Iterator[MemoryEvent]:
+    """Parse JSONL event lines. Blank lines are skipped, and keys that
+    `MemoryEvent` does not declare are ignored."""
+    keys = field_keys(MemoryEvent)
+    for line in lines:
+        if line.strip():
+            d = json.loads(line)
+            yield decode(MemoryEvent, {k: v for k, v in d.items() if k in keys})
 
 
 @dataclass
@@ -44,20 +53,6 @@ class QuarantineEntry:
     reason: str  # out_of_order | duplicate | causal_inversion
     quarantined_at: datetime
     expires_at: datetime
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "event": self.event.to_dict(),
-            "reason": self.reason,
-            "quarantined_at": rfc3339(self.quarantined_at),
-            "expires_at": rfc3339(self.expires_at),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "QuarantineEntry":
-        return cls(event=MemoryEvent.from_dict(d["event"]), reason=d["reason"],
-                   quarantined_at=utc(d["quarantined_at"]),
-                   expires_at=utc(d["expires_at"]))
 
 
 class MemoryStore:
@@ -104,13 +99,7 @@ class MemoryStore:
             return record
 
     def ingest_jsonl(self, lines: Iterable[str]) -> list[EpisodicRecord]:
-        out = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            out.append(self.ingest(MemoryEvent.from_dict(json.loads(line))))
-        return out
+        return [self.ingest(event) for event in read_events(lines)]
 
     # -- views ------------------------------------------------------------
 
@@ -173,16 +162,15 @@ class MemoryStore:
     def state_dict(self) -> dict[str, Any]:
         return {
             "version": SNAPSHOT_VERSION,
-            "config": self.config.to_dict(),
-            "records": [self.records[k].to_dict() for k in sorted(self.records)],
+            "config": encode(self.config),
+            "records": [encode(self.records[k]) for k in sorted(self.records)],
             "graph": self.graph.to_dict(),
-            "quarantine": [self.quarantine[k].to_dict() for k in sorted(self.quarantine)],
+            "quarantine": [encode(self.quarantine[k]) for k in sorted(self.quarantine)],
             "admitted_ids": sorted(self.admitted_ids),
-            "watermark": rfc3339(self.watermark) if self.watermark else None,
-            "centroid_sum": ([float(x) for x in self.centroid_sum]
-                             if self.centroid_sum is not None else None),
+            "watermark": encode(self.watermark),
+            "centroid_sum": encode(self.centroid_sum),
             "centroid_count": self.centroid_count,
-            "labile_until": {k: rfc3339(v) for k, v in sorted(self.labile_until.items())},
+            "labile_until": encode(self.labile_until),
             "total_ingested": self.total_ingested,
             "batch_seq": self.batch_seq,
         }
@@ -209,22 +197,24 @@ class MemoryStore:
     def from_state_dict(cls, d: dict[str, Any], embedder=None) -> "MemoryStore":
         if d.get("version") != SNAPSHOT_VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {d.get('version')}")
-        store = cls(StoreConfig.from_dict(d["config"]), embedder=embedder)
-        for rd in d["records"]:
-            rec = EpisodicRecord.from_dict(rd)
-            store.records[rec.id] = rec
-        store.graph = KnowledgeGraph.from_dict(d["graph"])
-        for qd in d["quarantine"]:
-            entry = QuarantineEntry.from_dict(qd)
-            store.quarantine[entry.event.id] = entry
-        store.admitted_ids = set(d["admitted_ids"])
-        store.watermark = utc(d["watermark"]) if d["watermark"] else None
-        if d["centroid_sum"] is not None:
-            store.centroid_sum = np.array(d["centroid_sum"], dtype=np.float64)
-        store.centroid_count = d["centroid_count"]
-        store.labile_until = {k: utc(v) for k, v in d["labile_until"].items()}
-        store.total_ingested = d["total_ingested"]
-        store.batch_seq = d["batch_seq"]
+        try:
+            store = cls(decode(StoreConfig, d["config"]), embedder=embedder)
+            for rd in d["records"]:
+                rec = decode(EpisodicRecord, rd)
+                store.records[rec.id] = rec
+            store.graph = KnowledgeGraph.from_dict(d["graph"])
+            for qd in d["quarantine"]:
+                entry = decode(QuarantineEntry, qd)
+                store.quarantine[entry.event.id] = entry
+            store.admitted_ids = set(d["admitted_ids"])
+            store.watermark = decode(Optional[datetime], d["watermark"])
+            store.centroid_sum = decode(Optional[np.ndarray], d["centroid_sum"])
+            store.centroid_count = d["centroid_count"]
+            store.labile_until = decode(dict[str, datetime], d["labile_until"])
+            store.total_ingested = d["total_ingested"]
+            store.batch_seq = d["batch_seq"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
         return store
 
     @classmethod

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from engram.codec import decode, encode
 from engram.embedding import HashEmbedder
 from engram.model import EpisodicRecord, MemoryEvent, StoreConfig
 from engram.store import MemoryStore
@@ -49,3 +51,12 @@ def minutes(n):
 
 def hours(n):
     return timedelta(hours=n)
+
+
+def roundtrip(tp, value):
+    """encode -> JSON text -> decode -> encode; the two encodings must be
+    equal. Returns the decoded value."""
+    data = encode(value)
+    again = decode(tp, json.loads(json.dumps(data)))
+    assert encode(again) == data
+    return again

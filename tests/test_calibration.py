@@ -16,6 +16,7 @@ from engram.calibration import (
     roc_auc,
     similarity_distributions,
 )
+from engram.codec import decode, encode
 from engram.embedding import HashEmbedder
 from engram.errors import DegenerateLabels, InsufficientSamples
 from engram.model import StoreConfig
@@ -194,9 +195,9 @@ def test_corpus_jsonl_roundtrip():
 
 def test_apply_profile_overrides_thresholds():
     profile = derive_profile(generate_corpus(seed=0), EMB)
-    base = StoreConfig().to_dict()
+    base = encode(StoreConfig())
     merged = apply_profile(base, profile)
-    config = StoreConfig.from_dict(merged)
+    config = decode(StoreConfig, merged)
     assert config.near_dedup_threshold == profile.near_dedup_threshold
     assert config.cluster_distance == profile.cluster_distance
     assert config.interference_threshold == profile.interference_threshold

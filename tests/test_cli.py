@@ -124,3 +124,17 @@ def test_forget_with_budget(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.strip())
     assert report["tokens_after"] <= 100 or report["budget_steps"] > 0
+
+
+def test_retrieve_as_of_before_every_record(tmp_path, capsys):
+    (tmp_path / "one.jsonl").write_text(json.dumps(
+        {"id": "a", "ts": "2026-01-05T00:00:00Z", "content": "Kestrel rollout"}),
+        encoding="utf-8")
+    _run(capsys, "--store", "st.json", "ingest", "one.jsonl")
+    code, out = _run(capsys, "--store", "st.json", "retrieve", "Kestrel",
+                     "--as-of", "2026-01-04T00:00:00Z")
+    assert (code, out) == (0, "")
+    code, out = _run(capsys, "--store", "st.json", "retrieve", "Kestrel",
+                     "--as-of", "2026-01-06T00:00:00Z")
+    assert code == 0
+    assert json.loads(out)["memory_id"] == "a"

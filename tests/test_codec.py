@@ -1,0 +1,95 @@
+"""Decode rules of the one JSON codec: defaults for absent or null keys,
+rejection of undeclared keys, and snapshot errors."""
+
+import json
+from datetime import datetime
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from engram.cli import main
+from engram.codec import decode, encode
+from engram.errors import SnapshotFormatError
+from engram.harness import StreamSpec
+from engram.model import FidelityLevel, MemoryEvent, StoreConfig
+from engram.store import MemoryStore
+
+from conftest import T0, make_event
+
+
+def test_jsonl_event_defaults_null_and_extra_keys(store):
+    lines = [
+        json.dumps({"id": "x", "ts": "2026-01-05T00:00:00Z"}),
+        json.dumps({"id": "y", "ts": "2026-01-05T01:00:00+01:00",
+                    "content": "hi", "metadata": None, "causes": None,
+                    "priority": "high"}),
+    ]
+    x, y = store.ingest_jsonl(lines)
+    assert x.event == MemoryEvent(id="x", timestamp=T0, session_id="",
+                                  actor="user", kind="event", content="",
+                                  metadata={}, causes=())
+    assert y.event == MemoryEvent(id="y", timestamp=T0, session_id="",
+                                  actor="user", kind="event", content="hi",
+                                  metadata={}, causes=())
+
+
+def test_event_without_timestamp_rejected(store):
+    with pytest.raises(ValueError):
+        store.ingest_jsonl([json.dumps({"id": "x", "content": "no time"})])
+    assert store.records == {}
+
+
+def test_unknown_config_and_spec_keys_rejected():
+    with pytest.raises(ValueError):
+        decode(StoreConfig, {"lamda_decay": 0.002})
+    with pytest.raises(ValueError):
+        decode(StreamSpec, {"sesions": 3})
+    spec = decode(StreamSpec, {"sessions": 3, "core_pool_size": None,
+                               "start_time": "2026-02-01T00:00:00Z"})
+    assert spec == StreamSpec(sessions=3,
+                              start_time=datetime.fromisoformat("2026-02-01T00:00:00+00:00"))
+
+
+def test_generate_rejects_unknown_spec_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"sesions": 3}), encoding="utf-8")
+    assert main(["generate", "--spec", "spec.json", "--out", "s.jsonl"]) == 1
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def _snapshot(store):
+    store.ingest(make_event("a", ts=T0, content="first note"))
+    return json.loads(store.snapshot_json())
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: d["records"][0].pop("event"),
+    lambda d: d["records"][0].pop("embedding"),
+    lambda d: d["config"].update(lamda_decay=0.002),
+], ids=["record-without-event", "record-without-embedding", "config-typo"])
+def test_malformed_snapshot_rejected(store, corrupt):
+    d = _snapshot(store)
+    corrupt(d)
+    with pytest.raises(SnapshotFormatError):
+        MemoryStore.from_state_dict(d)
+
+
+def test_snapshot_record_without_defaulted_key_loads_default(store):
+    d = _snapshot(store)
+    del d["records"][0]["importance"]
+    assert MemoryStore.from_state_dict(d).records["a"].importance == 0.0
+
+
+def test_top_level_values():
+    assert encode(None) is None
+    assert decode(Optional[datetime], None) is None
+    assert decode(Optional[datetime], encode(T0)) == T0
+    assert encode(T0) == "2026-01-05T00:00:00Z"
+    assert encode({"a": T0}) == {"a": "2026-01-05T00:00:00Z"}
+    assert encode(np.array([0.5, -1.0])) == [0.5, -1.0]
+    assert encode(FidelityLevel.L3) == 3
+    assert encode(frozenset({"b", "a"})) == ["a", "b"]
+    assert decode(frozenset[str], ["b", "a"]) == frozenset({"a", "b"})
+    vec = decode(np.ndarray, [1, 2])
+    assert vec.dtype == np.float64 and vec.tolist() == [1.0, 2.0]

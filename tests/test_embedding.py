@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -123,6 +124,23 @@ class TestRemoteEmbedder:
         with pytest.raises(ProviderUnavailable):
             emb.embed("hi")
         assert len(calls) == 3
+
+    def test_client_error_not_retried(self):
+        refused = urllib.error.HTTPError("https://embed.test/v1", 401,
+                                         "Unauthorized", {}, None)
+        emb, calls, slept = self._provider([refused])
+        with pytest.raises(ProviderUnavailable):
+            emb.embed("hi")
+        assert len(calls) == 1
+        assert slept == []
+
+    def test_server_error_retried(self):
+        busy = urllib.error.HTTPError("https://embed.test/v1", 503,
+                                      "Unavailable", {}, None)
+        emb, calls, slept = self._provider([busy, {"embedding": [1.0, 0.0]}])
+        assert emb.embed("hi") == pytest.approx([1.0, 0.0])
+        assert len(calls) == 2
+        assert slept == [0.1]
 
     def test_dimension_mismatch_not_retried(self):
         emb, calls, _ = self._provider(

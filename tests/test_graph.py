@@ -5,13 +5,15 @@ import pytest
 from engram.embedding import HashEmbedder
 from engram.errors import NegativeElapsed
 from engram.graph import (
+    EntityNode,
     KnowledgeGraph,
+    SemanticMemory,
     activation,
     extract_entities,
 )
 from engram.model import StoreConfig
 
-from conftest import T0, hours
+from conftest import T0, hours, roundtrip
 
 EMB = HashEmbedder(256, 0)
 
@@ -164,6 +166,10 @@ def test_graph_serde_roundtrip():
     g = _tri_graph()
     again = KnowledgeGraph.from_dict(json.loads(json.dumps(g.to_dict())))
     assert again.to_dict() == g.to_dict()
+    for node in g.entities.values():
+        roundtrip(EntityNode, node)
+    for mem in g.memories.values():
+        assert roundtrip(SemanticMemory, mem).source_ids == mem.source_ids
     # idempotence keys survive the round trip
     m = again.insert_memory("dup", EMB.embed("dup"), frozenset({"s1"}),
                             ("A",), T0)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from engram import harness
+from engram.codec import encode
 from engram.consolidation import MODE_NONE
 from engram.harness import (
     StreamSpec,
@@ -19,9 +20,9 @@ def test_generate_stream_deterministic():
     spec = StreamSpec(sessions=4, events_per_session=10)
     a = generate_stream(spec, seed=5)
     b = generate_stream(spec, seed=5)
-    assert [e.to_dict() for e in a.events] == [e.to_dict() for e in b.events]
+    assert [encode(e) for e in a.events] == [encode(e) for e in b.events]
     c = generate_stream(spec, seed=6)
-    assert [e.to_dict() for e in a.events] != [e.to_dict() for e in c.events]
+    assert [encode(e) for e in a.events] != [encode(e) for e in c.events]
 
 
 def test_generate_stream_planted_counts():

@@ -1,11 +1,21 @@
-import json
 import math
+from datetime import datetime, timezone
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from engram.codec import rfc3339, utc
+from engram.embedding import HashEmbedder
 from engram.errors import NegativeElapsed
 from engram.model import (
+    ACTORS,
+    STATE_PENDING,
+    STATE_PROMOTED,
+    STATE_RETAINED,
+    STATE_TOMBSTONE,
+    TIER_HOT,
+    TIER_WARM,
     EpisodicRecord,
     FidelityLevel,
     MemoryEvent,
@@ -13,11 +23,34 @@ from engram.model import (
     decayed_importance,
     estimate_tokens,
     hours_between,
-    rfc3339,
-    utc,
 )
 
-from conftest import T0, hours, make_event
+from conftest import T0, hours, make_event, roundtrip
+
+EMB = HashEmbedder(256, 0)
+
+_texts = st.text(max_size=20)
+_times = st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(2100, 1, 1),
+                      timezones=st.just(timezone.utc))
+events = st.builds(
+    MemoryEvent, id=st.text(min_size=1, max_size=10), timestamp=_times,
+    session_id=_texts, actor=st.sampled_from(ACTORS), kind=_texts,
+    content=_texts, metadata=st.dictionaries(_texts, _texts, max_size=3),
+    causes=st.lists(_texts, max_size=3).map(tuple))
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+records = st.builds(
+    EpisodicRecord, event=events,
+    embedding=st.lists(_floats, min_size=1, max_size=8).map(np.array),
+    importance=_floats,
+    score_breakdown=st.dictionaries(_texts, _floats, max_size=3),
+    fidelity=st.sampled_from(FidelityLevel),
+    tier=st.sampled_from([TIER_HOT, TIER_WARM]),
+    encoded_at=_times, last_accessed=_times,
+    access_count=st.integers(0, 10**6), ttl_expires_at=_times,
+    state=st.sampled_from([STATE_PENDING, STATE_RETAINED, STATE_PROMOTED,
+                           STATE_TOMBSTONE]),
+    entities=st.lists(_texts, max_size=3).map(tuple),
+    source_ids=st.lists(_texts, max_size=3).map(tuple))
 
 
 def test_utc_roundtrip():
@@ -44,10 +77,10 @@ def test_event_validation():
         make_event(actor="nobody")
 
 
-def test_event_serde_roundtrip():
-    ev = make_event(metadata={"outcome": "success"}, causes=("evt-0",))
-    again = MemoryEvent.from_dict(json.loads(json.dumps(ev.to_dict())))
-    assert again == ev
+@given(events)
+@example(make_event(metadata={"outcome": "success"}, causes=("evt-0",)))
+def test_event_serde_roundtrip(ev):
+    assert roundtrip(MemoryEvent, ev) == ev
 
 
 def test_record_defaults(embedder):
@@ -59,12 +92,13 @@ def test_record_defaults(embedder):
     assert rec.is_active()
 
 
-def test_record_serde_roundtrip(embedder):
-    ev = make_event()
-    rec = EpisodicRecord(event=ev, embedding=embedder.embed(ev.content),
-                         importance=0.7, score_breakdown={"composite": 0.7})
-    again = EpisodicRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-    assert again.to_dict() == rec.to_dict()
+@given(records)
+@example(EpisodicRecord(event=make_event(), embedding=EMB.embed("hello world"),
+                        importance=0.7, score_breakdown={"composite": 0.7}))
+def test_record_serde_roundtrip(rec):
+    again = roundtrip(EpisodicRecord, rec)
+    assert again.embedding.dtype == np.float64
+    assert type(again.fidelity) is FidelityLevel
 
 
 def test_config_validates_fractions():
@@ -77,7 +111,7 @@ def test_config_validates_fractions():
 
 def test_config_serde_roundtrip():
     c = StoreConfig(token_budget=5000)
-    assert StoreConfig.from_dict(c.to_dict()) == c
+    assert roundtrip(StoreConfig, c) == c
 
 
 # -- decay ----------------------------------------------------------------

@@ -147,6 +147,30 @@ def test_hybrid_defaults_now_to_logical_now(store):
     assert [h.memory_id for h in result.hits] == ["b", "a"]
 
 
+def test_queries_are_point_in_time(store):
+    """A query at `now` sees only records encoded and memories created at or
+    before `now`; an `as_of` earlier than everything stored is legal."""
+    store.ingest(make_event("a", ts=T0, metadata={"outcome": "success"},
+                            content="Meridian budget approved by Hollis"))
+    run_consolidation(store, T0 + hours(1))
+    assert len(store.graph.memories) == 1  # the gist of "a", created at T0+1h
+    store.ingest(make_event("b", ts=T0 + hours(2),
+                            content="Meridian budget approved again"))
+    store.graph.insert_memory("Meridian budget summary",
+                              EMB.embed("Meridian budget summary"),
+                              frozenset({"other"}), ("Meridian",), T0 + hours(3))
+    query = "Meridian budget approved"
+    assert hybrid_retrieve(store, query, now=T0 - hours(24)).hits == []
+    assert episodic_search(store, query, 10, T0 - hours(24)) == []
+    assert semantic_search(store, query, 10, T0) == []
+    between = hybrid_retrieve(store, query, now=T0 + minutes(90))
+    assert [h.memory_id for h in between.hits] == ["a"]
+    late = semantic_search(store, "Meridian budget summary", 10, T0 + hours(2))
+    assert late == []
+    mature = semantic_search(store, "Meridian budget summary", 10, T0 + hours(500))
+    assert len(mature) == 2
+
+
 def test_hybrid_embeds_query_once():
     class CountingEmbedder(HashEmbedder):
         calls = 0
