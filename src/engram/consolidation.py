@@ -115,11 +115,20 @@ def content_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def survivor_order(rec: EpisodicRecord) -> tuple[bool, datetime, str]:
+    """Dedup visiting order: records already in the store (no longer
+    pending) before new ones, so a new copy never removes a stored record;
+    then timestamp, then id."""
+    return (rec.state == STATE_PENDING, rec.event.timestamp, rec.id)
+
+
 def exact_dedup(batch: Sequence[EpisodicRecord]
                 ) -> tuple[list[EpisodicRecord], list[EpisodicRecord]]:
-    """Collapse identical-content records onto the earliest copy. The
-    survivor absorbs the removed copies' ids and access counts."""
-    ordered = sorted(batch, key=lambda r: (r.event.timestamp, r.id))
+    """Collapse identical-content records onto the first copy in
+    `survivor_order`: records already in the store before any new one, then
+    the earliest. The survivor absorbs the removed copies' ids and access
+    counts."""
+    ordered = sorted(batch, key=survivor_order)
     by_hash: dict[str, EpisodicRecord] = {}
     removed: list[EpisodicRecord] = []
     for rec in ordered:
@@ -140,10 +149,10 @@ def exact_dedup(batch: Sequence[EpisodicRecord]
 
 def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
                ) -> tuple[list[EpisodicRecord], list[EpisodicRecord]]:
-    """Greedy near-duplicate removal in timestamp order: a record is dropped
-    when its cosine similarity to any earlier survivor reaches the
+    """Greedy near-duplicate removal in `survivor_order`: a record is
+    dropped when its cosine similarity to any earlier survivor reaches the
     threshold; the survivor merges source ids and keeps max importance."""
-    ordered = sorted(batch, key=lambda r: (r.event.timestamp, r.id))
+    ordered = sorted(batch, key=survivor_order)
     survivors: list[EpisodicRecord] = []
     removed: list[EpisodicRecord] = []
     matrix: list[np.ndarray] = []

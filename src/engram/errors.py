@@ -55,3 +55,7 @@ class DegenerateLabels(EngramError):
 
 class SnapshotFormatError(EngramError):
     pass
+
+
+class IllegalTransition(EngramError):
+    """A record move against the one-way lifecycle lattice."""

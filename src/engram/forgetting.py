@@ -223,26 +223,33 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int,
 def run_forgetting(store: MemoryStore, now: datetime,
                    budget: Optional[int] = None) -> ForgettingReport:
     """TTL expiry, then interference-triggered degradation above the
-    priority floor, then budget forgetting when a budget is configured."""
+    priority floor, then budget forgetting when a budget is configured.
+    Transactional: on any failure the store is restored to its state before
+    the call."""
     config = store.config
     with store.lock:
-        report = ForgettingReport()
-        report.expired_ids = apply_ttl(store, now)
-        report.ttl_expired = len(report.expired_ids)
+        chk = store._checkpoint()
+        try:
+            report = ForgettingReport()
+            report.expired_ids = apply_ttl(store, now)
+            report.ttl_expired = len(report.expired_ids)
 
-        for rec_id in select_forget_candidates(store, now):
-            current = store.records[rec_id]
-            if current.event.metadata.get("error_signal") == "true":
-                continue
-            if degradation_due(current, now, config):
-                store.replace(degrade(current, now))
-                report.interference_degraded += 1
+            for rec_id in select_forget_candidates(store, now):
+                current = store.records[rec_id]
+                if current.event.metadata.get("error_signal") == "true":
+                    continue
+                if degradation_due(current, now, config):
+                    store.replace(degrade(current, now))
+                    report.interference_degraded += 1
 
-        budget = budget if budget is not None else config.token_budget
-        if budget is not None:
-            sub = forget_to_budget(store, budget, now)
-            report.budget_steps = sub.budget_steps
-            report.budget_tombstoned = sub.budget_tombstoned
-        report.tokens_after = store.active_tokens()
-        report.active_after = store.active_count()
-        return report
+            budget = budget if budget is not None else config.token_budget
+            if budget is not None:
+                sub = forget_to_budget(store, budget, now)
+                report.budget_steps = sub.budget_steps
+                report.budget_tombstoned = sub.budget_tombstoned
+            report.tokens_after = store.active_tokens()
+            report.active_after = store.active_count()
+            return report
+        except Exception:
+            store._restore(chk)
+            raise

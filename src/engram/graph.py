@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Callable, Iterable, Optional
 
@@ -84,7 +84,7 @@ def activation(created_at: datetime, now: datetime, t_half: float, k: float) -> 
     return 1.0 / (1.0 + math.exp(-(t - t_half) / k))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntityNode:
     name: str
     importance: float = 0.0
@@ -92,7 +92,7 @@ class EntityNode:
     last_seen: datetime = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SemanticMemory:
     id: str
     gist: str
@@ -101,6 +101,9 @@ class SemanticMemory:
     created_at: datetime
     entities: tuple[str, ...] = ()
     access_count: int = 0
+
+    def __post_init__(self):
+        self.embedding.setflags(write=False)
 
     def activation(self, now: datetime, config: StoreConfig) -> float:
         if not config.maturation_enabled:
@@ -123,7 +126,9 @@ class KnowledgeGraph:
 
     Entity names are case-folded for identity but keep their first-seen
     display form. Entity importance is degree / max degree, recomputed per
-    batch; degree counts mention edges plus co-occurrence edges.
+    batch; degree counts mention edges plus co-occurrence edges. Nodes and
+    memories are immutable values, replaced by key, so `copy` needs to copy
+    only the containers.
     """
 
     def __init__(self):
@@ -144,13 +149,11 @@ class KnowledgeGraph:
         node = self.entities.get(key)
         if node is None:
             node = EntityNode(name=name, first_seen=when, last_seen=when)
-            self.entities[key] = node
             self.entity_memories[key] = set()
-        else:
-            if when > node.last_seen:
-                node.last_seen = when
-            if when < node.first_seen:
-                node.first_seen = when
+        elif not node.first_seen <= when <= node.last_seen:
+            node = replace(node, first_seen=min(node.first_seen, when),
+                           last_seen=max(node.last_seen, when))
+        self.entities[key] = node
         return node
 
     def entity_importance(self, name: str) -> float:
@@ -165,9 +168,12 @@ class KnowledgeGraph:
         max_degree = max(degrees.values(), default=0)
         for key, node in self.entities.items():
             if max_degree == 0:
-                node.importance = 1.0 if len(self.entities) == 1 else 0.0
+                importance = 1.0 if len(self.entities) == 1 else 0.0
             else:
-                node.importance = degrees.get(key, 0) / max_degree
+                importance = degrees.get(key, 0) / max_degree
+            if importance != node.importance:
+                self.entities[key] = EntityNode(node.name, importance,
+                                                node.first_seen, node.last_seen)
 
     # -- memories ---------------------------------------------------------
 
@@ -206,6 +212,18 @@ class KnowledgeGraph:
 
     def replace_memory(self, mem: SemanticMemory) -> None:
         self.memories[mem.id] = mem
+
+    def copy(self) -> "KnowledgeGraph":
+        """A graph that shares this one's immutable nodes and memories but
+        none of its containers."""
+        g = KnowledgeGraph()
+        g.entities = dict(self.entities)
+        g.memories = dict(self.memories)
+        g.entity_memories = {k: set(v) for k, v in self.entity_memories.items()}
+        g.co_occurs = dict(self.co_occurs)
+        g._by_source_set = dict(self._by_source_set)
+        g._next_memory_seq = self._next_memory_seq
+        return g
 
     # -- traversal --------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Core data types: events, episodic records, fidelity ladder, store config.
 
-All timestamps are timezone-aware UTC datetimes. Records are treated as
-immutable values by the lifecycle stages; mutation is replace-by-id in the
-store.
+All timestamps are timezone-aware UTC datetimes. Records are immutable
+values: the dataclasses are frozen, embeddings are read-only arrays and
+mapping fields are `ReadOnlyDict`s, so a lifecycle stage changes a record
+only by building a new one and replacing it by id in the store.
 """
 
 from __future__ import annotations
@@ -58,14 +59,51 @@ _RETAINED_FRACTION = {
 # pending -> {retained, promoted} -> tombstone.
 # A quarantined event is not a record state: the event leaves `records` for
 # the store's quarantine and re-enters as a new pending record if
-# re-admitted.
+# re-admitted. `MemoryStore.replace` enforces the lattice.
 STATE_PENDING = "pending"
 STATE_RETAINED = "retained"
 STATE_PROMOTED = "promoted"
 STATE_TOMBSTONE = "tombstone"
 
+# state -> the states a record in it may move to (staying put included)
+LEGAL_MOVES = {
+    STATE_PENDING: frozenset({STATE_PENDING, STATE_RETAINED, STATE_PROMOTED,
+                              STATE_TOMBSTONE}),
+    STATE_RETAINED: frozenset({STATE_RETAINED, STATE_TOMBSTONE}),
+    STATE_PROMOTED: frozenset({STATE_PROMOTED, STATE_TOMBSTONE}),
+    STATE_TOMBSTONE: frozenset({STATE_TOMBSTONE}),
+}
+
 TIER_HOT = "hot"
 TIER_WARM = "warm"
+
+
+class ReadOnlyDict(dict):
+    """A dict that refuses every write, for the mapping fields of frozen
+    values. It stays a plain dict to readers and to the codec; `copy` and
+    `pickle` rebuild it from one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+_EMPTY = ReadOnlyDict()
+
+
+def read_only(mapping: dict) -> ReadOnlyDict:
+    """A read-only copy of `mapping`; a `ReadOnlyDict` is kept as it is, and
+    every empty mapping shares one instance."""
+    if type(mapping) is ReadOnlyDict:
+        return mapping
+    return ReadOnlyDict(mapping) if mapping else _EMPTY
 
 
 @dataclass(frozen=True)
@@ -84,10 +122,11 @@ class MemoryEvent:
             raise ValueError("event id must be non-empty")
         if self.actor not in ACTORS:
             raise ValueError(f"unknown actor {self.actor!r}")
+        object.__setattr__(self, "metadata", read_only(self.metadata))
         object.__setattr__(self, "causes", tuple(self.causes))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EpisodicRecord:
     event: MemoryEvent
     embedding: np.ndarray
@@ -104,14 +143,17 @@ class EpisodicRecord:
     source_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
+        self.embedding.setflags(write=False)
+        put = object.__setattr__
+        put(self, "score_breakdown", read_only(self.score_breakdown))
         if self.encoded_at is None:
-            self.encoded_at = self.event.timestamp
+            put(self, "encoded_at", self.event.timestamp)
         if self.last_accessed is None:
-            self.last_accessed = self.encoded_at
+            put(self, "last_accessed", self.encoded_at)
         if self.ttl_expires_at is None:
-            self.ttl_expires_at = self.encoded_at + timedelta(hours=24)
+            put(self, "ttl_expires_at", self.encoded_at + timedelta(hours=24))
         if not self.source_ids:
-            self.source_ids = (self.event.id,)
+            put(self, "source_ids", (self.event.id,))
 
     @property
     def id(self) -> str:

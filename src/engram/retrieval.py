@@ -217,17 +217,18 @@ def open_lability(store: MemoryStore, memory_id: str,
     """Mark a retrieved memory labile for the configured window and record
     the access."""
     window = timedelta(minutes=store.config.lability_window_min)
-    rec = store.records.get(memory_id)
-    if rec is not None:
-        store.replace(replace(rec, access_count=rec.access_count + 1,
-                              last_accessed=now))
-    else:
-        mem = store.graph.memories.get(memory_id)
-        if mem is None:
-            raise KeyError(memory_id)
-        mem.access_count += 1
-    expires = now + window
-    store.labile_until[memory_id] = expires
+    with store.lock:
+        rec = store.records.get(memory_id)
+        if rec is not None:
+            store.replace(replace(rec, access_count=rec.access_count + 1,
+                                  last_accessed=now))
+        else:
+            mem = store.graph.memories.get(memory_id)
+            if mem is None:
+                raise KeyError(memory_id)
+            store.graph.replace_memory(replace(mem, access_count=mem.access_count + 1))
+        expires = now + window
+        store.labile_until[memory_id] = expires
     return LabilityHandle(memory_id=memory_id, opened_at=now, expires_at=expires)
 
 
@@ -255,57 +256,57 @@ def reconsolidate(store: MemoryStore, handle: LabilityHandle,
     config = store.config
     new_vec = store.embedder.embed(new_content)
 
-    rec = store.records.get(handle.memory_id)
-    mem: Optional[SemanticMemory] = None
-    if rec is not None:
-        old_vec, old_content, encoded_at = rec.embedding, rec.content, rec.encoded_at
-    else:
-        mem = store.graph.memories.get(handle.memory_id)
-        if mem is None:
-            raise KeyError(handle.memory_id)
-        old_vec, old_content, encoded_at = mem.embedding, mem.gist, mem.created_at
+    with store.lock:
+        rec = store.records.get(handle.memory_id)
+        mem: Optional[SemanticMemory] = None
+        if rec is not None:
+            old_vec, old_content, encoded_at = rec.embedding, rec.content, rec.encoded_at
+        else:
+            mem = store.graph.memories.get(handle.memory_id)
+            if mem is None:
+                raise KeyError(handle.memory_id)
+            old_vec, old_content, encoded_at = mem.embedding, mem.gist, mem.created_at
 
-    severity = min(max(1.0 - float(np.dot(new_vec, old_vec)), 0.0), 1.0)
-    if severity < 1e-9:  # identical content up to float residue
-        severity = 0.0
-    recency = math.exp(-config.lambda_decay * max(hours_between(encoded_at, now), 0.0))
-    alpha = blend_strength(confidence, severity, recency, config)
-    log.info("reconsolidate %s alpha=%.4f confidence=%.3f severity=%.3f recency=%.3f",
-             handle.memory_id, alpha, confidence, severity, recency)
-    if alpha == 0.0:
-        return rec if rec is not None else mem
+        severity = min(max(1.0 - float(np.dot(new_vec, old_vec)), 0.0), 1.0)
+        if severity < 1e-9:  # identical content up to float residue
+            severity = 0.0
+        recency = math.exp(-config.lambda_decay * max(hours_between(encoded_at, now), 0.0))
+        alpha = blend_strength(confidence, severity, recency, config)
+        log.info("reconsolidate %s alpha=%.4f confidence=%.3f severity=%.3f recency=%.3f",
+                 handle.memory_id, alpha, confidence, severity, recency)
+        if alpha == 0.0:
+            return rec if rec is not None else mem
 
-    blended = normalize((1.0 - alpha) * old_vec + alpha * new_vec)
-    if alpha > 0.5:
-        content = new_content
-    else:
-        content = old_content + "\n[amendment] " + new_content
-    if rec is not None:
-        updated = replace(rec.with_content(content), embedding=blended)
-        store.replace(updated)
-        return updated
-    mem.gist = content
-    mem.embedding = blended
-    store.graph.replace_memory(mem)
-    return mem
+        blended = normalize((1.0 - alpha) * old_vec + alpha * new_vec)
+        if alpha > 0.5:
+            content = new_content
+        else:
+            content = old_content + "\n[amendment] " + new_content
+        if rec is not None:
+            updated = replace(rec.with_content(content), embedding=blended)
+            store.replace(updated)
+            return updated
+        mem = replace(mem, gist=content, embedding=blended)
+        store.graph.replace_memory(mem)
+        return mem
 
 
 def reinforce(store: MemoryStore, memory_id: str, outcome: str) -> float:
     """Outcome feedback: success nudges importance up (clamped at 1);
     failure leaves the score but tags the record as an error signal so the
     interference path never deletes it."""
-    rec = store.records.get(memory_id)
-    if rec is None:
-        raise KeyError(memory_id)
-    if outcome == "success":
-        updated = replace(rec, importance=min(1.0, rec.importance +
-                                              store.config.reinforce_step))
+    with store.lock:
+        rec = store.records.get(memory_id)
+        if rec is None:
+            raise KeyError(memory_id)
+        if outcome == "success":
+            updated = replace(rec, importance=min(1.0, rec.importance +
+                                                  store.config.reinforce_step))
+        elif outcome == "failure":
+            metadata = dict(rec.event.metadata)
+            metadata["error_signal"] = "true"
+            updated = replace(rec, event=replace(rec.event, metadata=metadata))
+        else:
+            raise ValueError(f"unknown outcome {outcome!r}")
         store.replace(updated)
         return updated.importance
-    if outcome == "failure":
-        metadata = dict(rec.event.metadata)
-        metadata["error_signal"] = "true"
-        updated = replace(rec, event=replace(rec.event, metadata=metadata))
-        store.replace(updated)
-        return updated.importance
-    raise ValueError(f"unknown outcome {outcome!r}")

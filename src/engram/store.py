@@ -2,14 +2,14 @@
 and versioned snapshots.
 
 Batch lifecycle jobs take the store's writer lock and see a consistent
-state; records themselves are treated as immutable values and replaced by
-id.
+state. Records, graph nodes, semantic memories and quarantine entries are
+immutable values, replaced by id, so a transaction checkpoint copies the
+containers and shares the values.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import os
 import threading
@@ -21,9 +21,15 @@ import numpy as np
 
 from .codec import decode, encode, field_keys
 from .embedding import HashEmbedder, normalize
-from .errors import DuplicateId, EmbeddingFailure, SnapshotFormatError
+from .errors import (
+    DuplicateId,
+    EmbeddingFailure,
+    IllegalTransition,
+    SnapshotFormatError,
+)
 from .graph import KnowledgeGraph, extract_entities
 from .model import (
+    LEGAL_MOVES,
     STATE_PENDING,
     STATE_TOMBSTONE,
     TIER_HOT,
@@ -47,7 +53,7 @@ def read_events(lines: Iterable[str]) -> Iterator[MemoryEvent]:
             yield decode(MemoryEvent, {k: v for k, v in d.items() if k in keys})
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuarantineEntry:
     event: MemoryEvent
     reason: str  # out_of_order | duplicate | causal_inversion
@@ -107,6 +113,11 @@ class MemoryStore:
         return self.records.get(record_id)
 
     def replace(self, record: EpisodicRecord) -> None:
+        """Put `record` in place of the stored record with its id. Raises
+        `IllegalTransition` on a move against the lifecycle lattice."""
+        old = self.records[record.id]
+        if record.state not in LEGAL_MOVES[old.state]:
+            raise IllegalTransition(f"{record.id}: {old.state} -> {record.state}")
         self.records[record.id] = record
 
     def active_records(self) -> list[EpisodicRecord]:
@@ -225,10 +236,12 @@ class MemoryStore:
     # -- transactional support ---------------------------------------------
 
     def _checkpoint(self) -> dict[str, Any]:
+        """The store's state for `_restore`. Stored values are immutable, so
+        copying the containers that hold them is enough."""
         return {
-            "records": copy.deepcopy(self.records),
-            "graph": copy.deepcopy(self.graph),
-            "quarantine": copy.deepcopy(self.quarantine),
+            "records": dict(self.records),
+            "graph": self.graph.copy(),
+            "quarantine": dict(self.quarantine),
             "admitted_ids": set(self.admitted_ids),
             "watermark": self.watermark,
             "centroid_sum": None if self.centroid_sum is None else self.centroid_sum.copy(),

@@ -397,6 +397,23 @@ def test_run_consolidation_dedups_against_existing_store(store):
     assert "copy" in store.records["orig"].source_ids
 
 
+def test_dedup_never_removes_a_stored_record_for_a_new_copy(store):
+    # `a` arrives after `b` is stored, stamped earlier but inside the skew
+    # tolerance: the stored record survives and absorbs the new copy
+    _ingest(store, [make_event("b", ts=T0 + minutes(3),
+                               content="the canonical statement")])
+    run_consolidation(store, T0 + hours(1))
+    assert store.records["b"].state == STATE_PROMOTED
+    _ingest(store, [make_event("a", ts=T0, content="the canonical statement")])
+    report = run_consolidation(store, T0 + hours(1))
+    assert report.removed_existing == 0
+    assert report.exact_dups_removed == 1
+    assert report.accounting_holds()
+    assert "a" not in store.records
+    assert store.records["b"].state == STATE_PROMOTED
+    assert store.records["b"].source_ids == ("b", "a")
+
+
 def test_mode_none_keeps_everything(store):
     _ingest(store, [make_event(f"e{i}", ts=T0 + minutes(i),
                                content="identical content every time")

@@ -5,6 +5,9 @@ import json
 from pathlib import Path
 
 from engram.cli import main
+from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, MODE_NONE
+from engram.harness import StreamSpec, generate_stream, stream_run
+from engram.model import StoreConfig
 from engram.store import MemoryStore
 
 DATA = Path(__file__).parent / "data"
@@ -83,3 +86,39 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch, capsys):
     for name in golden:
         assert got[name] == golden[name], name
 
+
+
+# `stream_run` checkpoint fingerprints, recorded before records became frozen
+# values: the transaction copy must not change what any checkpoint holds.
+STREAM_FINGERPRINTS = DATA / "stream_fingerprints.json"
+STREAM_PIN_SPEC = StreamSpec(sessions=8, events_per_session=40,
+                             planted_violations=6)
+STREAM_PIN_RUNS = {
+    "dedup": (MODE_DEDUP, StoreConfig()),
+    "aggressive": (MODE_AGGRESSIVE, StoreConfig(cluster_distance=0.8)),
+    "none": (MODE_NONE, StoreConfig()),
+}
+
+
+def stream_fingerprints() -> dict[str, list[str]]:
+    """Checkpoint fingerprints for seeds 0 and 1 in every pinned mode.
+    `python tests/test_golden.py` rewrites the data file from them."""
+    out = {}
+    for seed in (0, 1):
+        manifest = generate_stream(STREAM_PIN_SPEC, seed=seed)
+        for name, (mode, config) in STREAM_PIN_RUNS.items():
+            metrics = stream_run(manifest, config, mode=mode, budget=3000)
+            out[f"{name}-{seed}"] = [c.state_fingerprint
+                                     for c in metrics.checkpoints]
+    return out
+
+
+def test_stream_run_fingerprints_match_pins():
+    pinned = json.loads(STREAM_FINGERPRINTS.read_text(encoding="utf-8"))
+    assert stream_fingerprints() == pinned
+
+
+if __name__ == "__main__":
+    STREAM_FINGERPRINTS.write_text(
+        json.dumps(stream_fingerprints(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")

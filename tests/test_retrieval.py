@@ -313,7 +313,8 @@ def test_reconsolidate_semantic_memory(store):
                                     EMB.embed("Granite rollout done"),
                                     frozenset({"s"}), ("Granite",), T0)
     handle = open_lability(store, mem.id, T0 + hours(1))
-    assert mem.access_count == 1
+    assert mem.access_count == 0  # a value: the store holds its successor
+    assert store.graph.memories[mem.id].access_count == 1
     updated = reconsolidate(store, handle, "Granite rollout reverted", 1.0,
                             now=T0 + hours(1) + minutes(5))
     assert updated.gist == "Granite rollout reverted"

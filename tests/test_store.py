@@ -1,11 +1,20 @@
+import copy
+import dataclasses
 import json
+from dataclasses import replace
 
 import pytest
 
 from engram import store as store_module
-from engram.consolidation import run_consolidation
-from engram.errors import DuplicateId, SnapshotFormatError
-from engram.model import StoreConfig
+from engram.consolidation import MODE_AGGRESSIVE, run_consolidation
+from engram.errors import DuplicateId, IllegalTransition, SnapshotFormatError
+from engram.model import (
+    STATE_PENDING,
+    STATE_PROMOTED,
+    STATE_RETAINED,
+    STATE_TOMBSTONE,
+    StoreConfig,
+)
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, minutes
@@ -44,7 +53,6 @@ def test_active_tokens_ignores_tombstones(store):
     store.ingest(make_event("a", ts=T0, content="x" * 40))
     store.ingest(make_event("b", ts=T0, content="y" * 40))
     assert store.active_tokens() == 20
-    from dataclasses import replace
     rec = store.records["a"]
     store.replace(replace(rec.with_content(""), state="tombstone"))
     assert store.active_tokens() == 10
@@ -136,3 +144,61 @@ def test_centroid_tracks_scored_embeddings(store):
 def test_batch_ids_are_sequential(store):
     assert store.next_batch_id() == "batch-00001"
     assert store.next_batch_id() == "batch-00002"
+
+
+@pytest.mark.parametrize("old, new", [
+    (STATE_RETAINED, STATE_PENDING),
+    (STATE_PROMOTED, STATE_PENDING),
+    (STATE_TOMBSTONE, STATE_PENDING),
+    (STATE_TOMBSTONE, STATE_RETAINED),
+    (STATE_TOMBSTONE, STATE_PROMOTED),
+    (STATE_RETAINED, STATE_PROMOTED),
+    (STATE_PROMOTED, STATE_RETAINED),
+])
+def test_replace_rejects_moves_against_the_lattice(store, old, new):
+    store.ingest(make_event("a", ts=T0, content="lattice probe"))
+    stored = replace(store.records["a"], state=old)
+    store.records["a"] = stored
+    with pytest.raises(IllegalTransition):
+        store.replace(replace(stored, state=new))
+    assert store.records["a"] is stored
+
+
+def test_replace_allows_forward_moves(store):
+    store.ingest(make_event("a", ts=T0, content="lattice probe"))
+    for state in (STATE_PENDING, STATE_RETAINED, STATE_RETAINED, STATE_TOMBSTONE,
+                  STATE_TOMBSTONE):
+        store.replace(replace(store.records["a"], state=state))
+        assert store.records["a"].state == state
+
+
+def test_stored_values_are_immutable(store):
+    for i in range(6):
+        store.ingest(make_event(f"e{i}", ts=T0 + minutes(i),
+                                content=f"Alice and Bob ship release {i}",
+                                metadata={"outcome": "success"}))
+    store.ingest(make_event("late", ts=T0 - hours(1), content="Carol was late"))
+    store.watermark = T0
+    run_consolidation(store, T0 + hours(1), mode=MODE_AGGRESSIVE)
+    loaded = MemoryStore.from_state_dict(json.loads(store.snapshot_json()))
+    for s in (store, loaded):
+        rec = s.records["e0"]
+        mem = next(iter(s.graph.memories.values()))
+        node = next(iter(s.graph.entities.values()))
+        entry = s.quarantine["late"]
+        for value, name in ((rec, "importance"), (rec, "state"), (mem, "gist"),
+                            (mem, "access_count"), (node, "importance"),
+                            (entry, "reason")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        for value in (rec, mem):
+            with pytest.raises(ValueError):
+                value.embedding[0] = 1.0
+            with pytest.raises(ValueError):
+                value.embedding += 0.0
+        for mapping in (rec.event.metadata, rec.score_breakdown):
+            with pytest.raises(TypeError):
+                mapping["outcome"] = "failure"
+            with pytest.raises(TypeError):
+                mapping.update(outcome="failure")
+        assert copy.deepcopy(rec.event) == rec.event

@@ -1,0 +1,130 @@
+"""Every mutating job is transactional: a failure injected mid-job leaves the
+store byte-identical to its state before the job."""
+
+import pytest
+
+from engram import consolidation, forgetting, retrieval
+from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, MODE_NONE, run_consolidation
+from engram.forgetting import run_forgetting
+from engram.harness import StreamSpec, generate_stream
+from engram.model import StoreConfig
+from engram.store import MemoryStore
+
+
+class Injected(RuntimeError):
+    pass
+
+
+def fail_on_call(fn, n):
+    """`fn`, except that its n-th call raises `Injected`."""
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == n:
+            raise Injected(f"call {n}")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def sessions(seed=0):
+    manifest = generate_stream(StreamSpec(sessions=3, events_per_session=40,
+                                          planted_violations=4), seed=seed)
+    out: dict[str, list] = {}
+    for ev in manifest.events:
+        out.setdefault(ev.session_id, []).append(ev)
+    return list(out.values())
+
+
+def ingest(store, events):
+    for ev in events:
+        store.ingest(ev)
+    return max(ev.timestamp for ev in events)
+
+
+def grown_store(config):
+    """Two sessions consolidated in aggressive mode, so the graph holds gists,
+    entities and co-occurrence edges, then the third session ingested."""
+    store = MemoryStore(config)
+    first, second, third = sessions()
+    for events in (first, second):
+        now = ingest(store, events)
+        run_consolidation(store, now, mode=MODE_AGGRESSIVE)
+        run_forgetting(store, now, budget=3000)
+    assert store.graph.memories and store.graph.co_occurs
+    return store, ingest(store, third)
+
+
+# The last stage each mode runs: gist promotion, or, in `none` mode, which
+# promotes nothing, the closing token count.
+@pytest.mark.parametrize("mode", [MODE_DEDUP, MODE_AGGRESSIVE, MODE_NONE])
+def test_consolidation_rolls_back_a_late_failure(mode, monkeypatch):
+    store, now = grown_store(StoreConfig(cluster_distance=0.8))
+    before = store.snapshot_json()
+    if mode == MODE_NONE:
+        monkeypatch.setattr(MemoryStore, "active_tokens",
+                            fail_on_call(MemoryStore.active_tokens, 2))
+    else:
+        monkeypatch.setattr(consolidation, "promote",
+                            fail_on_call(consolidation.promote, 2))
+    with pytest.raises(Injected):
+        run_consolidation(store, now, mode=mode)
+    monkeypatch.undo()
+    assert store.snapshot_json() == before
+    # the restored store runs the same batch to completion
+    assert run_consolidation(store, now, mode=mode).accounting_holds()
+
+
+def test_forgetting_rolls_back_a_failed_degrade(monkeypatch):
+    store, now = grown_store(StoreConfig())
+    run_consolidation(store, now)
+    before = store.snapshot_json()
+    monkeypatch.setattr(forgetting, "degrade", fail_on_call(forgetting.degrade, 3))
+    with pytest.raises(Injected):
+        run_forgetting(store, now, budget=1000)
+    monkeypatch.undo()
+    assert store.snapshot_json() == before
+    report = run_forgetting(store, now, budget=1000)
+    assert report.budget_steps >= 3
+    assert store.active_tokens() <= 1000
+
+
+class DepthLock:
+    """A stand-in for the store's writer lock that tracks how deeply it is
+    held."""
+
+    def __init__(self):
+        self.depth = 0
+
+    def __enter__(self):
+        self.depth += 1
+
+    def __exit__(self, *exc):
+        self.depth -= 1
+
+
+def test_lability_and_feedback_write_under_the_lock(monkeypatch):
+    store, now = grown_store(StoreConfig())
+    run_consolidation(store, now)
+    lock = store.lock = DepthLock()
+    depths = []
+
+    def recording(write):
+        def wrapped(value):
+            depths.append(lock.depth)
+            write(value)
+        return wrapped
+
+    monkeypatch.setattr(store, "replace", recording(store.replace))
+    monkeypatch.setattr(store.graph, "replace_memory",
+                        recording(store.graph.replace_memory))
+    rec_id = min(store.active_records(), key=lambda r: r.id).id
+    mem_id = min(store.graph.memories)
+    for memory_id in (rec_id, mem_id):
+        handle = retrieval.open_lability(store, memory_id, now)
+        retrieval.reconsolidate(store, handle, "a contradicting note", 1.0, now)
+    retrieval.reinforce(store, rec_id, "success")
+    retrieval.reinforce(store, rec_id, "failure")
+    assert depths == [1] * 6
+    assert lock.depth == 0
