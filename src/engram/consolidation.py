@@ -33,7 +33,7 @@ from .model import (
     StoreConfig,
     hours_between,
 )
-from .scoring import SignalWeights, classify, score_record
+from .scoring import SignalWeights, classify, score_record, similar_earlier_counts
 from .store import MemoryStore
 
 log = logging.getLogger("engram.consolidation")
@@ -155,17 +155,19 @@ def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
     ordered = sorted(batch, key=survivor_order)
     survivors: list[EpisodicRecord] = []
     removed: list[EpisodicRecord] = []
-    matrix: list[np.ndarray] = []
+    # survivors' embeddings in rows, in order: the product below is the
+    # one `np.stack` of the same rows would give
+    matrix = np.empty((len(ordered), len(ordered[0].embedding) if ordered else 0))
     for rec in ordered:
         hit = None
-        if matrix:
-            sims = np.stack(matrix) @ rec.embedding
+        if survivors:
+            sims = matrix[:len(survivors)] @ rec.embedding
             idx = int(np.argmax(sims))
             if float(sims[idx]) >= threshold:
                 hit = idx
         if hit is None:
+            matrix[len(survivors)] = rec.embedding
             survivors.append(rec)
-            matrix.append(rec.embedding)
         else:
             survivor = survivors[hit]
             merged_sources = tuple(dict.fromkeys(survivor.source_ids + rec.source_ids))
@@ -323,10 +325,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
             # arrival order
             readmitted = _revalidate_quarantine(store, now, report)
             for event in readmitted:
-                if event.id not in store.records:
-                    store.ingest(event)
-                    store.total_ingested -= 1  # re-admission, not new input
-                store.admitted_ids.add(event.id)
+                store.readmit(event)
             pending = [r for r in store.records.values()
                        if r.state == STATE_PENDING]
             fresh_events = [r.event for r in pending
@@ -355,15 +354,10 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 return report
 
             # 2. scoring (running-centroid surprise prior, single writer)
-            existing = [r for r in store.records.values()
-                        if r.state in (STATE_RETAINED, STATE_PROMOTED)]
-            for rec in batch:
-                earlier = [r for r in existing
-                           if (r.encoded_at, r.id) < (rec.encoded_at, rec.id)]
-                earlier += [r for r in batch
-                            if (r.encoded_at, r.id) < (rec.encoded_at, rec.id)]
+            counts = similar_earlier_counts(store, batch, config.near_dedup_threshold)
+            for rec, similar in zip(batch, counts):
                 composite, breakdown = score_record(
-                    rec, now, earlier, store.centroid(), store.graph, config,
+                    rec, now, similar, store.centroid(), store.graph, config,
                     weights)
                 rec = replace(rec, importance=composite, score_breakdown=breakdown)
                 store.replace(rec)

@@ -249,6 +249,9 @@ def run_forgetting(store: MemoryStore, now: datetime,
                 report.budget_tombstoned = sub.budget_tombstoned
             report.tokens_after = store.active_tokens()
             report.active_after = store.active_count()
+            # the degrade steps dirty many index rows: sync them inside the
+            # job, not in the next query
+            store.embedding_index()
             return report
         except Exception:
             store._restore(chk)

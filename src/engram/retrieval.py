@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .embedding import normalize
-from .errors import LabilityExpired
+from .errors import AlreadyTombstone, LabilityExpired
 from .graph import SemanticMemory
 from .model import (
     STATE_TOMBSTONE,
@@ -75,27 +75,33 @@ def _episodic_scan(store: MemoryStore, qvec: np.ndarray, k: int,
                    session_id: Optional[str] = None,
                    tier: Optional[str] = None,
                    importance_filter: Optional[float] = None) -> list[Hit]:
+    """Top-k of the visible records passing the filters, by `_rank_key` on
+    the float64 `np.dot(qvec, embedding)`. The store's embedding index
+    applies the filters as array masks and picks candidates with one float32
+    product; only the candidates are rescored and become `Hit`s."""
     if importance_filter is None:
         importance_filter = store.config.importance_filter
-    hits: list[Hit] = []
-    for rec in store.records.values():
-        if rec.state == STATE_TOMBSTONE or rec.encoded_at > now:
-            continue
-        if tier is not None and rec.tier != tier:
-            continue
-        if session_id is not None and rec.event.session_id != session_id:
-            continue
-        ts = rec.event.timestamp
-        if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
-            continue
-        decayed = decayed_importance(rec.importance, rec.encoded_at, now,
-                                     store.config.lambda_decay)
-        if decayed < importance_filter:
-            continue
-        sim = float(np.dot(qvec, rec.embedding))
-        hits.append(Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim,
-                        final_score=sim, timestamp=ts, content=rec.content,
-                        source_ids=rec.source_ids))
+    lam = store.config.lambda_decay
+    with store.lock:
+        index = store.embedding_index()
+        rows = index.select(now, tier=tier, session_id=session_id,
+                            time_range=time_range)
+        # a non-negative importance decays to a non-negative value, which a
+        # filter <= 0 always passes; every other row is decided exactly
+        dropped = (np.ones(len(rows), dtype=bool) if not importance_filter <= 0.0
+                   else ~(index.column("importance")[rows] >= 0.0))
+        records, keys = store.records, index.keys
+        for i in np.flatnonzero(dropped):
+            rec = records[keys[rows[i]]]
+            dropped[i] = decayed_importance(rec.importance, rec.encoded_at, now,
+                                            lam) < importance_filter
+        hits: list[Hit] = []
+        for row in index.top_candidates(qvec, rows[~dropped], k).tolist():
+            rec = records[keys[row]]
+            sim = float(np.dot(qvec, rec.embedding))
+            hits.append(Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim,
+                            final_score=sim, timestamp=rec.event.timestamp,
+                            content=rec.content, source_ids=rec.source_ids))
     hits.sort(key=_rank_key)
     return hits[:k]
 
@@ -215,11 +221,13 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
 def open_lability(store: MemoryStore, memory_id: str,
                   now: datetime) -> LabilityHandle:
     """Mark a retrieved memory labile for the configured window and record
-    the access."""
+    the access. A tombstone raises `AlreadyTombstone`."""
     window = timedelta(minutes=store.config.lability_window_min)
     with store.lock:
         rec = store.records.get(memory_id)
         if rec is not None:
+            if rec.state == STATE_TOMBSTONE:
+                raise AlreadyTombstone(memory_id)
             store.replace(replace(rec, access_count=rec.access_count + 1,
                                   last_accessed=now))
         else:
@@ -249,7 +257,8 @@ def reconsolidate(store: MemoryStore, handle: LabilityHandle,
     content; blend strength alpha weighs confidence, severity, and how stale
     the memory is. alpha > 0.5 replaces the content outright, otherwise the
     new content is appended as an amendment. Outside the window this is a
-    signaled no-op.
+    signaled no-op. A record tombstoned since the handle opened raises
+    `AlreadyTombstone` and is left as it is.
     """
     if now >= handle.expires_at:
         raise LabilityExpired(handle.memory_id)
@@ -260,6 +269,8 @@ def reconsolidate(store: MemoryStore, handle: LabilityHandle,
         rec = store.records.get(handle.memory_id)
         mem: Optional[SemanticMemory] = None
         if rec is not None:
+            if rec.state == STATE_TOMBSTONE:
+                raise AlreadyTombstone(handle.memory_id)
             old_vec, old_content, encoded_at = rec.embedding, rec.content, rec.encoded_at
         else:
             mem = store.graph.memories.get(handle.memory_id)

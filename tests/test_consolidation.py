@@ -384,6 +384,7 @@ def test_run_consolidation_readmits_resolved_causal_inversion(store):
     assert "child" not in store.quarantine
     assert store.records["child"].state in (STATE_RETAINED, STATE_PROMOTED)
     assert report.accounting_holds()
+    assert store.total_ingested == 2  # re-admission is not new input
 
 
 def test_run_consolidation_dedups_against_existing_store(store):

@@ -1,0 +1,391 @@
+"""The store's embedding index. The index-backed episodic scan and frequency
+count must equal their pairwise definitions bit for bit, under any sequence
+of operations; the float32 margin must bound the float32 error."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from engram.consolidation import MODES, run_consolidation
+from engram.embedding import HashEmbedder
+from engram.forgetting import run_forgetting
+from engram.model import (
+    STATE_PENDING,
+    STATE_PROMOTED,
+    STATE_RETAINED,
+    STATE_TOMBSTONE,
+    TIER_HOT,
+    TIER_WARM,
+    EpisodicRecord,
+    FidelityLevel,
+    StoreConfig,
+    decayed_importance,
+)
+from engram.retrieval import (
+    Hit,
+    _episodic_scan,
+    _rank_key,
+    open_lability,
+    reconsolidate,
+)
+from engram.scoring import frequency_factor, similar_earlier_counts
+from engram.store import MemoryStore, dot_error_bound
+
+from conftest import T0, hours, make_event, minutes
+
+VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
+SESSIONS = ["s0", "s1", "s2"]
+EMB = HashEmbedder(256, 0)
+
+
+def scan_oracle(store, qvec, k, now, time_range=None, session_id=None,
+                tier=None, importance_filter=None):
+    """The episodic scan as a loop over every record, building and sorting a
+    `Hit` for each: the definition the index-backed scan reproduces."""
+    if importance_filter is None:
+        importance_filter = store.config.importance_filter
+    hits = []
+    for rec in store.records.values():
+        if rec.state == STATE_TOMBSTONE or rec.encoded_at > now:
+            continue
+        if tier is not None and rec.tier != tier:
+            continue
+        if session_id is not None and rec.event.session_id != session_id:
+            continue
+        ts = rec.event.timestamp
+        if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
+            continue
+        decayed = decayed_importance(rec.importance, rec.encoded_at, now,
+                                     store.config.lambda_decay)
+        if decayed < importance_filter:
+            continue
+        sim = float(np.dot(qvec, rec.embedding))
+        hits.append(Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim,
+                        final_score=sim, timestamp=ts, content=rec.content,
+                        source_ids=rec.source_ids))
+    hits.sort(key=_rank_key)
+    return hits[:k]
+
+
+def bits(hits):
+    """Ids, base similarities to the bit, and order."""
+    return [(h.memory_id, h.base_sim.hex(), h.tier, h.timestamp, h.content,
+             h.source_ids) for h in hits]
+
+
+def assert_scan_matches(store, query, k, now, **filters):
+    qvec = store.embedder.embed(query)
+    got = _episodic_scan(store, qvec, k, now, **filters)
+    assert bits(got) == bits(scan_oracle(store, qvec, k, now, **filters))
+
+
+def expected_counts(store, batch, threshold):
+    """n of `frequency_factor` per batch record, from the pairwise loop over
+    the earlier retained/promoted records and batch records."""
+    pool = [r for r in store.records.values()
+            if r.state in (STATE_RETAINED, STATE_PROMOTED)] + list(batch)
+    out = []
+    for rec in batch:
+        earlier = [r for r in pool if (r.encoded_at, r.id) < (rec.encoded_at, rec.id)]
+        out.append(frequency_factor(rec, earlier, threshold))
+    return out
+
+
+def assert_counts_match(store, batch, threshold):
+    counts = similar_earlier_counts(store, batch, threshold)
+    assert [1.0 / (1.0 + n) for n in counts] == expected_counts(store, batch, threshold)
+
+
+class Injected(RuntimeError):
+    pass
+
+
+words = st.lists(st.sampled_from(VOCAB), max_size=4).map(" ".join)
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """Random lifecycles of a small store. After every step, and for each
+    drawn query, the index-backed scan equals `scan_oracle`."""
+
+    @initialize()
+    def start(self):
+        self.store = MemoryStore(StoreConfig(cluster_distance=0.8))
+        self.clock = T0
+        self.serial = 0
+
+    def live_ids(self):
+        return sorted(r.id for r in self.store.active_records())
+
+    @rule(content=words, session=st.sampled_from(SESSIONS),
+          step=st.integers(0, 90), late=st.booleans(), inverted=st.booleans())
+    def ingest(self, content, session, step, late, inverted):
+        self.clock += minutes(step)
+        self.serial += 1
+        # a late event lands in quarantine; one citing the next event's id
+        # is a causal inversion, re-admitted once that event is admitted
+        causes = (f"e{self.serial + 1}",) if inverted else ()
+        ts = self.clock - hours(3) if late else self.clock
+        self.store.ingest(make_event(f"e{self.serial}", ts=ts, session=session,
+                                     content=content, causes=causes))
+
+    @rule(mode=st.sampled_from(MODES), pending=st.booleans())
+    def consolidate(self, mode, pending):
+        if pending:
+            self.clock += minutes(20)  # past the quarantine TTL
+        report = run_consolidation(self.store, self.clock, mode=mode)
+        assert report.accounting_holds()
+
+    @rule(budget=st.one_of(st.none(), st.integers(1, 80)), days=st.integers(0, 40))
+    def forget(self, budget, days):
+        self.clock += hours(24 * days)
+        run_forgetting(self.store, self.clock, budget=budget)
+
+    @precondition(lambda self: self.store.active_records())
+    @rule(data=st.data(), content=words,
+          confidence=st.floats(0.0, 1.0, allow_nan=False))
+    def relearn(self, data, content, confidence):
+        rid = data.draw(st.sampled_from(self.live_ids()))
+        handle = open_lability(self.store, rid, self.clock)
+        reconsolidate(self.store, handle, content, confidence, self.clock)
+
+    @precondition(lambda self: self.store.records)
+    @rule(data=st.data(), change=st.sampled_from(
+        ["tier", "importance", "embedding", "session", "tombstone", "delete"]))
+    def direct_write(self, data, change):
+        records = self.store.records
+        rid = data.draw(st.sampled_from(sorted(records)))
+        rec = records[rid]
+        if change == "delete":
+            del records[rid]
+            return
+        if change == "tier":
+            new = replace(rec, tier=TIER_WARM if rec.tier == TIER_HOT else TIER_HOT)
+        elif change == "importance":
+            new = replace(rec, importance=data.draw(st.floats(-1.0, 1.0)))
+        elif change == "embedding":
+            new = replace(rec, embedding=EMB.embed(data.draw(words)))
+        elif change == "session":
+            session = data.draw(st.sampled_from(SESSIONS))
+            new = replace(rec, event=replace(rec.event, session_id=session))
+        else:
+            new = replace(rec.with_content(""), state=STATE_TOMBSTONE,
+                          fidelity=FidelityLevel.L5)
+        records[rid] = new
+
+    @rule(mode=st.sampled_from(MODES), nth=st.integers(1, 4))
+    def failed_batch(self, mode, nth):
+        store = self.store
+        before = store.snapshot_json()
+        calls = [0]
+        write = store.replace
+
+        def failing(record):
+            calls[0] += 1
+            if calls[0] == nth:
+                raise Injected(f"write {nth}")
+            write(record)
+
+        store.replace = failing
+        try:
+            run_consolidation(store, self.clock, mode=mode)
+        except Injected:
+            assert store.snapshot_json() == before
+        finally:
+            del store.replace
+
+    @rule()
+    def reload(self):
+        self.store = MemoryStore.from_state_dict(json.loads(self.store.snapshot_json()))
+
+    @rule(query=words, k=st.integers(1, 6), back=st.integers(0, 6),
+          tier=st.sampled_from([None, TIER_HOT, TIER_WARM, "cold"]),
+          session=st.sampled_from([None, "s0", "s1", "elsewhere"]),
+          window=st.one_of(st.none(), st.tuples(st.integers(0, 300), st.integers(0, 300))),
+          importance=st.sampled_from([None, 0.0, 0.2, 0.45]))
+    def query(self, query, k, back, tier, session, window, importance):
+        now = self.clock - hours(back)  # a past as_of hides what came after
+        time_range = None
+        if window is not None:
+            lo, span = window
+            time_range = (T0 + minutes(lo), T0 + minutes(lo + span))
+        assert_scan_matches(self.store, query, k, now, time_range=time_range,
+                            session_id=session, tier=tier, importance_filter=importance)
+
+    @invariant()
+    def scans_match(self):
+        for query in ("alpha beta", "kestrel"):
+            for tier in (TIER_HOT, TIER_WARM):
+                assert_scan_matches(self.store, query, 3, self.clock, tier=tier)
+
+    @invariant()
+    def index_holds_live_rows_only(self):
+        index = self.store.embedding_index()
+        assert len(index) == self.store.active_count()
+        assert sorted(index.keys) == self.live_ids()
+
+    @invariant()
+    def frequency_counts_match(self):
+        pending = sorted((r for r in self.store.records.values()
+                          if r.state == STATE_PENDING),
+                         key=lambda r: (r.event.timestamp, r.id))
+        assert_counts_match(self.store, pending, self.store.config.near_dedup_threshold)
+
+
+TestIndexMachine = IndexMachine.TestCase
+TestIndexMachine.settings = settings(max_examples=60, stateful_step_count=25,
+                                     deadline=None,
+                                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_scan_drops_a_negative_importance_at_a_zero_filter():
+    store = MemoryStore()
+    for eid in ("a", "b"):
+        store.ingest(make_event(eid, ts=T0, content="alpha beta"))
+    store.records["a"] = replace(store.records["a"], importance=-0.5)
+    assert_scan_matches(store, "alpha", 5, T0 + hours(1))
+    assert [h.memory_id for h in _episodic_scan(
+        store, store.embedder.embed("alpha"), 5, T0 + hours(1))] == ["b"]
+
+
+def test_scan_ranks_scores_one_ulp_apart():
+    """Scores one ulp apart round to the same float32: all stay candidates
+    and the float64 rescoring orders them."""
+    store = MemoryStore()
+    t = 0.6
+    firsts = [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
+    for i, first in enumerate(firsts * 3):
+        vec = np.zeros(256)
+        vec[0], vec[1 + i] = first, 0.5
+        event = make_event(f"r{i}", ts=T0 + minutes(i), content=f"row {i}")
+        store.records[event.id] = EpisodicRecord(event=event, embedding=vec)
+    qvec = np.zeros(256)
+    qvec[0] = 1.0
+    for k in range(1, 10):
+        got = _episodic_scan(store, qvec, k, T0 + hours(1))
+        assert bits(got) == bits(scan_oracle(store, qvec, k, T0 + hours(1)))
+    assert [h.memory_id for h in _episodic_scan(store, qvec, 3, T0 + hours(1))] == \
+        ["r8", "r5", "r2"]
+
+
+def test_scan_keeps_rows_the_float32_product_ranks_lower():
+    """Rows 1e-7 apart: the float32 product ranks them in another order
+    than float64 does, and the margin keeps the float64 top-k among the
+    candidates."""
+    rng = np.random.default_rng(1)
+    base = rng.standard_normal(64)
+    base /= np.linalg.norm(base)
+    rows = base + 1e-7 * rng.standard_normal((40, 64))
+    s64 = np.array([float(np.dot(base, r)) for r in rows])
+    s32 = rows.astype(np.float32) @ base.astype(np.float32)
+    # a float64 top-3 row scores below the third-highest float32 score
+    assert s32[np.argsort(-s64)[:3]].min() < np.sort(s32)[-3]
+    store = MemoryStore()
+    for i, row in enumerate(rows):
+        event = make_event(f"r{i:02d}", ts=T0, content=f"row {i}")
+        store.records[event.id] = EpisodicRecord(event=event, embedding=row)
+    for k in (1, 3, 5):
+        got = _episodic_scan(store, base, k, T0)
+        assert bits(got) == bits(scan_oracle(store, base, k, T0))
+
+
+def _threshold_record(eid, first, axis, ts, state):
+    vec = np.zeros(256)
+    vec[0] = first
+    vec[axis] = np.sqrt(1.0 - first * first)
+    event = make_event(eid, ts=ts, content=eid)
+    return EpisodicRecord(event=event, embedding=vec, state=state)
+
+
+def test_frequency_count_at_the_threshold_and_one_ulp_either_side():
+    """The float64 dot of the stored record with each new one is exactly the
+    threshold, one ulp above it, or one ulp below it."""
+    store = MemoryStore()
+    t = store.config.near_dedup_threshold
+    base = _threshold_record("a", 1.0, 1, T0, STATE_RETAINED)
+    store.records["a"] = base
+    batch = []
+    for i, first in enumerate([t, np.nextafter(t, 1.0), np.nextafter(t, 0.0)]):
+        rec = _threshold_record(f"b{i}", first, 2 + i, T0 + hours(1 + i), STATE_PENDING)
+        assert float(np.dot(base.embedding, rec.embedding)) == first
+        store.records[rec.id] = rec
+        batch.append(rec)
+    counts = similar_earlier_counts(store, batch, t)
+    assert counts == [1, 1, 0]
+    assert_counts_match(store, batch, t)
+
+
+def test_frequency_counts_skip_pending_records_outside_the_batch():
+    store = MemoryStore()
+    for i, state in enumerate([STATE_RETAINED, STATE_PROMOTED, STATE_PENDING,
+                               STATE_TOMBSTONE, STATE_PENDING]):
+        event = make_event(f"r{i}", ts=T0 + minutes(i), content="same words")
+        store.records[event.id] = EpisodicRecord(
+            event=event, embedding=EMB.embed("same words"), state=state)
+    batch = [store.records["r4"]]
+    assert similar_earlier_counts(store, batch, 0.9) == [2]
+    assert_counts_match(store, batch, 0.9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(contents=st.lists(words, min_size=1, max_size=14),
+       states=st.lists(st.sampled_from([STATE_RETAINED, STATE_PROMOTED, STATE_PENDING,
+                                        STATE_TOMBSTONE]), min_size=14, max_size=14),
+       offsets=st.lists(st.integers(0, 3), min_size=14, max_size=14),
+       threshold=st.sampled_from([0.0, 0.3, 0.559, 0.8, 1.0]))
+def test_frequency_counts_match_the_pairwise_loop(contents, states, offsets, threshold):
+    store = MemoryStore()
+    for i, content in enumerate(contents):
+        event = make_event(f"r{i % 5}-{i}", ts=T0 + hours(offsets[i]), content=content)
+        store.records[event.id] = EpisodicRecord(event=event, embedding=EMB.embed(content),
+                                                 state=states[i])
+    batch = sorted((r for r in store.records.values() if r.state == STATE_PENDING),
+                   key=lambda r: (r.event.timestamp, r.id))
+    assert_counts_match(store, batch, threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 1e-20, 1e-42, 1e-300, 1e15]),
+       sparse=st.booleans())
+def test_dot_error_bound_holds(d, seed, scale, sparse):
+    """|float32 product - float64 dot| stays within the bound, for dense and
+    sparse vectors, and at scales whose entries or products fall below the
+    float32 normal range."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(d)
+    rows = rng.standard_normal((7, d)) * scale
+    rows[0] = q * scale  # the largest possible score for this norm
+    if sparse:
+        rows[rng.random((7, d)) < 0.8] = 0.0
+    s32 = (rows.astype(np.float32) @ q.astype(np.float32)).astype(np.float64)
+    for s, row in zip(s32, rows):
+        s64 = float(np.dot(q, row))
+        bound = dot_error_bound(d, float(np.linalg.norm(q)), float(np.linalg.norm(row)))
+        assert abs(s - s64) <= bound
+
+
+def test_index_is_derived_and_rebuilt_after_a_load():
+    store = MemoryStore()
+    for i in range(5):
+        store.ingest(make_event(f"e{i}", ts=T0 + minutes(i), content=f"alpha {i}"))
+    run_consolidation(store, T0 + hours(1))
+    assert len(store.embedding_index()) == store.active_count()
+    state = store.state_dict()
+    loaded = MemoryStore.from_state_dict(json.loads(store.snapshot_json()))
+    assert loaded.state_dict() == state
+    assert len(loaded._index) == 0  # built on the first scan, not at load
+    assert_scan_matches(loaded, "alpha 3", 2, T0 + hours(1))
+    assert len(loaded._index) == loaded.active_count()
+

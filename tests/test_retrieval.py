@@ -7,12 +7,14 @@ import pytest
 
 from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
-from engram.errors import LabilityExpired
+from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.graph import RETRIEVAL_THRESHOLD
 from engram.model import (
     STATE_RETAINED,
+    STATE_TOMBSTONE,
     TIER_HOT,
     TIER_WARM,
+    FidelityLevel,
     StoreConfig,
     decayed_importance,
     hours_between,
@@ -254,6 +256,24 @@ def test_open_lability_counts_access(store):
 def test_open_lability_unknown_id(store):
     with pytest.raises(KeyError):
         open_lability(store, "ghost", T0)
+
+
+def test_lability_refuses_a_tombstone():
+    """Reconsolidation must not write new content into a tombstone, which
+    keeps only existence metadata."""
+    store = MemoryStore(StoreConfig())
+    store.ingest(make_event("a", ts=T0, content="the deploy moved to four"))
+    handle = open_lability(store, "a", T0)
+    rec = store.records["a"]
+    store.replace(replace(rec.with_content(""), state=STATE_TOMBSTONE,
+                          fidelity=FidelityLevel.L5))
+    before = store.snapshot_json()
+    with pytest.raises(AlreadyTombstone):
+        open_lability(store, "a", T0 + minutes(1))
+    with pytest.raises(AlreadyTombstone):
+        reconsolidate(store, handle, "the deploy moved to five", 1.0, T0 + minutes(2))
+    assert store.snapshot_json() == before
+    assert store.records["a"].content == ""
 
 
 def test_blend_strength_formula(config):

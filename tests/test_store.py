@@ -26,6 +26,19 @@ def test_ingest_rejects_duplicate_id(store):
         store.ingest(make_event("a", ts=T0 + hours(1)))
 
 
+def test_readmit_is_not_new_input(store):
+    event = make_event("child", ts=T0, causes=("parent",))
+    store.ingest(event)
+    store.quarantine_event(event, "causal_inversion", T0)
+    rec = store.readmit(event)
+    assert store.records["child"] is rec and rec.state == STATE_PENDING
+    assert "child" in store.admitted_ids
+    assert store.total_ingested == 1
+    # a record already stored under the id is kept
+    assert store.readmit(event) is rec
+    assert store.total_ingested == 1
+
+
 def test_ingest_extracts_entities(store):
     rec = store.ingest(make_event("a", ts=T0,
                                   content="ask Alice about the Meridian deal"))
