@@ -210,7 +210,6 @@ class EmbeddingIndex:
             live = [(k, r) for k, r in records.items() if r.state != STATE_TOMBSTONE]
             self.keys, self._rows = [], {}
             self._codes = {c: {} for c in self._CODED}
-            self._resize(0, len(live[0][1].embedding) if live else 0)
         else:
             live = []
             for key in records.dirty:
