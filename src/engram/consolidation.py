@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from typing import Any, Callable, Optional, Sequence
@@ -180,6 +179,22 @@ def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
     return survivors, removed
 
 
+def _pair_distances(emb: np.ndarray) -> np.ndarray:
+    """Cosine distances `1 - e_i . e_j` of the rows of `emb` in the upper
+    triangle (i < j) of an n x n matrix, +inf elsewhere.
+
+    Each (1, d) @ (d, 1) product in a row goes to the same ddot that
+    `np.dot` of two 1-D arrays calls, so every entry equals
+    `1.0 - float(np.dot(emb[i], emb[j]))` bit for bit; `emb @ emb.T` and
+    a matrix-vector product per row sum in other orders.
+    """
+    n = len(emb)
+    out = np.full((n, n), np.inf)
+    for i in range(n - 1):
+        out[i, i + 1:] = 1.0 - (emb[i + 1:, None, :] @ emb[i][:, None])[:, 0, 0]
+    return out
+
+
 def cluster(batch: Sequence[EpisodicRecord], distance: float
             ) -> list[list[EpisodicRecord]]:
     """Average-linkage agglomerative clustering on cosine distance.
@@ -187,53 +202,62 @@ def cluster(batch: Sequence[EpisodicRecord], distance: float
     Merging stops when the minimum inter-cluster distance exceeds the
     configured cutoff. Ties pick the pair whose smallest member ids compare
     lowest, so the result is order-independent and deterministic.
+
+    The average of two clusters is the correctly rounded sum S of their
+    member-pair distances, divided by the number of pairs. S is kept exact
+    through the Lance-Williams update S(A u B, C) = S(A, C) + S(B, C)
+    (Muellner 2011, arXiv:1109.2378): for finite x, the distance
+    `1.0 - x` is an integer multiple of 2^-53 (for x in [0.5, 2]
+    Sterbenz's lemma makes it exact; otherwise its magnitude is at least
+    0.5), so S is a Python int in units of 2^-53, and the int true
+    division `S / 2**53` is correctly rounded: the value `math.fsum` of
+    the member-pair distances gives, whatever the merge order.
     """
     records = sorted(batch, key=lambda r: r.id)
     n = len(records)
     if n == 0:
         return []
-    if n == 1:
-        return [[records[0]]]
-    # per-pair dots + fsum averaging: correctly rounded and independent of
-    # summation order, so an independent reference computes identical values
-    base = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        base[i, i] = 0.0
-        for j in range(i + 1, n):
-            d = 1.0 - float(np.dot(records[i].embedding, records[j].embedding))
-            base[i, j] = d
-            base[j, i] = d
-    clusters: dict[str, list[int]] = {r.id: [i] for i, r in enumerate(records)}
+    # avg[i, j], i < j both cluster keys (a cluster's smallest member
+    # index): the clusters' average distance; +inf elsewhere, so the
+    # row-major argmin is the smallest-id pair among ties
+    avg = _pair_distances(np.array([r.embedding for r in records], dtype=np.float64))
+    size = np.ones(n, dtype=np.int64)
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    # exact sums S(x, c) in units of 2^-53, kept for each merged cluster x
+    # only: between two singletons the sum is the distance still in `avg`
+    sums: dict[int, dict[int, int]] = {}
+    scale = 2 ** 53
 
-    def pair_distance(a: str, b: str) -> float:
-        total = math.fsum(base[i, j] for i in clusters[a] for j in clusters[b])
-        return total / (len(clusters[a]) * len(clusters[b]))
+    def exact_sums(x: int, others: np.ndarray) -> list[int]:
+        row = sums.pop(x, None)
+        if row is None:
+            raw = np.where(others < x, avg[others, x], avg[x, others]) * float(scale)
+            row = dict(zip(others.tolist(), map(int, raw.tolist())))
+            for c, merged in sums.items():
+                row[c] = merged[x]
+        return [row[c] for c in others.tolist()]
 
-    dist: dict[tuple[str, str], float] = {}
-    keys = sorted(clusters)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            dist[(keys[i], keys[j])] = pair_distance(keys[i], keys[j])
-
-    while len(clusters) > 1:
-        best = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
-        (a, b), d = best
-        if d > distance:
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(avg)), n)
+        if avg[i, j] > distance:
             break
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
-        for key in list(dist):
-            if b in key:
-                del dist[key]
-        for other in clusters:
-            if other == a:
-                continue
-            pair = (a, other) if a < other else (other, a)
-            dist[pair] = pair_distance(a, other)
-    out = []
-    for key in sorted(clusters):
-        out.append([records[i] for i in sorted(clusters[key])])
-    return out
+        others = np.flatnonzero(size)
+        others = others[(others != i) & (others != j)]
+        new = [a + b for a, b in zip(exact_sums(i, others), exact_sums(j, others))]
+        row = dict(zip(others.tolist(), new))
+        for c, merged in sums.items():
+            merged[i] = row[c]
+        sums[i] = row
+        members[i] += members.pop(j)
+        size[i] += size[j]
+        size[j] = 0
+        avg[j, :] = np.inf
+        avg[:, j] = np.inf
+        means = np.array([s / scale for s in new]) / (size[i] * size[others])
+        before = others < i
+        avg[others[before], i] = means[before]
+        avg[i, others[~before]] = means[~before]
+    return [[records[k] for k in sorted(members[key])] for key in sorted(members)]
 
 
 @dataclass

@@ -170,11 +170,9 @@ def degrade(record: EpisodicRecord, now: datetime) -> EpisodicRecord:
         content = (record.event.kind + (": " + entity_part if entity_part else ""))
     else:  # L5 tombstone
         content = ""
-    out = record.with_content(content)
-    out = replace(out, fidelity=nxt, last_accessed=record.last_accessed)
-    if nxt == FidelityLevel.L5:
-        out = replace(out, state=STATE_TOMBSTONE)
-    return out
+    state = STATE_TOMBSTONE if nxt == FidelityLevel.L5 else record.state
+    return replace(record, event=replace(record.event, content=content),
+                   fidelity=nxt, state=state)
 
 
 def degradation_due(record: EpisodicRecord, now: datetime,

@@ -388,20 +388,21 @@ class MemoryStore:
     # -- ingest -----------------------------------------------------------
 
     def ingest(self, event: MemoryEvent) -> EpisodicRecord:
-        """Store a raw event in the hot tier as a pending L0 record."""
+        """Store a raw event in the hot tier as a pending L0 record. An id
+        held in quarantine is taken: that event may still be re-admitted."""
         with self.lock:
+            if event.id in self.quarantine:
+                raise DuplicateId(event.id)
             record = self._store_pending(event)
             self.total_ingested += 1
             return record
 
     def readmit(self, event: MemoryEvent) -> EpisodicRecord:
-        """Put a quarantined event back as a pending record, unless a record
-        with its id is stored already, and mark it admitted. It is not new
-        input: `total_ingested` counted it when it first arrived."""
+        """Put a quarantined event back as a pending record and mark it
+        admitted. It is not new input: `total_ingested` counted it when it
+        first arrived."""
         with self.lock:
-            record = self.records.get(event.id)
-            if record is None:
-                record = self._store_pending(event)
+            record = self._store_pending(event)
             self.admitted_ids.add(event.id)
             return record
 

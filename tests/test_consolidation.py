@@ -1,5 +1,7 @@
 import math
 import random
+from datetime import timedelta
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from engram.consolidation import (
     REASON_CAUSAL_INVERSION,
     REASON_DUPLICATE,
     REASON_OUT_OF_ORDER,
+    _pair_distances,
     cluster,
     content_hash,
     exact_dedup,
@@ -21,12 +24,14 @@ from engram.consolidation import (
     validate_temporal,
 )
 from engram.embedding import HashEmbedder
+from engram.errors import DuplicateId
 from engram.graph import KnowledgeGraph
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
+    EpisodicRecord,
     StoreConfig,
 )
 from engram.store import MemoryStore
@@ -186,6 +191,65 @@ def test_near_dedup_invariants(seed, threshold):
 
 # -- clustering -----------------------------------------------------------
 
+# The earlier `cluster`, which recomputed each pair average with `math.fsum`
+# after every merge, word for word but for its name: the Lance-Williams
+# `cluster` must give exactly its output, group order and member order.
+def cluster_reference(batch: Sequence[EpisodicRecord], distance: float
+            ) -> list[list[EpisodicRecord]]:
+    """Average-linkage agglomerative clustering on cosine distance.
+
+    Merging stops when the minimum inter-cluster distance exceeds the
+    configured cutoff. Ties pick the pair whose smallest member ids compare
+    lowest, so the result is order-independent and deterministic.
+    """
+    records = sorted(batch, key=lambda r: r.id)
+    n = len(records)
+    if n == 0:
+        return []
+    if n == 1:
+        return [[records[0]]]
+    # per-pair dots + fsum averaging: correctly rounded and independent of
+    # summation order, so an independent reference computes identical values
+    base = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        base[i, i] = 0.0
+        for j in range(i + 1, n):
+            d = 1.0 - float(np.dot(records[i].embedding, records[j].embedding))
+            base[i, j] = d
+            base[j, i] = d
+    clusters: dict[str, list[int]] = {r.id: [i] for i, r in enumerate(records)}
+
+    def pair_distance(a: str, b: str) -> float:
+        total = math.fsum(base[i, j] for i in clusters[a] for j in clusters[b])
+        return total / (len(clusters[a]) * len(clusters[b]))
+
+    dist: dict[tuple[str, str], float] = {}
+    keys = sorted(clusters)
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            dist[(keys[i], keys[j])] = pair_distance(keys[i], keys[j])
+
+    while len(clusters) > 1:
+        best = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
+        (a, b), d = best
+        if d > distance:
+            break
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+        for key in list(dist):
+            if b in key:
+                del dist[key]
+        for other in clusters:
+            if other == a:
+                continue
+            pair = (a, other) if a < other else (other, a)
+            dist[pair] = pair_distance(a, other)
+    out = []
+    for key in sorted(clusters):
+        out.append([records[i] for i in sorted(clusters[key])])
+    return out
+
+
 def cluster_oracle(batch, cutoff):
     """Naive O(n^3) average-linkage: recompute every pair average from raw
     distances each round; ties broken by smallest sorted id pair."""
@@ -243,6 +307,68 @@ def test_cluster_partition_property():
     groups = cluster(batch, 0.404)
     ids = sorted(r.id for g in groups for r in g)
     assert ids == sorted(r.id for r in batch)
+
+
+class ScaledEmbedder:
+    """HashEmbedder vectors scaled off unit norm by a factor drawn from the
+    text, so that distances fall outside [0, 2]; equal texts still embed
+    equally."""
+
+    SCALES = (0.25, 0.7, 1.0, 1.9, 4.0)
+
+    def embed(self, text):
+        return EMB.embed(text) * self.SCALES[len(text) % len(self.SCALES)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 60),
+       st.sampled_from([0.0, 0.404, 0.5, 0.8, 2.5]), st.booleans())
+def test_cluster_equals_reference(data, n, cutoff, scaled):
+    embedder = ScaledEmbedder() if scaled else EMB
+    vocab = data.draw(st.integers(3, 30), label="vocab")
+    ids = data.draw(st.permutations(range(n)), label="ids")
+    contents: list[str] = []
+    batch = []
+    for k in range(n):
+        if contents and data.draw(st.integers(0, 3)) == 0:
+            content = data.draw(st.sampled_from(contents))  # an exact tie
+        else:
+            words = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1,
+                                       max_size=6))
+            content = " ".join(f"w{w}" for w in words)
+        contents.append(content)
+        batch.append(EpisodicRecord(event=make_event(f"r{ids[k]:02d}", content=content),
+                                    embedding=embedder.embed(content)))
+    got = [[r.id for r in g] for g in cluster(batch, cutoff)]
+    assert got == [[r.id for r in g] for g in cluster_reference(batch, cutoff)]
+
+
+def test_cluster_averages_are_exact_sums():
+    """r3 and r4 lie at the same three distances from {r0, r1, r2}, in
+    opposite member order: the exact averages tie and the smaller id wins.
+    Summing the distances in merge order in float64 breaks the tie the
+    other way, and r4 would join the cluster instead."""
+    a, b, c = 0.49, 0.065, 0.31
+    vectors = [[1, 0, 0, 0.9, 0], [0, 1, 0, 0.9, 0], [0, 0, 1, 0.9, 0],
+               [a, b, c, 0.3, 1.0], [c, b, a, 0.3, -1.0]]
+    batch = [EpisodicRecord(event=make_event(f"r{k}"), embedding=np.array(v, dtype=float))
+             for k, v in enumerate(vectors)]
+    want = [["r0", "r1", "r2", "r3"], ["r4"]]
+    assert [[r.id for r in g] for g in cluster_reference(batch, 0.5)] == want
+    assert [[r.id for r in g] for g in cluster(batch, 0.5)] == want
+
+
+@pytest.mark.parametrize("dim", [1, 7, 64, 256, 1000])
+def test_pair_distances_equal_per_pair_dot(dim):
+    """`cluster` relies on each row-wise (1, d) @ (d, 1) product being the
+    `np.dot` of the two rows, bit for bit."""
+    rng = np.random.default_rng(dim)
+    emb = rng.standard_normal((40, dim)) * rng.uniform(0.01, 100.0, (40, 1))
+    got = _pair_distances(emb)
+    for i in range(40):
+        for j in range(40):
+            want = 1.0 - float(np.dot(emb[i], emb[j])) if i < j else math.inf
+            assert got[i, j].hex() == want.hex(), (i, j)
 
 
 # -- gist + promotion -----------------------------------------------------
@@ -385,6 +511,31 @@ def test_run_consolidation_readmits_resolved_causal_inversion(store):
     assert store.records["child"].state in (STATE_RETAINED, STATE_PROMOTED)
     assert report.accounting_holds()
     assert store.total_ingested == 2  # re-admission is not new input
+
+
+@pytest.mark.parametrize("offset_s, reused", [
+    (1, "the y event text"),  # removed as y's copy: re-admission found the id taken
+    (-1, "an unrelated note"),  # retained: re-admission moved it retained -> promoted
+])
+def test_a_reused_quarantined_id_never_stops_consolidation(store, offset_s, reused):
+    x = make_event("x", ts=T0, causes=("c",), content="x cites c before c arrives")
+    store.ingest(x)
+    run_consolidation(store, T0 + minutes(1))
+    assert "x" in store.quarantine
+    store.ingest(make_event("y", ts=T0 + minutes(2), content="the y event text"))
+    with pytest.raises(DuplicateId):
+        store.ingest(make_event("x", ts=T0 + minutes(2) + timedelta(seconds=offset_s),
+                                content=reused))
+    store.ingest(make_event("c", ts=T0 + minutes(3), content="c is the cause"))
+    run_consolidation(store, T0 + minutes(4))
+    # the quarantine expires at 16 min: x is re-admitted, and every later
+    # sleep still runs
+    for at in (minutes(25), minutes(50), hours(3)):
+        report = run_consolidation(store, T0 + at)
+        assert report.accounting_holds()
+    assert "x" not in store.quarantine
+    assert store.records["x"].event.causes == ("c",)
+    assert store.total_ingested == 3
 
 
 def test_run_consolidation_dedups_against_existing_store(store):

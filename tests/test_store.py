@@ -34,8 +34,9 @@ def test_readmit_is_not_new_input(store):
     assert store.records["child"] is rec and rec.state == STATE_PENDING
     assert "child" in store.admitted_ids
     assert store.total_ingested == 1
-    # a record already stored under the id is kept
-    assert store.readmit(event) is rec
+    # the id is stored now: a second re-admission is refused
+    with pytest.raises(DuplicateId):
+        store.readmit(event)
     assert store.total_ingested == 1
 
 
