@@ -16,11 +16,24 @@ renames it. Each type's converter is built once from `dataclasses.fields` and
 
 Decoding a dataclass rejects keys it does not declare. A declared key that is
 absent or null takes the field's default; without a default it is an error.
+
+The canonical text of a value is `json.dumps(encode(value), sort_keys=True,
+separators=(",", ":"))`; `dumps` returns it, and `write` appends it in pieces
+to a list. `dumps` memoizes the text of a frozen dataclass on the instance's
+`__dict__` the first time it is asked for, so it must be given only frozen
+values whose fields are immutable too. The values a snapshot stores are:
+records, semantic memories, entity nodes and quarantine entries hold
+read-only arrays and dicts, tuples and frozensets. `dataclasses.replace`
+builds a new instance without the memo, and `encode` reads only the fields,
+so the memo never reaches the JSON. `write` walks dicts (with str keys) and
+lists, so a snapshot reuses the memoized text of every stored value it
+holds; every other value, a tuple included, is written whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
 from datetime import datetime, timezone
@@ -37,6 +50,43 @@ def encode(value: Any) -> Any:
     """The JSON form of `value`."""
     enc = _encoder(type(value))
     return value if enc is None else enc(value)
+
+
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_MEMO = "_codec_text"  # the instance `__dict__` key of a frozen value's text
+
+
+def dumps(value: Any) -> str:
+    """The canonical JSON text of `value`, memoized on a frozen dataclass."""
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return _canonical(encode(value))
+    memo = value.__dict__
+    text = memo.get(_MEMO)
+    if text is None:
+        text = memo[_MEMO] = _canonical(encode(value))
+    return text
+
+
+def write(value: Any, out: list[str]) -> None:
+    """Append the canonical text of `value` to `out`, in pieces whose join
+    is `dumps(value)`."""
+    if type(value) is dict:
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep + _canonical(key) + ":")
+            write(value[key], out)
+            sep = ","
+        out.append("}" if sep == "," else "{}")
+    elif type(value) is list:
+        sep = "["
+        for item in value:
+            out.append(sep)
+            write(item, out)
+            sep = ","
+        out.append("]" if sep == "," else "[]")
+    else:
+        out.append(dumps(value))
 
 
 def decode(tp: Any, data: Any) -> Any:

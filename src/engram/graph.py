@@ -105,6 +105,11 @@ class SemanticMemory:
     def __post_init__(self):
         self.embedding.setflags(write=False)
 
+    def __setstate__(self, state):
+        # a copy or unpickled instance gets a new, writeable embedding array
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def activation(self, now: datetime, config: StoreConfig) -> float:
         if not config.maturation_enabled:
             return 1.0
@@ -273,13 +278,18 @@ class KnowledgeGraph:
 
     # -- serialization ----------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
+    def snapshot_state(self) -> dict[str, Any]:
+        """The graph's JSON form with its nodes and memories in place, for
+        `codec.write` to splice in their memoized text."""
         return {
-            "entities": [encode(self.entities[k]) for k in sorted(self.entities)],
-            "memories": [encode(self.memories[k]) for k in sorted(self.memories)],
-            "co_occurs": [[a, b, w] for (a, b), w in sorted(self.co_occurs.items())],
+            "entities": [self.entities[k] for k in sorted(self.entities)],
+            "memories": [self.memories[k] for k in sorted(self.memories)],
+            "co_occurs": tuple((a, b, w) for (a, b), w in sorted(self.co_occurs.items())),
             "next_memory_seq": self._next_memory_seq,
         }
+
+    def to_dict(self) -> dict[str, Any]:
+        return encode(self.snapshot_state())
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "KnowledgeGraph":

@@ -155,6 +155,11 @@ class EpisodicRecord:
         if not self.source_ids:
             put(self, "source_ids", (self.event.id,))
 
+    def __setstate__(self, state):
+        # a copy or unpickled instance gets a new, writeable embedding array
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def id(self) -> str:
         return self.event.id

@@ -12,6 +12,11 @@ never persisted or checkpointed. `MemoryStore.records` marks the ids it
 writes, and the next scan (or the end of a forgetting run) brings just those
 rows up to date; a store loaded from a snapshot or rolled back builds the
 index anew on its first scan.
+
+A snapshot is read under the lock. Its text splices in each stored value's
+canonical JSON, which `codec.dumps` encodes on the first snapshot that holds
+the value and memoizes on it; an unchanged record is never encoded twice.
+Nothing is encoded at load or in `replace`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import decode, encode, field_keys
+from .codec import decode, encode, field_keys, write
 from .embedding import HashEmbedder, normalize
 from .errors import (
     DuplicateId,
@@ -492,39 +497,54 @@ class MemoryStore:
 
     # -- state fingerprint / snapshot --------------------------------------
 
-    def state_dict(self) -> dict[str, Any]:
+    def _state(self) -> dict[str, Any]:
+        """The snapshot's state with the stored values in place. Lists hold
+        stored values, whose memoized text `codec.write` splices in; other
+        sequences are tuples, written whole."""
         return {
             "version": SNAPSHOT_VERSION,
-            "config": encode(self.config),
-            "records": [encode(self.records[k]) for k in sorted(self.records)],
-            "graph": self.graph.to_dict(),
-            "quarantine": [encode(self.quarantine[k]) for k in sorted(self.quarantine)],
-            "admitted_ids": sorted(self.admitted_ids),
-            "watermark": encode(self.watermark),
-            "centroid_sum": encode(self.centroid_sum),
+            "config": self.config,
+            "records": [self.records[k] for k in sorted(self.records)],
+            "graph": self.graph.snapshot_state(),
+            "quarantine": [self.quarantine[k] for k in sorted(self.quarantine)],
+            "admitted_ids": tuple(sorted(self.admitted_ids)),
+            "watermark": self.watermark,
+            "centroid_sum": self.centroid_sum,
             "centroid_count": self.centroid_count,
-            "labile_until": encode(self.labile_until),
+            "labile_until": self.labile_until,
             "total_ingested": self.total_ingested,
             "batch_seq": self.batch_seq,
         }
 
+    def state_dict(self) -> dict[str, Any]:
+        with self.lock:
+            return encode(self._state())
+
     def snapshot_json(self) -> str:
-        return json.dumps(self.state_dict(), sort_keys=True, separators=(",", ":"))
+        """`json.dumps(self.state_dict(), sort_keys=True, separators=(",", ":"))`,
+        with each stored value's text encoded once and reused."""
+        pieces: list[str] = []
+        with self.lock:
+            write(self._state(), pieces)
+        return "".join(pieces)
 
     def save_snapshot(self, path: str) -> None:
         """Write to a sibling temp file, then rename it over `path`, so a
-        crash mid-write leaves the previous file intact. There is no fsync:
-        this covers process crashes, not power loss."""
-        text = self.snapshot_json()
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-            raise
+        crash mid-write leaves the previous file intact. The lock is held
+        throughout, so the file holds one consistent state and no other
+        thread's save interleaves. There is no fsync: this covers process
+        crashes, not power loss."""
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        with self.lock:
+            text = self.snapshot_json()
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)
+                raise
 
     @classmethod
     def from_state_dict(cls, d: dict[str, Any], embedder=None) -> "MemoryStore":

@@ -1,7 +1,10 @@
-"""Decode rules of the one JSON codec: defaults for absent or null keys,
-rejection of undeclared keys, and snapshot errors."""
+"""Rules of the one JSON codec: defaults for absent or null keys, rejection
+of undeclared keys, snapshot errors, and the memoized canonical text."""
 
+import copy
 import json
+import pickle
+from dataclasses import replace
 from datetime import datetime
 from typing import Optional
 
@@ -9,13 +12,15 @@ import numpy as np
 import pytest
 
 from engram.cli import main
-from engram.codec import decode, encode
+from engram.codec import decode, dumps, encode
 from engram.errors import SnapshotFormatError
+from engram.forgetting import apply_ttl, degrade
+from engram.graph import EntityNode, SemanticMemory
 from engram.harness import StreamSpec
 from engram.model import FidelityLevel, MemoryEvent, StoreConfig
 from engram.store import MemoryStore
 
-from conftest import T0, make_event
+from conftest import T0, hours, make_event, make_record
 
 
 def test_jsonl_event_defaults_null_and_extra_keys(store):
@@ -93,3 +98,70 @@ def test_top_level_values():
     assert decode(frozenset[str], ["b", "a"]) == frozenset({"a", "b"})
     vec = decode(np.ndarray, [1, 2])
     assert vec.dtype == np.float64 and vec.tolist() == [1.0, 2.0]
+
+
+def canonical(value):
+    return json.dumps(encode(value), sort_keys=True, separators=(",", ":"))
+
+
+def stored_values(embedder):
+    """A record, a semantic memory and an entity node."""
+    return (
+        make_record(embedder, content="Alice ships the release"),
+        SemanticMemory(id="sem-000000", gist="Alice ships",
+                       embedding=embedder.embed("Alice ships"),
+                       source_ids=frozenset({"evt-1"}), created_at=T0,
+                       entities=("Alice",)),
+        EntityNode(name="Alice", first_seen=T0, last_seen=T0),
+    )
+
+
+def test_text_is_memoized_and_stays_out_of_the_json(embedder):
+    for value in stored_values(embedder):
+        data = encode(value)
+        text = dumps(value)
+        assert text == canonical(value)
+        assert dumps(value) is text
+        assert encode(value) == data == json.loads(text)
+    config = StoreConfig()
+    assert dumps(config) == canonical(config)
+    assert vars(config) == vars(StoreConfig())  # a mutable value keeps no memo
+
+
+def test_replaced_values_get_fresh_text(embedder):
+    record, memory, node = stored_values(embedder)
+    for value, change in ((record, {"importance": 0.9}),
+                          (record, {"event": replace(record.event, content="edited")}),
+                          (memory, {"access_count": 3}),
+                          (node, {"importance": 1.0})):
+        old = dumps(value)
+        new = replace(value, **change)
+        assert dumps(new) == canonical(new) != old
+        assert dumps(value) == old
+
+
+def test_copies_of_a_value_with_memoized_text_give_its_text(embedder):
+    for value in stored_values(embedder):
+        text = dumps(value)
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert dumps(twin) == canonical(twin) == text
+            if hasattr(twin, "embedding"):
+                assert not twin.embedding.flags.writeable
+            changed = replace(twin, created_at=T0 + hours(1)) \
+                if isinstance(twin, SemanticMemory) else replace(twin, importance=0.25)
+            assert dumps(changed) == canonical(changed) != text
+
+
+def test_a_tombstone_text_drops_its_content(store):
+    store.ingest(make_event("a", ts=T0, content="the Kestrel launch codes"))
+    store.ingest(make_event("b", ts=T0 + hours(40), content="a later note"))
+    assert store.snapshot_json().count("Kestrel launch codes") == 1
+    assert apply_ttl(store, T0 + hours(30)) == ["a"]
+    text = store.snapshot_json()
+    assert "Kestrel launch codes" not in text
+    assert text == json.dumps(store.state_dict(), sort_keys=True, separators=(",", ":"))
+    last = replace(store.records["b"], fidelity=FidelityLevel.L4)
+    dumps(last)
+    tomb = degrade(last, T0 + hours(40))
+    assert tomb.content == "" and "a later note" not in dumps(tomb)

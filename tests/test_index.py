@@ -1,6 +1,8 @@
-"""The store's embedding index. The index-backed episodic scan and frequency
-count must equal their pairwise definitions bit for bit, under any sequence
-of operations; the float32 margin must bound the float32 error."""
+"""The store's derived state. The index-backed episodic scan and frequency
+count must equal their pairwise definitions bit for bit, and the snapshot
+text spliced from memoized values must equal the encoding of the whole
+state, under any sequence of operations; the float32 margin must bound the
+float32 error."""
 
 from __future__ import annotations
 
@@ -117,7 +119,8 @@ words = st.lists(st.sampled_from(VOCAB), max_size=4).map(" ".join)
 
 class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
-    drawn query, the index-backed scan equals `scan_oracle`."""
+    drawn query, the index-backed scan equals `scan_oracle`; after every
+    step, `snapshot_json` equals the canonical dump of `state_dict`."""
 
     @initialize()
     def start(self):
@@ -234,6 +237,11 @@ class IndexMachine(RuleBasedStateMachine):
         index = self.store.embedding_index()
         assert len(index) == self.store.active_count()
         assert sorted(index.keys) == self.live_ids()
+
+    @invariant()
+    def snapshot_is_the_canonical_state(self):
+        assert self.store.snapshot_json() == json.dumps(
+            self.store.state_dict(), sort_keys=True, separators=(",", ":"))
 
     @invariant()
     def frequency_counts_match(self):

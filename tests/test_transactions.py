@@ -1,6 +1,12 @@
 """Every mutating job is transactional: a failure injected mid-job leaves the
 store byte-identical to its state before the job."""
 
+import hashlib
+import json
+import os
+import threading
+import time
+
 import pytest
 
 from engram import consolidation, forgetting, retrieval
@@ -128,3 +134,53 @@ def test_lability_and_feedback_write_under_the_lock(monkeypatch):
     retrieval.reinforce(store, rec_id, "failure")
     assert depths == [1] * 6
     assert lock.depth == 0
+
+
+def test_snapshots_read_the_store_under_the_lock(monkeypatch, tmp_path):
+    store, _now = grown_store(StoreConfig())
+    lock = store.lock = DepthLock()
+    depths = []
+    state, rename = store._state, os.replace
+
+    def reading():
+        depths.append(lock.depth)
+        return state()
+
+    def renaming(src, dst):
+        depths.append(lock.depth)
+        rename(src, dst)
+
+    monkeypatch.setattr(store, "_state", reading)
+    monkeypatch.setattr(os, "replace", renaming)
+    assert json.loads(store.snapshot_json()) == store.state_dict()
+    store.save_snapshot(str(tmp_path / "snap.json"))
+    assert len(depths) == 4 and min(depths) >= 1
+    assert lock.depth == 0
+
+
+def fingerprint(store):
+    return hashlib.sha256(store.snapshot_json().encode("utf-8")).hexdigest()
+
+
+def test_a_snapshot_taken_during_a_sleep_waits_for_the_whole_batch():
+    """Another thread's snapshot, asked for after the batch's first write,
+    sees the state after the batch, not a half-applied one."""
+    store, now = grown_store(StoreConfig())
+    written = threading.Event()
+    write = store.replace
+
+    def slow(record):
+        write(record)
+        written.set()
+        time.sleep(0.01)
+
+    store.replace = slow
+    sleep = threading.Thread(target=run_consolidation, args=(store, now),
+                             kwargs={"mode": MODE_AGGRESSIVE})
+    sleep.start()
+    assert written.wait(10)
+    seen = fingerprint(store)
+    sleep.join(10)
+    assert not sleep.is_alive()
+    del store.replace
+    assert seen == fingerprint(store)
