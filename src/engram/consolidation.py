@@ -5,6 +5,13 @@ Order of stages per batch: temporal validation -> scoring -> classification
 -> promotion. Pruned records enter graceful degradation rather than being
 hard-deleted. The whole batch is transactional: on any stage failure the
 store is restored to its pre-batch state.
+
+Dedup decides only the batch (`dedup_batch`): a batch record is removed when
+it is an exact or near duplicate of a stored retained or promoted record, or
+of an earlier batch survivor. A stored record is never removed, even when
+reconsolidation or degradation has made two stored records equal, so
+`removed_existing` is 0 by construction. Only the absorbers and the batch
+survivors are written.
 """
 
 from __future__ import annotations
@@ -177,6 +184,93 @@ def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
             )
             removed.append(rec)
     return survivors, removed
+
+
+def dedup_batch(store: MemoryStore, batch: Sequence[EpisodicRecord],
+                threshold: float
+                ) -> tuple[list[EpisodicRecord], dict[str, EpisodicRecord],
+                           list[EpisodicRecord], list[EpisodicRecord]]:
+    """Step 4: remove each batch record that duplicates a stored retained or
+    promoted record or an earlier batch survivor. A stored record is never
+    removed.
+
+    The batch is visited in `survivor_order`. An exact copy is absorbed by
+    the first record with its content in `survivor_order`: a stored record,
+    else an earlier batch survivor; the absorber gains the copy's ids and
+    one access. Then each remaining batch record whose float64 `np.dot`
+    similarity reaches `threshold` for some stored record or earlier batch
+    survivor is absorbed by the most similar one (ties: the first in
+    `survivor_order`), which gains its ids and keeps the max importance.
+    One float32 product over the store's embedding index picks the pairs
+    that may reach the threshold, so the cost follows the batch, not the
+    store. Where no two stored records collide, this is `exact_dedup` then
+    `near_dedup` over the stored records and the batch, but for the last
+    bit of a similarity: those read a row of a float64 matrix-vector
+    product, which may differ from `np.dot` by an ulp.
+
+    Returns (batch survivors in `survivor_order`, the changed absorbers by
+    id, exact copies removed, near duplicates removed). The store is not
+    written."""
+    ordered = sorted(batch, key=survivor_order)
+    batch_ids = {r.id for r in ordered}
+    kept_states = (STATE_RETAINED, STATE_PROMOTED)
+    contents = {r.content for r in ordered}
+    copies = [r for r in store.records.values()
+              if r.state in kept_states and r.content in contents]
+    # content -> id of its first record in survivor_order
+    holder: dict[str, str] = {}
+    for rec in sorted(copies, key=survivor_order) + ordered:
+        holder.setdefault(rec.content, rec.id)
+    changed: dict[str, EpisodicRecord] = {}
+
+    def current(rec_id: str) -> EpisodicRecord:
+        return changed.get(rec_id) or store.records[rec_id]
+
+    exact_removed: list[EpisodicRecord] = []
+    unique: list[EpisodicRecord] = []
+    for rec in ordered:
+        hit = holder[rec.content]
+        if hit == rec.id:
+            unique.append(rec)
+            continue
+        absorber = current(hit)
+        changed[hit] = replace(
+            absorber, access_count=absorber.access_count + 1,
+            source_ids=tuple(dict.fromkeys(absorber.source_ids + rec.source_ids)))
+        exact_removed.append(rec)
+
+    index = store.embedding_index()
+    rows = [index.row(r.id) for r in unique]
+    among = index.in_states(kept_states)
+    among[rows] = True
+    candidates: list[list[str]] = [[] for _ in unique]
+    for i, j in index.rows_reaching(rows, among, threshold):
+        candidates[i].append(index.keys[j])
+    survivors: dict[str, None] = {}
+    near_removed: list[EpisodicRecord] = []
+    for rec, keys in zip(unique, candidates):
+        rec = current(rec.id)
+        hits = []
+        for key in keys:
+            # a batch record is a candidate once it has survived: earlier only
+            if key in batch_ids and key not in survivors:
+                continue
+            other = store.records[key]
+            sim = float(np.dot(other.embedding, rec.embedding))
+            if sim >= threshold:
+                hits.append((-sim, survivor_order(other), key))
+        if not hits:
+            survivors[rec.id] = None
+            continue
+        absorber = current(min(hits)[2])
+        changed[absorber.id] = replace(
+            absorber,
+            source_ids=tuple(dict.fromkeys(absorber.source_ids + rec.source_ids)),
+            importance=max(absorber.importance, rec.importance))
+        near_removed.append(rec)
+    return ([current(i) for i in survivors],
+            {k: r for k, r in changed.items() if k not in batch_ids},
+            exact_removed, near_removed)
 
 
 def _pair_distances(emb: np.ndarray) -> np.ndarray:
@@ -399,28 +493,18 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 for r in cls.prune:
                     bucket[r.id] = "prune"
 
-            # 4. dedup against existing active store content plus the batch
-            batch_ids = {r.id for r in batch}
-            existing = [r for r in store.records.values()
-                        if r.state in (STATE_RETAINED, STATE_PROMOTED)
-                        and r.id not in batch_ids]
-            combined = existing + batch
-            survivors, exact_removed = exact_dedup(combined)
-            survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
-            exact_removed_ids = {r.id for r in exact_removed}
+            # 4. dedup: batch records against the stored retained and
+            # promoted records and the earlier batch survivors; a stored
+            # record is never removed, so `removed_existing` stays 0
+            batch_survivors, absorbers, exact_removed, near_removed = dedup_batch(
+                store, batch, config.near_dedup_threshold)
+            report.exact_dups_removed = len(exact_removed)
+            report.near_dups_removed = len(near_removed)
             for rec in exact_removed + near_removed:
-                if rec.id in batch_ids:
-                    if rec.id in exact_removed_ids:
-                        report.exact_dups_removed += 1
-                    else:
-                        report.near_dups_removed += 1
-                else:
-                    report.removed_existing += 1
-                store.records.pop(rec.id, None)
-            for rec in survivors:
-                store.replace(rec)
-            batch_survivors = [store.records[r.id] for r in survivors
-                               if r.id in batch_ids]
+                store.records.pop(rec.id)
+            for rec in list(absorbers.values()) + batch_survivors:
+                if rec is not store.records[rec.id]:
+                    store.replace(rec)
 
             # 5. aggressive mode: cluster surviving batch and merge
             merged_member_ids: set[str] = set()

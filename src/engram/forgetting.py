@@ -4,6 +4,11 @@ ladder, and adaptive forgetting down to a token budget.
 Forgetting never hard-deletes: records walk the fidelity ladder one level
 per step and end as tombstones that keep only existence metadata. The
 semantic copy of a promoted record survives episodic TTL expiry.
+
+A sleep ranks the forget candidates once (`rank_forget_candidates`, on the
+store's embedding index): the interference step and the budget walk share
+that ranking, which is taken again only when the interference step has made
+a tombstone.
 """
 
 from __future__ import annotations
@@ -95,40 +100,50 @@ def interference(memory: EpisodicRecord,
                                   contributors=contributors)
 
 
-def _eligible(store: MemoryStore, now: datetime) -> list[EpisodicRecord]:
-    out = []
-    for rec in store.records.values():
-        if rec.state in (STATE_TOMBSTONE, STATE_PROMOTED):
-            continue
-        if store.is_labile(rec.id, now):
-            continue
-        out.append(rec)
-    return out
-
-
 def rank_forget_candidates(store: MemoryStore, now: datetime
                            ) -> list[tuple[float, float, EpisodicRecord]]:
-    """All eligible records ranked most-forgettable first:
-    (priority desc, decayed importance asc, id)."""
+    """All eligible records (live, not promoted, not labile) ranked
+    most-forgettable first: (priority desc, decayed importance asc, id).
+
+    A record's priority is `interference(rec, store.active_records(),
+    threshold).interference / (decayed + EPSILON)`, to the bit. One float32
+    product per chunk of eligible rows over the store's embedding index
+    picks the pairs that may reach the threshold; each is decided by the
+    float64 `np.dot` that `interference` takes, and a record's terms are
+    summed in `store.records` order, as `interference` sums them."""
     config = store.config
-    active = store.active_records()
+    threshold = config.interference_threshold
+    position: dict[str, int] = {}
+    eligible: list[EpisodicRecord] = []
+    for pos, rec in enumerate(store.records.values()):
+        position[rec.id] = pos
+        if (rec.state not in (STATE_TOMBSTONE, STATE_PROMOTED)
+                and not store.is_labile(rec.id, now)):
+            eligible.append(rec)
+    if not eligible:
+        return []
+    index = store.embedding_index()
+    terms: list[list[tuple[int, float]]] = [[] for _ in eligible]
+    everyone = np.ones(len(index), dtype=bool)
+    for i, j in index.rows_reaching([index.row(r.id) for r in eligible], everyone,
+                                    threshold):
+        rec, other = eligible[i], store.records[index.keys[j]]
+        if other.id == rec.id:
+            continue
+        sim = float(np.dot(other.embedding, rec.embedding))
+        if sim < threshold:
+            continue
+        newer = (other.encoded_at, other.id) > (rec.encoded_at, rec.id)
+        w = config.retro_weight if newer else config.pro_weight
+        terms[i].append((position[other.id], w * sim))
     ranked = []
-    if not active:
-        return ranked
-    matrix = np.stack([r.embedding for r in active])
-    order = [(r.encoded_at, r.id) for r in active]
-    for rec in _eligible(store, now):
-        sims = matrix @ rec.embedding
+    for rec, rec_terms in zip(eligible, terms):
         total = 0.0
-        for j in np.nonzero(sims >= config.interference_threshold)[0]:
-            if active[j].id == rec.id:
-                continue
-            newer = order[j] > (rec.encoded_at, rec.id)
-            total += (config.retro_weight if newer else config.pro_weight) * float(sims[j])
+        for _pos, term in sorted(rec_terms):
+            total += term
         decayed = decayed_importance(rec.importance, rec.encoded_at, now,
                                      config.lambda_decay)
-        priority = total / (decayed + EPSILON)
-        ranked.append((priority, decayed, rec))
+        ranked.append((total / (decayed + EPSILON), decayed, rec))
     ranked.sort(key=lambda t: (-t[0], t[1], t[2].id))
     return ranked
 
@@ -188,20 +203,24 @@ def degradation_due(record: EpisodicRecord, now: datetime,
     return decayed < config.importance_floor
 
 
-def forget_to_budget(store: MemoryStore, budget_tokens: int,
-                     now: datetime) -> ForgettingReport:
+def forget_to_budget(store: MemoryStore, budget_tokens: int, now: datetime,
+                     ranked: Optional[list[tuple[float, float, EpisodicRecord]]] = None
+                     ) -> ForgettingReport:
     """Degrade most-forgettable records until active tokens fit the budget.
 
     The top candidate is walked down the full ladder before moving on (its
     priority does not change as it degrades). Promoted and labile records
     are never touched; the loop is bounded by ladder depth times store
-    size."""
+    size. `ranked` is `rank_forget_candidates(store, now)` when the caller
+    already holds it."""
     if budget_tokens <= 0:
         raise ValueError("budget must be positive")
     report = ForgettingReport()
     tokens = store.active_tokens()
     if tokens > budget_tokens:
-        for _prio, _dec, rec in rank_forget_candidates(store, now):
+        if ranked is None:
+            ranked = rank_forget_candidates(store, now)
+        for _prio, _dec, rec in ranked:
             current = store.records[rec.id]
             while tokens > budget_tokens and current.state != STATE_TOMBSTONE:
                 updated = degrade(current, now)
@@ -223,7 +242,12 @@ def run_forgetting(store: MemoryStore, now: datetime,
     """TTL expiry, then interference-triggered degradation above the
     priority floor, then budget forgetting when a budget is configured.
     Transactional: on any failure the store is restored to its state before
-    the call."""
+    the call.
+
+    One ranking serves both steps. A degrade step changes a record's
+    content and fidelity, while a priority depends on its embedding,
+    importance and `encoded_at` and on the live set, so the ranking stays
+    exact until a record becomes a tombstone; only then is it taken again."""
     config = store.config
     with store.lock:
         chk = store._checkpoint()
@@ -232,17 +256,24 @@ def run_forgetting(store: MemoryStore, now: datetime,
             report.expired_ids = apply_ttl(store, now)
             report.ttl_expired = len(report.expired_ids)
 
-            for rec_id in select_forget_candidates(store, now):
-                current = store.records[rec_id]
+            ranked = rank_forget_candidates(store, now)
+            tombstoned = False
+            for prio, _dec, rec in ranked:
+                if prio <= config.forget_priority_floor:
+                    break  # the ranking is by priority: the rest are lower
+                current = store.records[rec.id]
                 if current.event.metadata.get("error_signal") == "true":
                     continue
                 if degradation_due(current, now, config):
-                    store.replace(degrade(current, now))
+                    updated = degrade(current, now)
+                    store.replace(updated)
                     report.interference_degraded += 1
+                    tombstoned = tombstoned or updated.state == STATE_TOMBSTONE
 
             budget = budget if budget is not None else config.token_budget
             if budget is not None:
-                sub = forget_to_budget(store, budget, now)
+                sub = forget_to_budget(store, budget, now,
+                                       None if tombstoned else ranked)
                 report.budget_steps = sub.budget_steps
                 report.budget_tombstoned = sub.budget_tombstoned
             report.tokens_after = store.active_tokens()

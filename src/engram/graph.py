@@ -131,9 +131,11 @@ class KnowledgeGraph:
 
     Entity names are case-folded for identity but keep their first-seen
     display form. Entity importance is degree / max degree, recomputed per
-    batch; degree counts mention edges plus co-occurrence edges. Nodes and
-    memories are immutable values, replaced by key, so `copy` needs to copy
-    only the containers.
+    batch; degree counts mention edges plus co-occurrence edges. It is a
+    function of the final degrees alone, so an insert only marks it stale,
+    and it is recomputed once before the next read of an importance or of
+    the snapshot. Nodes and memories are immutable values, replaced by key,
+    so `copy` needs to copy only the containers.
     """
 
     def __init__(self):
@@ -143,6 +145,7 @@ class KnowledgeGraph:
         self.co_occurs: dict[tuple[str, str], int] = {}    # sorted key pair -> weight
         self._by_source_set: dict[frozenset[str], str] = {}
         self._next_memory_seq = 0
+        self._importance_stale = False
 
     # -- entities ---------------------------------------------------------
 
@@ -162,6 +165,7 @@ class KnowledgeGraph:
         return node
 
     def entity_importance(self, name: str) -> float:
+        self._refresh_importance()
         node = self.entities.get(self._key(name))
         return node.importance if node else 0.0
 
@@ -179,6 +183,11 @@ class KnowledgeGraph:
             if importance != node.importance:
                 self.entities[key] = EntityNode(node.name, importance,
                                                 node.first_seen, node.last_seen)
+        self._importance_stale = False
+
+    def _refresh_importance(self) -> None:
+        if self._importance_stale:
+            self.recompute_importance()
 
     # -- memories ---------------------------------------------------------
 
@@ -212,7 +221,7 @@ class KnowledgeGraph:
                 pair = tuple(sorted((keys[i], keys[j])))
                 if pair[0] != pair[1]:
                     self.co_occurs[pair] = self.co_occurs.get(pair, 0) + 1
-        self.recompute_importance()
+        self._importance_stale = True
         return mem
 
     def replace_memory(self, mem: SemanticMemory) -> None:
@@ -228,6 +237,7 @@ class KnowledgeGraph:
         g.co_occurs = dict(self.co_occurs)
         g._by_source_set = dict(self._by_source_set)
         g._next_memory_seq = self._next_memory_seq
+        g._importance_stale = self._importance_stale
         return g
 
     # -- traversal --------------------------------------------------------
@@ -281,6 +291,7 @@ class KnowledgeGraph:
     def snapshot_state(self) -> dict[str, Any]:
         """The graph's JSON form with its nodes and memories in place, for
         `codec.write` to splice in their memoized text."""
+        self._refresh_importance()
         return {
             "entities": [self.entities[k] for k in sorted(self.entities)],
             "memories": [self.memories[k] for k in sorted(self.memories)],

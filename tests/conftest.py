@@ -6,6 +6,7 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import settings
 
 from engram.codec import decode, encode
 from engram.embedding import HashEmbedder
@@ -13,6 +14,14 @@ from engram.model import EpisodicRecord, MemoryEvent, StoreConfig
 from engram.store import MemoryStore
 
 T0 = datetime(2026, 1, 5, tzinfo=timezone.utc)
+
+# Hypothesis budgets. Tier-1 runs "tier1": the default examples per test,
+# and 25 steps per stateful run. A soak run picks a larger budget with
+# `pytest --hypothesis-profile soak`; tests that set no budget of their own
+# (the lifecycle state machine, the sleep oracles) take it from the profile.
+settings.register_profile("tier1", stateful_step_count=25)
+settings.register_profile("soak", max_examples=1500, stateful_step_count=50)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

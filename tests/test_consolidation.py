@@ -34,6 +34,7 @@ from engram.model import (
     EpisodicRecord,
     StoreConfig,
 )
+from engram.retrieval import open_lability, reconsolidate
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, make_record, minutes
@@ -564,6 +565,29 @@ def test_dedup_never_removes_a_stored_record_for_a_new_copy(store):
     assert "a" not in store.records
     assert store.records["b"].state == STATE_PROMOTED
     assert store.records["b"].source_ids == ("b", "a")
+
+
+def test_dedup_keeps_two_stored_records_that_became_equal(store):
+    # reconsolidation gives the stored `a` the promoted `b`'s content; the
+    # next sleep decides only its (empty) batch and removes neither
+    fillers = [make_event(f"f{i}", ts=T0 + minutes(2 + i),
+                          content=f"filler note {i} about lunch plans")
+               for i in range(8)]
+    _ingest(store, [make_event("a", ts=T0, content="the deploy moved to friday after review"),
+                    make_event("b", ts=T0 + minutes(1),
+                               content="kestrel billing invoices are late again")] + fillers)
+    run_consolidation(store, T0 + hours(1))
+    assert store.records["a"].state == STATE_RETAINED
+    assert store.records["b"].state == STATE_PROMOTED
+    handle = open_lability(store, "a", T0 + hours(1))
+    reconsolidate(store, handle, store.records["b"].content, 1.0, T0 + hours(1))
+    assert store.records["a"].content == store.records["b"].content
+    report = run_consolidation(store, T0 + hours(2))
+    assert report.removed_existing == 0
+    assert report.accounting_holds()
+    assert store.records["b"].state == STATE_PROMOTED
+    assert store.records["a"].source_ids == ("a",)
+    assert store.records["b"].source_ids == ("b",)
 
 
 def test_mode_none_keeps_everything(store):

@@ -133,6 +133,18 @@ def test_entity_importance_degree_normalized():
     assert g.entity_importance("missing") == 0.0
 
 
+def test_importance_is_recomputed_once_before_the_next_read():
+    """An insert only marks importance stale; a snapshot, and a snapshot of
+    a copy taken while stale, see the values of a recompute after the last
+    insert."""
+    eager = _tri_graph()
+    eager.recompute_importance()
+    lazy = _tri_graph()
+    assert lazy.copy().to_dict() == eager.to_dict()
+    assert lazy.to_dict() == eager.to_dict()
+    assert [n.importance for n in lazy.entities.values()] == [0.75, 1.0, 0.5]
+
+
 def test_neighbors_sorted_by_weight_then_name():
     g = _tri_graph()
     g.insert_memory("ab2", EMB.embed("ab2"), frozenset({"s4"}), ("A", "B"), T0)

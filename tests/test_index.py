@@ -1,8 +1,10 @@
-"""The store's derived state. The index-backed episodic scan and frequency
-count must equal their pairwise definitions bit for bit, and the snapshot
-text spliced from memoized values must equal the encoding of the whole
-state, under any sequence of operations; the float32 margin must bound the
-float32 error."""
+"""The store's derived state and its lifecycle. The index-backed episodic
+scan and frequency count must equal their pairwise definitions bit for bit,
+and the snapshot text spliced from memoized values must equal the encoding
+of the whole state, under any sequence of operations; the float32 margin
+must bound the float32 error. Along the way the lifecycle invariants hold:
+dedup never removes a stored record, a promoted record only ever becomes a
+tombstone, and a failed sleep job leaves the snapshot as it was."""
 
 from __future__ import annotations
 
@@ -20,9 +22,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from engram import forgetting
 from engram.consolidation import MODES, run_consolidation
 from engram.embedding import HashEmbedder
-from engram.forgetting import run_forgetting
+from engram.forgetting import rank_forget_candidates, run_forgetting
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
@@ -117,16 +120,38 @@ class Injected(RuntimeError):
 words = st.lists(st.sampled_from(VOCAB), max_size=4).map(" ".join)
 
 
+def ranking_key(ranked):
+    return [(prio, decayed, rec.id) for prio, decayed, rec in ranked]
+
+
+def inject_failure(store, nth):
+    """Make the `nth` `store.replace` call raise `Injected`; returns the
+    undo."""
+    calls = [0]
+    write = store.replace
+
+    def failing(record):
+        calls[0] += 1
+        if calls[0] == nth:
+            raise Injected(f"write {nth}")
+        write(record)
+
+    store.replace = failing
+    return lambda: delattr(store, "replace")
+
+
 class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
     drawn query, the index-backed scan equals `scan_oracle`; after every
-    step, `snapshot_json` equals the canonical dump of `state_dict`."""
+    step, `snapshot_json` equals the canonical dump of `state_dict`, and
+    every id once promoted is still stored, promoted or a tombstone."""
 
     @initialize()
     def start(self):
         self.store = MemoryStore(StoreConfig(cluster_distance=0.8))
         self.clock = T0
         self.serial = 0
+        self.promoted: set[str] = set()
 
     def live_ids(self):
         return sorted(r.id for r in self.store.active_records())
@@ -143,17 +168,47 @@ class IndexMachine(RuleBasedStateMachine):
         self.store.ingest(make_event(f"e{self.serial}", ts=ts, session=session,
                                      content=content, causes=causes))
 
+    @rule(contents=st.lists(words, min_size=2, max_size=6),
+          session=st.sampled_from(SESSIONS))
+    def ingest_session(self, contents, session):
+        # a run of in-order events, so that sleeps meet stored records
+        for content in contents:
+            self.clock += minutes(1)
+            self.serial += 1
+            self.store.ingest(make_event(f"e{self.serial}", ts=self.clock,
+                                         session=session, content=content))
+
     @rule(mode=st.sampled_from(MODES), pending=st.booleans())
     def consolidate(self, mode, pending):
         if pending:
             self.clock += minutes(20)  # past the quarantine TTL
         report = run_consolidation(self.store, self.clock, mode=mode)
         assert report.accounting_holds()
+        assert report.removed_existing == 0
 
     @rule(budget=st.one_of(st.none(), st.integers(1, 80)), days=st.integers(0, 40))
     def forget(self, budget, days):
         self.clock += hours(24 * days)
-        run_forgetting(self.store, self.clock, budget=budget)
+        store = self.store
+        promoted = {k: r for k, r in store.records.items() if r.state == STATE_PROMOTED}
+        walk = forgetting.forget_to_budget
+
+        def checked_walk(store, budget_tokens, now, ranked=None):
+            # a ranking handed on from the interference step is still exact
+            if ranked is not None:
+                assert ranking_key(ranked) == ranking_key(rank_forget_candidates(store, now))
+            return walk(store, budget_tokens, now, ranked)
+
+        forgetting.forget_to_budget = checked_walk
+        try:
+            report = run_forgetting(store, self.clock, budget=budget)
+        finally:
+            forgetting.forget_to_budget = walk
+        # forgetting leaves a promoted record alone, but for its TTL
+        for rid, rec in promoted.items():
+            after = store.records[rid]
+            assert after is rec or (rid in report.expired_ids
+                                    and after.state == STATE_TOMBSTONE)
 
     @precondition(lambda self: self.store.active_records())
     @rule(data=st.data(), content=words,
@@ -172,6 +227,7 @@ class IndexMachine(RuleBasedStateMachine):
         rec = records[rid]
         if change == "delete":
             del records[rid]
+            self.promoted.discard(rid)
             return
         if change == "tier":
             new = replace(rec, tier=TIER_WARM if rec.tier == TIER_HOT else TIER_HOT)
@@ -191,22 +247,27 @@ class IndexMachine(RuleBasedStateMachine):
     def failed_batch(self, mode, nth):
         store = self.store
         before = store.snapshot_json()
-        calls = [0]
-        write = store.replace
-
-        def failing(record):
-            calls[0] += 1
-            if calls[0] == nth:
-                raise Injected(f"write {nth}")
-            write(record)
-
-        store.replace = failing
+        undo = inject_failure(store, nth)
         try:
             run_consolidation(store, self.clock, mode=mode)
         except Injected:
             assert store.snapshot_json() == before
         finally:
-            del store.replace
+            undo()
+
+    @rule(budget=st.one_of(st.none(), st.integers(1, 80)), days=st.integers(0, 40),
+          nth=st.integers(1, 6))
+    def failed_forgetting(self, budget, days, nth):
+        self.clock += hours(24 * days)
+        store = self.store
+        before = store.snapshot_json()
+        undo = inject_failure(store, nth)
+        try:
+            run_forgetting(store, self.clock, budget=budget)
+        except Injected:
+            assert store.snapshot_json() == before
+        finally:
+            undo()
 
     @rule()
     def reload(self):
@@ -244,6 +305,14 @@ class IndexMachine(RuleBasedStateMachine):
             self.store.state_dict(), sort_keys=True, separators=(",", ":"))
 
     @invariant()
+    def promoted_ids_stay(self):
+        records = self.store.records
+        for rid in self.promoted:
+            assert rid in records
+            assert records[rid].state in (STATE_PROMOTED, STATE_TOMBSTONE)
+        self.promoted.update(k for k, r in records.items() if r.state == STATE_PROMOTED)
+
+    @invariant()
     def frequency_counts_match(self):
         pending = sorted((r for r in self.store.records.values()
                           if r.state == STATE_PENDING),
@@ -252,8 +321,8 @@ class IndexMachine(RuleBasedStateMachine):
 
 
 TestIndexMachine = IndexMachine.TestCase
-TestIndexMachine.settings = settings(max_examples=60, stateful_step_count=25,
-                                     deadline=None,
+# examples and steps come from the loaded profile (conftest.py)
+TestIndexMachine.settings = settings(deadline=None,
                                      suppress_health_check=[HealthCheck.too_slow])
 
 
