@@ -12,6 +12,12 @@ of an earlier batch survivor. A stored record is never removed, even when
 reconsolidation or degradation has made two stored records equal, so
 `removed_existing` is 0 by construction. Only the absorbers and the batch
 survivors are written.
+
+Each rule has one implementation. `absorb` is the merge of a duplicate into
+its survivor, for `exact_dedup`, `near_dedup` and `dedup_batch` alike.
+Scoring's frequency factor and dedup's near pass take their candidates from
+`MemoryStore.near` and decide each pair with `np.dot`, as the pairwise
+definitions do.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .model import (
     StoreConfig,
     hours_between,
 )
-from .scoring import SignalWeights, classify, score_record, similar_earlier_counts
+from .scoring import SignalWeights, classify, score_record
 from .store import MemoryStore
 
 log = logging.getLogger("engram.consolidation")
@@ -50,7 +56,6 @@ MODE_NONE = "none"
 MODES = (MODE_DEDUP, MODE_AGGRESSIVE, MODE_NONE)
 
 REASON_OUT_OF_ORDER = "out_of_order"
-REASON_DUPLICATE = "duplicate"
 REASON_CAUSAL_INVERSION = "causal_inversion"
 
 
@@ -93,17 +98,15 @@ def validate_temporal(events: Sequence[MemoryEvent],
     """Classify events (in arrival order) as admitted or anomalous.
 
     Anomalies are data, not errors: out-of-order arrivals beyond the skew
-    tolerance, ids already admitted, and events citing causes that have not
-    been admitted yet. Returns (admitted, [(event, reason)], new_watermark);
-    `admitted_ids` is updated in place.
+    tolerance, and events citing causes that have not been admitted yet.
+    Returns (admitted, [(event, reason)], new_watermark); `admitted_ids` is
+    updated in place. An admitted id never comes back: the store refuses to
+    ingest or re-admit it (`DuplicateId`).
     """
     admitted: list[MemoryEvent] = []
     anomalous: list[tuple[MemoryEvent, str]] = []
     skew_h = skew_tolerance_min / 60.0
     for event in events:
-        if event.id in admitted_ids:
-            anomalous.append((event, REASON_DUPLICATE))
-            continue
         if watermark is not None and hours_between(event.timestamp, watermark) > skew_h:
             anomalous.append((event, REASON_OUT_OF_ORDER))
             continue
@@ -128,6 +131,19 @@ def survivor_order(rec: EpisodicRecord) -> tuple[bool, datetime, str]:
     return (rec.state == STATE_PENDING, rec.event.timestamp, rec.id)
 
 
+def absorb(survivor: EpisodicRecord, dup: EpisodicRecord,
+           exact: bool) -> EpisodicRecord:
+    """`survivor` after absorbing its duplicate `dup`: it gains `dup`'s source
+    ids; an exact copy adds one access, a near copy keeps the max
+    importance."""
+    source_ids = tuple(dict.fromkeys(survivor.source_ids + dup.source_ids))
+    if exact:
+        return replace(survivor, source_ids=source_ids,
+                       access_count=survivor.access_count + 1)
+    return replace(survivor, source_ids=source_ids,
+                   importance=max(survivor.importance, dup.importance))
+
+
 def exact_dedup(batch: Sequence[EpisodicRecord]
                 ) -> tuple[list[EpisodicRecord], list[EpisodicRecord]]:
     """Collapse identical-content records onto the first copy in
@@ -143,10 +159,7 @@ def exact_dedup(batch: Sequence[EpisodicRecord]
         if survivor is None:
             by_hash[h] = rec
         else:
-            merged_sources = tuple(dict.fromkeys(survivor.source_ids + rec.source_ids))
-            by_hash[h] = replace(survivor,
-                                 access_count=survivor.access_count + 1,
-                                 source_ids=merged_sources)
+            by_hash[h] = absorb(survivor, rec, exact=True)
             removed.append(rec)
     id_order = {r.id: i for i, r in enumerate(ordered)}
     survivors = sorted(by_hash.values(), key=lambda r: id_order[r.id])
@@ -175,13 +188,7 @@ def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
             matrix[len(survivors)] = rec.embedding
             survivors.append(rec)
         else:
-            survivor = survivors[hit]
-            merged_sources = tuple(dict.fromkeys(survivor.source_ids + rec.source_ids))
-            survivors[hit] = replace(
-                survivor,
-                source_ids=merged_sources,
-                importance=max(survivor.importance, rec.importance),
-            )
+            survivors[hit] = absorb(survivors[hit], rec, exact=False)
             removed.append(rec)
     return survivors, removed
 
@@ -196,13 +203,11 @@ def dedup_batch(store: MemoryStore, batch: Sequence[EpisodicRecord],
 
     The batch is visited in `survivor_order`. An exact copy is absorbed by
     the first record with its content in `survivor_order`: a stored record,
-    else an earlier batch survivor; the absorber gains the copy's ids and
-    one access. Then each remaining batch record whose float64 `np.dot`
-    similarity reaches `threshold` for some stored record or earlier batch
-    survivor is absorbed by the most similar one (ties: the first in
-    `survivor_order`), which gains its ids and keeps the max importance.
-    One float32 product over the store's embedding index picks the pairs
-    that may reach the threshold, so the cost follows the batch, not the
+    else an earlier batch survivor. Then each remaining batch record whose
+    float64 `np.dot` similarity reaches `threshold` for some stored record
+    or earlier batch survivor is absorbed by the most similar one (ties: the
+    first in `survivor_order`). Both go through `absorb`. The candidates
+    come from `MemoryStore.near`, so the cost follows the batch, not the
     store. Where no two stored records collide, this is `exact_dedup` then
     `near_dedup` over the stored records and the batch, but for the last
     bit of a similarity: those read a row of a float64 matrix-vector
@@ -233,40 +238,26 @@ def dedup_batch(store: MemoryStore, batch: Sequence[EpisodicRecord],
         if hit == rec.id:
             unique.append(rec)
             continue
-        absorber = current(hit)
-        changed[hit] = replace(
-            absorber, access_count=absorber.access_count + 1,
-            source_ids=tuple(dict.fromkeys(absorber.source_ids + rec.source_ids)))
+        changed[hit] = absorb(current(hit), rec, exact=True)
         exact_removed.append(rec)
 
-    index = store.embedding_index()
-    rows = [index.row(r.id) for r in unique]
-    among = index.in_states(kept_states)
-    among[rows] = True
-    candidates: list[list[str]] = [[] for _ in unique]
-    for i, j in index.rows_reaching(rows, among, threshold):
-        candidates[i].append(index.keys[j])
     survivors: dict[str, None] = {}
     near_removed: list[EpisodicRecord] = []
-    for rec, keys in zip(unique, candidates):
+    for rec, candidates in zip(unique, store.near(unique, threshold, kept_states)):
         rec = current(rec.id)
         hits = []
-        for key in keys:
+        for other in candidates:
             # a batch record is a candidate once it has survived: earlier only
-            if key in batch_ids and key not in survivors:
+            if other.id in batch_ids and other.id not in survivors:
                 continue
-            other = store.records[key]
             sim = float(np.dot(other.embedding, rec.embedding))
             if sim >= threshold:
-                hits.append((-sim, survivor_order(other), key))
+                hits.append((-sim, survivor_order(other), other.id))
         if not hits:
             survivors[rec.id] = None
             continue
-        absorber = current(min(hits)[2])
-        changed[absorber.id] = replace(
-            absorber,
-            source_ids=tuple(dict.fromkeys(absorber.source_ids + rec.source_ids)),
-            importance=max(absorber.importance, rec.importance))
+        hit = min(hits)[2]
+        changed[hit] = absorb(current(hit), rec, exact=False)
         near_removed.append(rec)
     return ([current(i) for i in survivors],
             {k: r for k, r in changed.items() if k not in batch_ids},
@@ -471,11 +462,16 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 report.tokens_after = store.active_tokens()
                 return report
 
-            # 2. scoring (running-centroid surprise prior, single writer)
-            counts = similar_earlier_counts(store, batch, config.near_dedup_threshold)
-            for rec, similar in zip(batch, counts):
+            # 2. scoring (running-centroid surprise prior, single writer);
+            # the frequency factor counts the stored retained and promoted
+            # records and the batch records before each record
+            near = store.near(batch, config.near_dedup_threshold,
+                              (STATE_RETAINED, STATE_PROMOTED))
+            for rec, candidates in zip(batch, near):
+                earlier = [o for o in candidates
+                           if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
                 composite, breakdown = score_record(
-                    rec, now, similar, store.centroid(), store.graph, config,
+                    rec, now, earlier, store.centroid(), store.graph, config,
                     weights)
                 rec = replace(rec, importance=composite, score_breakdown=breakdown)
                 store.replace(rec)

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, ProviderUnavailable, ZeroVector
 
-NORM_TOLERANCE = 1e-6
-
 _TOKEN_RE = re.compile(r"[#@]?[\w'-]+")
 
 
@@ -34,12 +32,6 @@ def normalize(values) -> np.ndarray:
     if n < 1e-12:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return v / n
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 def tokenize(text: str) -> list[str]:

@@ -5,10 +5,12 @@ Forgetting never hard-deletes: records walk the fidelity ladder one level
 per step and end as tombstones that keep only existence metadata. The
 semantic copy of a promoted record survives episodic TTL expiry.
 
-A sleep ranks the forget candidates once (`rank_forget_candidates`, on the
-store's embedding index): the interference step and the budget walk share
-that ranking, which is taken again only when the interference step has made
-a tombstone.
+A sleep ranks the forget candidates once (`rank_forget_candidates`): the
+interference step and the budget walk share that ranking, which is taken
+again only when the interference step has made a tombstone. Each priority
+is criterion 3's `interference` over the candidates `MemoryStore.near`
+picks from the store's embedding index, so the formula has one
+implementation.
 """
 
 from __future__ import annotations
@@ -105,14 +107,12 @@ def rank_forget_candidates(store: MemoryStore, now: datetime
     """All eligible records (live, not promoted, not labile) ranked
     most-forgettable first: (priority desc, decayed importance asc, id).
 
-    A record's priority is `interference(rec, store.active_records(),
-    threshold).interference / (decayed + EPSILON)`, to the bit. One float32
-    product per chunk of eligible rows over the store's embedding index
-    picks the pairs that may reach the threshold; each is decided by the
-    float64 `np.dot` that `interference` takes, and a record's terms are
-    summed in `store.records` order, as `interference` sums them."""
+    A record's priority is `interference(rec, others, threshold).interference
+    / (decayed + EPSILON)`, where `others` are its `MemoryStore.near`
+    candidates in `store.records` order. `interference` decides each
+    candidate with `np.dot` and sums in that order, so the priority equals
+    the one over `store.active_records()` bit for bit."""
     config = store.config
-    threshold = config.interference_threshold
     position: dict[str, int] = {}
     eligible: list[EpisodicRecord] = []
     for pos, rec in enumerate(store.records.values()):
@@ -120,41 +120,17 @@ def rank_forget_candidates(store: MemoryStore, now: datetime
         if (rec.state not in (STATE_TOMBSTONE, STATE_PROMOTED)
                 and not store.is_labile(rec.id, now)):
             eligible.append(rec)
-    if not eligible:
-        return []
-    index = store.embedding_index()
-    terms: list[list[tuple[int, float]]] = [[] for _ in eligible]
-    everyone = np.ones(len(index), dtype=bool)
-    for i, j in index.rows_reaching([index.row(r.id) for r in eligible], everyone,
-                                    threshold):
-        rec, other = eligible[i], store.records[index.keys[j]]
-        if other.id == rec.id:
-            continue
-        sim = float(np.dot(other.embedding, rec.embedding))
-        if sim < threshold:
-            continue
-        newer = (other.encoded_at, other.id) > (rec.encoded_at, rec.id)
-        w = config.retro_weight if newer else config.pro_weight
-        terms[i].append((position[other.id], w * sim))
     ranked = []
-    for rec, rec_terms in zip(eligible, terms):
-        total = 0.0
-        for _pos, term in sorted(rec_terms):
-            total += term
+    near = store.near(eligible, config.interference_threshold)
+    for rec, others in zip(eligible, near):
+        others.sort(key=lambda other: position[other.id])
+        assessed = interference(rec, others, config.interference_threshold,
+                                config.retro_weight, config.pro_weight)
         decayed = decayed_importance(rec.importance, rec.encoded_at, now,
                                      config.lambda_decay)
-        ranked.append((total / (decayed + EPSILON), decayed, rec))
+        ranked.append((assessed.interference / (decayed + EPSILON), decayed, rec))
     ranked.sort(key=lambda t: (-t[0], t[1], t[2].id))
     return ranked
-
-
-def select_forget_candidates(store: MemoryStore, now: datetime,
-                             floor: Optional[float] = None) -> list[str]:
-    """Ids of records whose forget priority exceeds the floor, ranked."""
-    if floor is None:
-        floor = store.config.forget_priority_floor
-    return [rec.id for prio, _dec, rec in rank_forget_candidates(store, now)
-            if prio > floor]
 
 
 _SENTENCE_END_RE = re.compile(r"[.!?\n]")

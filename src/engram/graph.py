@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import decode
 from .errors import NegativeElapsed
 from .model import StoreConfig, hours_between
 
@@ -115,9 +115,6 @@ class SemanticMemory:
             return 1.0
         return activation(self.created_at, now,
                           config.maturation_half_life_h, config.maturation_slope)
-
-    def is_explicitly_retrievable(self, now: datetime, config: StoreConfig) -> bool:
-        return self.activation(now, config) >= RETRIEVAL_THRESHOLD
 
     def priming_weight(self, now: datetime, config: StoreConfig) -> float:
         """Activation value usable as a priming bonus while silent; zero once
@@ -298,9 +295,6 @@ class KnowledgeGraph:
             "co_occurs": tuple((a, b, w) for (a, b), w in sorted(self.co_occurs.items())),
             "next_memory_seq": self._next_memory_seq,
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        return encode(self.snapshot_state())
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "KnowledgeGraph":

@@ -171,9 +171,6 @@ class EpisodicRecord:
     def with_content(self, content: str) -> "EpisodicRecord":
         return replace(self, event=replace(self.event, content=content))
 
-    def is_active(self) -> bool:
-        return self.state != STATE_TOMBSTONE
-
 
 @dataclass
 class StoreConfig:

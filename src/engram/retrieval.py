@@ -128,19 +128,6 @@ def episodic_search(store: MemoryStore, query: str, k: int,
                           time_range, session_id, tier, importance_filter)
 
 
-def semantic_search(store: MemoryStore, query: str, k: int,
-                    now: datetime) -> list[Hit]:
-    """Cosine scan over semantic memories that have matured past the
-    retrieval threshold (all of them when maturation is disabled). Memories
-    created after `now` are not visible."""
-    qvec = store.embedder.embed(query)
-    hits = [_memory_hit(mem, qvec) for mem in store.graph.memories.values()
-            if mem.created_at <= now
-            and mem.is_explicitly_retrievable(now, store.config)]
-    hits.sort(key=_rank_key)
-    return hits[:k]
-
-
 def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
                     now: Optional[datetime] = None,
                     session_id: Optional[str] = None) -> RetrievalResult:
@@ -305,11 +292,14 @@ def reconsolidate(store: MemoryStore, handle: LabilityHandle,
 def reinforce(store: MemoryStore, memory_id: str, outcome: str) -> float:
     """Outcome feedback: success nudges importance up (clamped at 1);
     failure leaves the score but tags the record as an error signal so the
-    interference path never deletes it."""
+    interference path never deletes it. A tombstone raises
+    `AlreadyTombstone` and is left as it is."""
     with store.lock:
         rec = store.records.get(memory_id)
         if rec is None:
             raise KeyError(memory_id)
+        if rec.state == STATE_TOMBSTONE:
+            raise AlreadyTombstone(memory_id)
         if outcome == "success":
             updated = replace(rec, importance=min(1.0, rec.importance +
                                                   store.config.reinforce_step))

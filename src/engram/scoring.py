@@ -1,5 +1,10 @@
 """Importance scoring: five-factor composite, decay, and
-promote/retain/prune classification."""
+promote/retain/prune classification.
+
+Each factor has one implementation. `score_record` takes the frequency
+factor from the pairwise `frequency_factor`, over the earlier records that
+consolidation draws from `MemoryStore.near`: the candidates that may reach
+the threshold, which `frequency_factor` then decides with `np.dot`."""
 
 from __future__ import annotations
 
@@ -12,8 +17,6 @@ import numpy as np
 
 from .errors import EmptyBatch, InvalidWeights, NegativeElapsed
 from .model import (
-    STATE_PROMOTED,
-    STATE_RETAINED,
     EpisodicRecord,
     MemoryEvent,
     StoreConfig,
@@ -49,9 +52,7 @@ def recency_factor(encoded_at: datetime, now: datetime, lam: float) -> float:
 
 def frequency_factor(record: EpisodicRecord, earlier: Sequence[EpisodicRecord],
                      threshold: float) -> float:
-    """1 / (1 + n) where n counts earlier records similar above threshold.
-    The pairwise definition; consolidation counts n with
-    `similar_earlier_counts`."""
+    """1 / (1 + n) where n counts earlier records similar above threshold."""
     n = 0
     for other in earlier:
         if other.id == record.id:
@@ -59,26 +60,6 @@ def frequency_factor(record: EpisodicRecord, earlier: Sequence[EpisodicRecord],
         if float(np.dot(other.embedding, record.embedding)) >= threshold:
             n += 1
     return 1.0 / (1.0 + n)
-
-
-def similar_earlier_counts(store, batch: Sequence[EpisodicRecord],
-                           threshold: float) -> list[int]:
-    """For each batch record, the n of `frequency_factor` over its earlier
-    records by (encoded_at, id) among the store's retained and promoted
-    records and the batch. One float32 product over the store's embedding
-    index picks the pairs that may reach the threshold; each of those is
-    decided by the float64 `np.dot` that `frequency_factor` takes."""
-    index = store.embedding_index()
-    rows = [index.row(r.id) for r in batch]
-    among = index.in_states((STATE_RETAINED, STATE_PROMOTED))
-    among[rows] = True
-    counts = [0] * len(batch)
-    for i, j in index.rows_reaching(rows, among, threshold):
-        rec, other = batch[i], store.records[index.keys[j]]
-        if ((other.encoded_at, other.id) < (rec.encoded_at, rec.id)
-                and float(np.dot(other.embedding, rec.embedding)) >= threshold):
-            counts[i] += 1
-    return counts
 
 
 def surprise_factor(embedding: np.ndarray,
@@ -121,17 +102,17 @@ def composite_importance(factors: dict[str, float],
 
 
 def score_record(record: EpisodicRecord, now: datetime,
-                 similar_earlier: int,
+                 earlier: Sequence[EpisodicRecord],
                  prior_centroid: Optional[np.ndarray],
                  graph, config: StoreConfig,
                  weights: Optional[SignalWeights] = None
                  ) -> tuple[float, dict[str, float]]:
     """Five-factor score for one pending record against the current store;
-    `similar_earlier` is the n of `frequency_factor`."""
+    the frequency factor counts the records in `earlier`."""
     weights = weights or SignalWeights()
     factors = {
         "recency": recency_factor(record.encoded_at, now, config.lambda_decay),
-        "frequency": 1.0 / (1.0 + similar_earlier),
+        "frequency": frequency_factor(record, earlier, config.near_dedup_threshold),
         "surprise": surprise_factor(record.embedding, prior_centroid),
         "entity_salience": entity_salience_factor(record.entities, graph),
         "outcome": outcome_factor(record.event),

@@ -8,7 +8,9 @@ containers and shares the values.
 
 The embedding index is derived state: a float32 matrix of the live
 (non-tombstone) records with parallel arrays of their filter fields. It is
-never persisted or checkpointed. `MemoryStore.records` marks the ids it
+never persisted or checkpointed. The episodic scan reads it, and
+`MemoryStore.near` is the one candidate search behind the frequency factor,
+near-dedup and interference. `MemoryStore.records` marks the ids it
 writes, and the next scan (or the end of a forgetting run) brings just those
 rows up to date; a store loaded from a snapshot or rolled back builds the
 index anew on its first scan.
@@ -69,7 +71,7 @@ def read_events(lines: Iterable[str]) -> Iterator[MemoryEvent]:
 @dataclass(frozen=True)
 class QuarantineEntry:
     event: MemoryEvent
-    reason: str  # out_of_order | duplicate | causal_inversion
+    reason: str  # out_of_order | causal_inversion
     quarantined_at: datetime
     expires_at: datetime
 
@@ -436,9 +438,6 @@ class MemoryStore:
 
     # -- views ------------------------------------------------------------
 
-    def get(self, record_id: str) -> Optional[EpisodicRecord]:
-        return self.records.get(record_id)
-
     def replace(self, record: EpisodicRecord) -> None:
         """Put `record` in place of the stored record with its id. Raises
         `IllegalTransition` on a move against the lifecycle lattice."""
@@ -446,6 +445,29 @@ class MemoryStore:
         if record.state not in LEGAL_MOVES[old.state]:
             raise IllegalTransition(f"{record.id}: {old.state} -> {record.state}")
         self.records[record.id] = record
+
+    def near(self, records: Sequence[EpisodicRecord], threshold: float,
+             states: Optional[Iterable[str]] = None) -> list[list[EpisodicRecord]]:
+        """For each of `records` (live records of this store), the records
+        whose float64 `np.dot` with it may reach `threshold`: a superset of
+        those that do, in no particular order, the record itself included
+        when it qualifies. They are drawn from the live records or, when
+        `states` is given, from the records in `states` and `records`
+        themselves. A float32 product of `records` with the embedding index
+        picks them within `dot_error_bound`; callers decide each pair with
+        `np.dot`."""
+        with self.lock:
+            index = self.embedding_index()
+            rows = [index.row(r.id) for r in records]
+            if states is None:
+                among = np.ones(len(index), dtype=bool)
+            else:
+                among = index.in_states(states)
+                among[rows] = True
+            out: list[list[EpisodicRecord]] = [[] for _ in records]
+            for i, j in index.rows_reaching(rows, among, threshold):
+                out[i].append(self.records[index.keys[j]])
+            return out
 
     def active_records(self) -> list[EpisodicRecord]:
         return [r for r in self.records.values() if r.state != STATE_TOMBSTONE]

@@ -1,8 +1,11 @@
-"""Pairwise definitions that the sleep's indexed passes must reproduce.
+"""Whole-store oracles for the sleep's indexed passes.
 
 Each oracle is the plain loop the engine once ran: dedup over the whole
-store, and forget priorities from `forgetting.interference` (criterion 3).
-They are slow on purpose, and they live here, not in `src/`."""
+store, and forget priorities from `forgetting.interference` (criterion 3)
+over every live record. Oracle and engine share each formula (`absorb`,
+`interference`); they differ only in candidate selection, which the engine
+takes from `MemoryStore.near`. The oracles are slow on purpose, and they
+live here, not in `src/`."""
 
 from __future__ import annotations
 

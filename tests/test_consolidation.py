@@ -11,7 +11,6 @@ from engram.consolidation import (
     MODE_AGGRESSIVE,
     MODE_NONE,
     REASON_CAUSAL_INVERSION,
-    REASON_DUPLICATE,
     REASON_OUT_OF_ORDER,
     _pair_distances,
     cluster,
@@ -72,14 +71,6 @@ def test_validate_temporal_flags_out_of_order_beyond_skew():
         [late_ok, too_late], watermark=T0, admitted_ids=set())
     assert [e.id for e in admitted] == ["ok"]
     assert anomalous == [(too_late, REASON_OUT_OF_ORDER)]
-
-
-def test_validate_temporal_flags_duplicate_id():
-    ev = make_event("dup", ts=T0)
-    admitted, anomalous, _ = validate_temporal(
-        [ev], watermark=None, admitted_ids={"dup"})
-    assert admitted == []
-    assert anomalous == [(ev, REASON_DUPLICATE)]
 
 
 def test_validate_temporal_flags_unseen_cause():

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from engram.embedding import (
     HashEmbedder,
     RemoteEmbedder,
-    cosine_similarity,
     normalize,
     tokenize,
 )
@@ -31,11 +30,6 @@ def test_normalize_rejects_zero_and_nonfinite():
         normalize([0.0, 0.0])
     with pytest.raises(ZeroVector):
         normalize([float("nan"), 1.0])
-
-
-def test_cosine_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        cosine_similarity(np.zeros(3), np.zeros(4))
 
 
 def test_tokenize_handles_refs():

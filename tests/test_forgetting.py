@@ -13,7 +13,6 @@ from engram.forgetting import (
     interference,
     rank_forget_candidates,
     run_forgetting,
-    select_forget_candidates,
 )
 from engram.model import (
     STATE_PROMOTED,
@@ -203,18 +202,6 @@ def test_rank_forget_candidates_matches_reference():
     assert ranked[0][2].id == "b"
 
 
-def test_select_candidates_respects_floor():
-    recs = [
-        _vec_record("a", _basis(8, 0), T0, importance=0.5),
-        _vec_record("b", _mix(8, 0, 1, 0.9), T0 + hours(1), importance=0.5),
-        _vec_record("c", _basis(8, 2), T0, importance=0.5),
-    ]
-    store = _seeded_store(recs)
-    now = T0 + hours(2)
-    assert set(select_forget_candidates(store, now, floor=0.0)) == {"a", "b"}
-    assert select_forget_candidates(store, now, floor=1e9) == []
-
-
 def test_rank_skips_promoted_and_labile():
     recs = [
         _vec_record("a", _basis(8, 0), T0),
@@ -304,6 +291,27 @@ def test_run_forgetting_spares_error_signals(store):
     report = run_forgetting(store, now)
     assert store.records["a"].fidelity == FidelityLevel.L0  # spared
     assert store.records["b"].fidelity == FidelityLevel.L1  # degraded once
+
+
+def test_run_forgetting_stops_at_the_priority_floor():
+    """The interference step degrades only records whose priority is above
+    the floor: "c" interferes with nothing, so at floor 0 it stays whole
+    though it is old and unimportant, and at floor 1e9 nothing moves."""
+    from dataclasses import replace
+    for floor, degraded in ((0.0, {"a", "b"}), (1e9, set())):
+        recs = [
+            _vec_record("a", _basis(8, 0), T0, importance=0.1),
+            _vec_record("b", _mix(8, 0, 1, 0.95), T0 + hours(1), importance=0.1),
+            _vec_record("c", _basis(8, 2), T0, importance=0.1),
+        ]
+        store = _seeded_store([replace(r, state=STATE_RETAINED,
+                                       ttl_expires_at=T0 + hours(10_000))
+                               for r in recs])
+        store.config.forget_priority_floor = floor
+        report = run_forgetting(store, T0 + hours(400))
+        assert report.interference_degraded == len(degraded)
+        assert {k for k, r in store.records.items()
+                if r.fidelity == FidelityLevel.L1} == degraded
 
 
 def test_run_forgetting_never_hard_deletes(store):

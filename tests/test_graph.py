@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from engram.codec import encode
 from engram.embedding import HashEmbedder
 from engram.errors import NegativeElapsed
 from engram.graph import (
@@ -79,7 +80,6 @@ def test_maturation_disabled_short_circuits():
                           ("Alice",), T0)
     config = StoreConfig(maturation_enabled=False)
     assert mem.activation(T0, config) == 1.0
-    assert mem.is_explicitly_retrievable(T0, config)
     assert mem.priming_weight(T0, config) == 0.0
 
 
@@ -88,10 +88,8 @@ def test_silent_memory_primes_until_mature():
     mem = g.insert_memory("gist", EMB.embed("gist"), frozenset({"e"}),
                           ("Alice",), T0)
     config = StoreConfig()
-    assert not mem.is_explicitly_retrievable(T0, config)
     assert mem.priming_weight(T0, config) == pytest.approx(0.0293, abs=5e-4)
     later = T0 + hours(400)
-    assert mem.is_explicitly_retrievable(later, config)
     assert mem.priming_weight(later, config) == 0.0
 
 
@@ -140,8 +138,8 @@ def test_importance_is_recomputed_once_before_the_next_read():
     eager = _tri_graph()
     eager.recompute_importance()
     lazy = _tri_graph()
-    assert lazy.copy().to_dict() == eager.to_dict()
-    assert lazy.to_dict() == eager.to_dict()
+    assert encode(lazy.copy().snapshot_state()) == encode(eager.snapshot_state())
+    assert encode(lazy.snapshot_state()) == encode(eager.snapshot_state())
     assert [n.importance for n in lazy.entities.values()] == [0.75, 1.0, 0.5]
 
 
@@ -176,8 +174,9 @@ def test_traverse_unknown_seed():
 
 def test_graph_serde_roundtrip():
     g = _tri_graph()
-    again = KnowledgeGraph.from_dict(json.loads(json.dumps(g.to_dict())))
-    assert again.to_dict() == g.to_dict()
+    state = encode(g.snapshot_state())
+    again = KnowledgeGraph.from_dict(json.loads(json.dumps(state)))
+    assert encode(again.snapshot_state()) == state
     for node in g.entities.values():
         roundtrip(EntityNode, node)
     for mem in g.memories.values():

@@ -1,8 +1,10 @@
 """The store's derived state and its lifecycle. The index-backed episodic
-scan and frequency count must equal their pairwise definitions bit for bit,
-and the snapshot text spliced from memoized values must equal the encoding
-of the whole state, under any sequence of operations; the float32 margin
-must bound the float32 error. Along the way the lifecycle invariants hold:
+scan must equal its definition bit for bit; `MemoryStore.near` must hold
+every record that reaches the threshold, so the frequency factor taken over
+its candidates equals `frequency_factor` over the whole pool; and the
+snapshot text spliced from memoized values must equal the encoding of the
+whole state, under any sequence of operations; the float32 margin must
+bound the float32 error. Along the way the lifecycle invariants hold:
 dedup never removes a stored record, a promoted record only ever becomes a
 tombstone, and a failed sleep job leaves the snapshot as it was."""
 
@@ -45,13 +47,15 @@ from engram.retrieval import (
     open_lability,
     reconsolidate,
 )
-from engram.scoring import frequency_factor, similar_earlier_counts
+from engram.scoring import frequency_factor
 from engram.store import MemoryStore, dot_error_bound
 
 from conftest import T0, hours, make_event, minutes
 
 VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
 SESSIONS = ["s0", "s1", "s2"]
+STATES = [STATE_RETAINED, STATE_PROMOTED, STATE_PENDING, STATE_TOMBSTONE]
+KEPT = (STATE_RETAINED, STATE_PROMOTED)
 EMB = HashEmbedder(256, 0)
 
 
@@ -96,11 +100,10 @@ def assert_scan_matches(store, query, k, now, **filters):
     assert bits(got) == bits(scan_oracle(store, qvec, k, now, **filters))
 
 
-def expected_counts(store, batch, threshold):
-    """n of `frequency_factor` per batch record, from the pairwise loop over
-    the earlier retained/promoted records and batch records."""
-    pool = [r for r in store.records.values()
-            if r.state in (STATE_RETAINED, STATE_PROMOTED)] + list(batch)
+def expected_frequencies(store, batch, threshold):
+    """`frequency_factor` per batch record over the whole pool: every
+    earlier retained/promoted record and batch record."""
+    pool = [r for r in store.records.values() if r.state in KEPT] + list(batch)
     out = []
     for rec in batch:
         earlier = [r for r in pool if (r.encoded_at, r.id) < (rec.encoded_at, rec.id)]
@@ -108,9 +111,41 @@ def expected_counts(store, batch, threshold):
     return out
 
 
-def assert_counts_match(store, batch, threshold):
-    counts = similar_earlier_counts(store, batch, threshold)
-    assert [1.0 / (1.0 + n) for n in counts] == expected_counts(store, batch, threshold)
+def engine_frequencies(store, batch, threshold):
+    """The frequency factor as step 2 of `run_consolidation` takes it:
+    `frequency_factor` over the earlier ones of each record's `near`
+    candidates."""
+    return [frequency_factor(rec, [o for o in candidates
+                                   if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)],
+                             threshold)
+            for rec, candidates in zip(batch, store.near(batch, threshold, KEPT))]
+
+
+def assert_frequencies_match(store, batch, threshold):
+    assert engine_frequencies(store, batch, threshold) == \
+        expected_frequencies(store, batch, threshold)
+
+
+def assert_near_complete(store, records, threshold):
+    """For `states=None` and for the retained and promoted states, `near`
+    gives each of `records` the stored record of every id in its pool whose
+    float64 `np.dot` with it reaches `threshold`, and nothing from outside
+    the pool. The pool is the live records, or those in the states plus
+    `records`."""
+    live = store.active_records()
+    query_ids = {r.id for r in records}
+    for states in (None, KEPT):
+        pool = [r for r in live
+                if states is None or r.state in states or r.id in query_ids]
+        pool_ids = {r.id for r in pool}
+        for rec, got in zip(records, store.near(records, threshold, states), strict=True):
+            got_ids = [o.id for o in got]
+            assert len(set(got_ids)) == len(got_ids)
+            assert set(got_ids) <= pool_ids
+            assert all(o is store.records[o.id] for o in got)
+            reach = {o.id for o in pool
+                     if float(np.dot(o.embedding, rec.embedding)) >= threshold}
+            assert reach <= set(got_ids)
 
 
 class Injected(RuntimeError):
@@ -313,11 +348,17 @@ class IndexMachine(RuleBasedStateMachine):
         self.promoted.update(k for k, r in records.items() if r.state == STATE_PROMOTED)
 
     @invariant()
-    def frequency_counts_match(self):
+    def frequencies_match(self):
         pending = sorted((r for r in self.store.records.values()
                           if r.state == STATE_PENDING),
                          key=lambda r: (r.event.timestamp, r.id))
-        assert_counts_match(self.store, pending, self.store.config.near_dedup_threshold)
+        assert_frequencies_match(self.store, pending,
+                                 self.store.config.near_dedup_threshold)
+
+    @invariant()
+    def near_is_complete(self):
+        assert_near_complete(self.store, self.store.active_records(),
+                             self.store.config.interference_threshold)
 
 
 TestIndexMachine = IndexMachine.TestCase
@@ -398,9 +439,10 @@ def test_frequency_count_at_the_threshold_and_one_ulp_either_side():
         assert float(np.dot(base.embedding, rec.embedding)) == first
         store.records[rec.id] = rec
         batch.append(rec)
-    counts = similar_earlier_counts(store, batch, t)
-    assert counts == [1, 1, 0]
-    assert_counts_match(store, batch, t)
+    assert engine_frequencies(store, batch, t) == [0.5, 0.5, 1.0]
+    assert_frequencies_match(store, batch, t)
+    assert_near_complete(store, batch, t)
+    assert_near_complete(store, [base], t)
 
 
 def test_frequency_counts_skip_pending_records_outside_the_batch():
@@ -411,14 +453,13 @@ def test_frequency_counts_skip_pending_records_outside_the_batch():
         store.records[event.id] = EpisodicRecord(
             event=event, embedding=EMB.embed("same words"), state=state)
     batch = [store.records["r4"]]
-    assert similar_earlier_counts(store, batch, 0.9) == [2]
-    assert_counts_match(store, batch, 0.9)
+    assert engine_frequencies(store, batch, 0.9) == [1.0 / 3.0]
+    assert_frequencies_match(store, batch, 0.9)
 
 
 @settings(max_examples=80, deadline=None)
 @given(contents=st.lists(words, min_size=1, max_size=14),
-       states=st.lists(st.sampled_from([STATE_RETAINED, STATE_PROMOTED, STATE_PENDING,
-                                        STATE_TOMBSTONE]), min_size=14, max_size=14),
+       states=st.lists(st.sampled_from(STATES), min_size=14, max_size=14),
        offsets=st.lists(st.integers(0, 3), min_size=14, max_size=14),
        threshold=st.sampled_from([0.0, 0.3, 0.559, 0.8, 1.0]))
 def test_frequency_counts_match_the_pairwise_loop(contents, states, offsets, threshold):
@@ -429,7 +470,23 @@ def test_frequency_counts_match_the_pairwise_loop(contents, states, offsets, thr
                                                  state=states[i])
     batch = sorted((r for r in store.records.values() if r.state == STATE_PENDING),
                    key=lambda r: (r.event.timestamp, r.id))
-    assert_counts_match(store, batch, threshold)
+    assert_frequencies_match(store, batch, threshold)
+
+
+@given(contents=st.lists(words, min_size=1, max_size=14),
+       states=st.lists(st.sampled_from(STATES), min_size=14, max_size=14),
+       picks=st.lists(st.booleans(), min_size=14, max_size=14),
+       threshold=st.sampled_from([-1.0, 0.0, 0.3, 0.542, 0.559, 0.8, 1.0]))
+def test_near_holds_every_record_that_reaches_the_threshold(contents, states, picks,
+                                                            threshold):
+    store = MemoryStore()
+    for i, content in enumerate(contents):
+        event = make_event(f"r{i}", ts=T0 + minutes(i), content=content)
+        store.records[event.id] = EpisodicRecord(event=event, embedding=EMB.embed(content),
+                                                 state=states[i])
+    records = [r for r, pick in zip(store.records.values(), picks)
+               if pick and r.state != STATE_TOMBSTONE]
+    assert_near_complete(store, records, threshold)
 
 
 @settings(max_examples=200, deadline=None)

@@ -89,7 +89,7 @@ def test_record_defaults(embedder):
     assert rec.encoded_at == ev.timestamp
     assert rec.source_ids == (ev.id,)
     assert rec.ttl_expires_at == ev.timestamp + hours(24)
-    assert rec.is_active()
+    assert rec.state == STATE_PENDING
 
 
 @given(records)

@@ -8,6 +8,7 @@ import pytest
 from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
 from engram.errors import AlreadyTombstone, LabilityExpired
+from engram.forgetting import apply_ttl
 from engram.graph import RETRIEVAL_THRESHOLD
 from engram.model import (
     STATE_RETAINED,
@@ -27,7 +28,6 @@ from engram.retrieval import (
     open_lability,
     reconsolidate,
     reinforce,
-    semantic_search,
 )
 from engram.store import MemoryStore
 
@@ -89,13 +89,18 @@ def test_newer_timestamp_breaks_remaining_ties(store):
 
 # -- semantic gating -------------------------------------------------------
 
-def test_semantic_search_gates_on_activation(store):
+def test_hybrid_hides_a_mature_memory_created_after_now():
+    """With maturation off every memory is mature at once; one created
+    after `now` is still not visible to the query."""
+    store = MemoryStore(StoreConfig(maturation_enabled=False))
+    store.ingest(make_event("ep", ts=T0, content="Kestrel deploy notes"))
     store.graph.insert_memory("Kestrel deploy window",
                               EMB.embed("Kestrel deploy window"),
-                              frozenset({"s"}), ("Kestrel",), T0)
-    assert semantic_search(store, "Kestrel deploy window", 10, T0 + hours(1)) == []
-    hits = semantic_search(store, "Kestrel deploy window", 10, T0 + hours(400))
-    assert [h.tier for h in hits] == [TIER_GRAPH]
+                              frozenset({"s"}), ("Kestrel",), T0 + hours(5))
+    before = hybrid_retrieve(store, "Kestrel deploy window", now=T0 + hours(1))
+    assert [h.memory_id for h in before.hits] == ["ep"]
+    after = hybrid_retrieve(store, "Kestrel deploy window", now=T0 + hours(5))
+    assert [h.tier for h in after.hits] == [TIER_GRAPH, TIER_HOT]
 
 
 def test_hybrid_no_silent_semantic_hit(store):
@@ -164,13 +169,15 @@ def test_queries_are_point_in_time(store):
     query = "Meridian budget approved"
     assert hybrid_retrieve(store, query, now=T0 - hours(24)).hits == []
     assert episodic_search(store, query, 10, T0 - hours(24)) == []
-    assert semantic_search(store, query, 10, T0) == []
     between = hybrid_retrieve(store, query, now=T0 + minutes(90))
     assert [h.memory_id for h in between.hits] == ["a"]
-    late = semantic_search(store, "Meridian budget summary", 10, T0 + hours(2))
-    assert late == []
-    mature = semantic_search(store, "Meridian budget summary", 10, T0 + hours(500))
-    assert len(mature) == 2
+    summary = "Meridian budget summary"
+    late = hybrid_retrieve(store, summary, now=T0 + hours(2))
+    assert [h.memory_id for h in late.hits] == ["b", "a"]
+    # both memories are mature by now; the gist of "a" yields to "a" itself
+    mature = hybrid_retrieve(store, summary, now=T0 + hours(500))
+    assert [h.memory_id for h in mature.hits[1:]] == ["b", "a"]
+    assert (mature.hits[0].tier, mature.hits[0].content) == (TIER_GRAPH, summary)
 
 
 def test_hybrid_embeds_query_once():
@@ -350,3 +357,15 @@ def test_reinforce_success_and_failure(store):
         reinforce(store, "a", "meh")
     with pytest.raises(KeyError):
         reinforce(store, "ghost", "success")
+
+
+def test_reinforce_refuses_a_tombstone(store):
+    """Outcome feedback must not write into a tombstone: a TTL-expired
+    record gains no importance and no error tag."""
+    store.ingest(make_event("a", ts=T0, content="some fact"))
+    assert apply_ttl(store, T0 + hours(100)) == ["a"]
+    before = store.snapshot_json()
+    for outcome in ("success", "failure"):
+        with pytest.raises(AlreadyTombstone):
+            reinforce(store, "a", outcome)
+    assert store.snapshot_json() == before

@@ -132,7 +132,7 @@ def test_score_record_breakdown_complete():
     config = StoreConfig()
     rec = make_record(EMB, "a", "Alice shipped the fix",
                       metadata={"outcome": "success"})
-    composite, breakdown = score_record(rec, T0, 0, None, KnowledgeGraph(),
+    composite, breakdown = score_record(rec, T0, [], None, KnowledgeGraph(),
                                         config)
     assert set(breakdown) == set(FIVE_FACTOR_DEFAULTS) | {"composite"}
     assert breakdown["composite"] == composite

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from engram.consolidation import dedup_batch
@@ -100,6 +100,9 @@ def test_dedup_batch_equals_the_whole_store_pass(stored, batch, others, threshol
               st.integers(0, 3), st.floats(0.0, 1.0), st.booleans()),
     max_size=14),
     later=st.integers(0, 400))
+# five equal records: each priority sums four terms weighted 0.4 or 0.6, and
+# the rounded float sum depends on their order
+@example(records=[("alpha", STATE_PENDING, 0, 0.0, False)] * 5, later=0)
 def test_forget_priorities_are_interference_over_decayed_importance(records, later):
     """Each priority is criterion 3's `interference` over the live records,
     divided by the decayed importance plus EPSILON, exactly; the ranking

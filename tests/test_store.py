@@ -26,6 +26,17 @@ def test_ingest_rejects_duplicate_id(store):
         store.ingest(make_event("a", ts=T0 + hours(1)))
 
 
+def test_an_admitted_id_stays_taken_after_dedup_removed_it(store):
+    """Consolidation admits an id once: after dedup drops "b" as a copy of
+    "a", the id is refused, so temporal validation never meets it again."""
+    store.ingest(make_event("a", ts=T0, content="the same words"))
+    store.ingest(make_event("b", ts=T0 + minutes(1), content="the same words"))
+    report = run_consolidation(store, T0 + hours(1))
+    assert report.exact_dups_removed == 1 and "b" not in store.records
+    with pytest.raises(DuplicateId):
+        store.ingest(make_event("b", ts=T0 + hours(2), content="other words"))
+
+
 def test_readmit_is_not_new_input(store):
     event = make_event("child", ts=T0, causes=("parent",))
     store.ingest(event)
