@@ -6,23 +6,23 @@ Order of stages per batch: temporal validation -> scoring -> classification
 hard-deleted. The whole batch is transactional: on any stage failure the
 store is restored to its pre-batch state.
 
-Dedup decides only the batch (`dedup_batch`): a batch record is removed when
-it is an exact or near duplicate of a stored retained or promoted record, or
-of an earlier batch survivor. A stored record is never removed, even when
-reconsolidation or degradation has made two stored records equal, so
-`removed_existing` is 0 by construction. Only the absorbers and the batch
-survivors are written.
+Dedup runs `exact_dedup`, then `near_dedup`, over a pool: the batch, the
+stored retained and promoted records that step 2's `MemoryStore.near` found
+near it, and the stored holders of a batch content. A pending record is
+removed when it duplicates a stored record or an earlier batch survivor. A
+record that is not pending always survives, even when reconsolidation or
+degradation has made two stored records equal, so `removed_existing` is 0
+by construction. Only the changed survivors are written.
 
 Each rule has one implementation. `absorb` is the merge of a duplicate into
-its survivor, for `exact_dedup`, `near_dedup` and `dedup_batch` alike.
-Scoring's frequency factor and dedup's near pass take their candidates from
-`MemoryStore.near` and decide each pair with `np.dot`, as the pairwise
-definitions do.
+its survivor, for `exact_dedup` and `near_dedup` alike. Scoring's frequency
+factor takes its candidates from `MemoryStore.near`, and `near_dedup` its
+pairs from an `EmbeddingIndex` over the pool; both decide each pair with
+`np.dot`, as the pairwise definitions do.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
@@ -46,7 +46,7 @@ from .model import (
     hours_between,
 )
 from .scoring import SignalWeights, classify, score_record
-from .store import MemoryStore
+from .store import EmbeddingIndex, MemoryStore, RecordMap
 
 log = logging.getLogger("engram.consolidation")
 
@@ -120,10 +120,6 @@ def validate_temporal(events: Sequence[MemoryEvent],
     return admitted, anomalous, watermark
 
 
-def content_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def survivor_order(rec: EpisodicRecord) -> tuple[bool, datetime, str]:
     """Dedup visiting order: records already in the store (no longer
     pending) before new ones, so a new copy never removes a stored record;
@@ -149,119 +145,61 @@ def exact_dedup(batch: Sequence[EpisodicRecord]
     """Collapse identical-content records onto the first copy in
     `survivor_order`: records already in the store before any new one, then
     the earliest. The survivor absorbs the removed copies' ids and access
-    counts."""
-    ordered = sorted(batch, key=survivor_order)
-    by_hash: dict[str, EpisodicRecord] = {}
+    counts. A record that is not pending always survives, so a stored record
+    is never removed. Returns (survivors, removed), each in
+    `survivor_order`."""
+    survivors: list[EpisodicRecord] = []
     removed: list[EpisodicRecord] = []
-    for rec in ordered:
-        h = content_hash(rec.content)
-        survivor = by_hash.get(h)
-        if survivor is None:
-            by_hash[h] = rec
+    holder: dict[str, int] = {}  # content -> its first survivor's position
+    for rec in sorted(batch, key=survivor_order):
+        at = holder.get(rec.content)
+        if at is None or rec.state != STATE_PENDING:
+            holder.setdefault(rec.content, len(survivors))
+            survivors.append(rec)
         else:
-            by_hash[h] = absorb(survivor, rec, exact=True)
+            survivors[at] = absorb(survivors[at], rec, exact=True)
             removed.append(rec)
-    id_order = {r.id: i for i, r in enumerate(ordered)}
-    survivors = sorted(by_hash.values(), key=lambda r: id_order[r.id])
     return survivors, removed
 
 
 def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
                ) -> tuple[list[EpisodicRecord], list[EpisodicRecord]]:
-    """Greedy near-duplicate removal in `survivor_order`: a record is
-    dropped when its cosine similarity to any earlier survivor reaches the
-    threshold; the survivor merges source ids and keeps max importance."""
+    """Greedy near-duplicate removal in `survivor_order`: a pending record
+    is absorbed by the earlier survivor with the highest float64 `np.dot`
+    similarity, when that reaches the threshold (ties: the first in
+    `survivor_order`); the survivor merges source ids and keeps max
+    importance. A record that is not pending always survives.
+
+    The pairs to score come from an `EmbeddingIndex` over `batch`, which
+    holds every pair whose similarity may reach the threshold. The index
+    holds live records only: `batch` holds no tombstones, and no two of its
+    records share an id. Returns (survivors, removed), each in
+    `survivor_order`."""
     ordered = sorted(batch, key=survivor_order)
+    index = EmbeddingIndex()
+    index.sync(RecordMap((r.id, r) for r in ordered))
+    rows = [index.row(r.id) for r in ordered]
+    position = {row: p for p, row in enumerate(rows)}
+    pairs: list[list[int]] = [[] for _ in ordered]
+    for p, row in index.rows_reaching(rows, np.ones(len(index), dtype=bool), threshold):
+        pairs[p].append(position[row])
     survivors: list[EpisodicRecord] = []
     removed: list[EpisodicRecord] = []
-    # survivors' embeddings in rows, in order: the product below is the
-    # one `np.stack` of the same rows would give
-    matrix = np.empty((len(ordered), len(ordered[0].embedding) if ordered else 0))
-    for rec in ordered:
-        hit = None
-        if survivors:
-            sims = matrix[:len(survivors)] @ rec.embedding
-            idx = int(np.argmax(sims))
-            if float(sims[idx]) >= threshold:
-                hit = idx
-        if hit is None:
-            matrix[len(survivors)] = rec.embedding
-            survivors.append(rec)
-        else:
+    at: dict[int, int] = {}  # position in `ordered` -> in `survivors`
+    for p, rec in enumerate(ordered):
+        best = None
+        if rec.state == STATE_PENDING:
+            # the earlier survivors, by similarity, then first in order
+            best = max(((float(np.dot(survivors[at[q]].embedding, rec.embedding)), -q)
+                        for q in pairs[p] if q in at), default=None)
+        if best is not None and best[0] >= threshold:
+            hit = at[-best[1]]
             survivors[hit] = absorb(survivors[hit], rec, exact=False)
             removed.append(rec)
+        else:
+            at[p] = len(survivors)
+            survivors.append(rec)
     return survivors, removed
-
-
-def dedup_batch(store: MemoryStore, batch: Sequence[EpisodicRecord],
-                threshold: float
-                ) -> tuple[list[EpisodicRecord], dict[str, EpisodicRecord],
-                           list[EpisodicRecord], list[EpisodicRecord]]:
-    """Step 4: remove each batch record that duplicates a stored retained or
-    promoted record or an earlier batch survivor. A stored record is never
-    removed.
-
-    The batch is visited in `survivor_order`. An exact copy is absorbed by
-    the first record with its content in `survivor_order`: a stored record,
-    else an earlier batch survivor. Then each remaining batch record whose
-    float64 `np.dot` similarity reaches `threshold` for some stored record
-    or earlier batch survivor is absorbed by the most similar one (ties: the
-    first in `survivor_order`). Both go through `absorb`. The candidates
-    come from `MemoryStore.near`, so the cost follows the batch, not the
-    store. Where no two stored records collide, this is `exact_dedup` then
-    `near_dedup` over the stored records and the batch, but for the last
-    bit of a similarity: those read a row of a float64 matrix-vector
-    product, which may differ from `np.dot` by an ulp.
-
-    Returns (batch survivors in `survivor_order`, the changed absorbers by
-    id, exact copies removed, near duplicates removed). The store is not
-    written."""
-    ordered = sorted(batch, key=survivor_order)
-    batch_ids = {r.id for r in ordered}
-    kept_states = (STATE_RETAINED, STATE_PROMOTED)
-    contents = {r.content for r in ordered}
-    copies = [r for r in store.records.values()
-              if r.state in kept_states and r.content in contents]
-    # content -> id of its first record in survivor_order
-    holder: dict[str, str] = {}
-    for rec in sorted(copies, key=survivor_order) + ordered:
-        holder.setdefault(rec.content, rec.id)
-    changed: dict[str, EpisodicRecord] = {}
-
-    def current(rec_id: str) -> EpisodicRecord:
-        return changed.get(rec_id) or store.records[rec_id]
-
-    exact_removed: list[EpisodicRecord] = []
-    unique: list[EpisodicRecord] = []
-    for rec in ordered:
-        hit = holder[rec.content]
-        if hit == rec.id:
-            unique.append(rec)
-            continue
-        changed[hit] = absorb(current(hit), rec, exact=True)
-        exact_removed.append(rec)
-
-    survivors: dict[str, None] = {}
-    near_removed: list[EpisodicRecord] = []
-    for rec, candidates in zip(unique, store.near(unique, threshold, kept_states)):
-        rec = current(rec.id)
-        hits = []
-        for other in candidates:
-            # a batch record is a candidate once it has survived: earlier only
-            if other.id in batch_ids and other.id not in survivors:
-                continue
-            sim = float(np.dot(other.embedding, rec.embedding))
-            if sim >= threshold:
-                hits.append((-sim, survivor_order(other), other.id))
-        if not hits:
-            survivors[rec.id] = None
-            continue
-        hit = min(hits)[2]
-        changed[hit] = absorb(current(hit), rec, exact=False)
-        near_removed.append(rec)
-    return ([current(i) for i in survivors],
-            {k: r for k, r in changed.items() if k not in batch_ids},
-            exact_removed, near_removed)
 
 
 def _pair_distances(emb: np.ndarray) -> np.ndarray:
@@ -464,7 +402,8 @@ def run_consolidation(store: MemoryStore, now: datetime,
 
             # 2. scoring (running-centroid surprise prior, single writer);
             # the frequency factor counts the stored retained and promoted
-            # records and the batch records before each record
+            # records and the batch records before each record; step 4
+            # dedups against the same candidates
             near = store.near(batch, config.near_dedup_threshold,
                               (STATE_RETAINED, STATE_PROMOTED))
             for rec, candidates in zip(batch, near):
@@ -489,18 +428,29 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 for r in cls.prune:
                     bucket[r.id] = "prune"
 
-            # 4. dedup: batch records against the stored retained and
-            # promoted records and the earlier batch survivors; a stored
-            # record is never removed, so `removed_existing` stays 0
-            batch_survivors, absorbers, exact_removed, near_removed = dedup_batch(
-                store, batch, config.near_dedup_threshold)
+            # 4. dedup: the batch, with the stored retained and promoted
+            # records step 2 found near it and the stored holders of a
+            # batch content (a degraded record keeps its old embedding, so
+            # it may be no near candidate); a stored record is never
+            # removed, so `removed_existing` stays 0
+            batch_ids = {r.id for r in batch}
+            contents = {r.content for r in batch}
+            stored = {o.id for candidates in near for o in candidates
+                      if o.id not in batch_ids}
+            stored.update(k for k, r in store.records.items()
+                          if r.state in (STATE_RETAINED, STATE_PROMOTED)
+                          and r.content in contents)
+            survivors, exact_removed = exact_dedup(
+                batch + [store.records[k] for k in stored])
+            survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
             report.exact_dups_removed = len(exact_removed)
             report.near_dups_removed = len(near_removed)
             for rec in exact_removed + near_removed:
                 store.records.pop(rec.id)
-            for rec in list(absorbers.values()) + batch_survivors:
+            for rec in survivors:
                 if rec is not store.records[rec.id]:
                     store.replace(rec)
+            batch_survivors = [r for r in survivors if r.state == STATE_PENDING]
 
             # 5. aggressive mode: cluster surviving batch and merge
             merged_member_ids: set[str] = set()

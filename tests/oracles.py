@@ -1,36 +1,62 @@
-"""Whole-store oracles for the sleep's indexed passes.
+"""Slow oracles for the engine's fast paths.
 
-Each oracle is the plain loop the engine once ran: dedup over the whole
-store, and forget priorities from `forgetting.interference` (criterion 3)
-over every live record. Oracle and engine share each formula (`absorb`,
-`interference`); they differ only in candidate selection, which the engine
-takes from `MemoryStore.near`. The oracles are slow on purpose, and they
-live here, not in `src/`."""
+Each oracle is the plain loop the engine once ran, or its definition: dedup
+over the whole store, forget priorities from `forgetting.interference`
+(criterion 3) over every live record, the episodic scan over every record,
+and clustering with every pair average recomputed. Oracle and engine share
+the pinned pairwise rules (`absorb`, `survivor_order`, `interference`);
+they differ in how candidates are found and sums are kept. The oracles are
+slow on purpose, and they live here, not in `src/`."""
 
 from __future__ import annotations
 
-from engram.consolidation import exact_dedup, near_dedup
+import math
+from typing import Sequence
+
+import numpy as np
+
+from engram.consolidation import absorb, survivor_order
 from engram.forgetting import EPSILON, interference
 from engram.model import (
+    STATE_PENDING,
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
+    EpisodicRecord,
     decayed_importance,
 )
+from engram.retrieval import Hit, _rank_key
 
 
 def whole_store_dedup(store, batch, threshold):
-    """Step 4 of `run_consolidation` as it was: `exact_dedup`, then
-    `near_dedup`, over every stored retained or promoted record plus the
-    batch. Returns (survivors, exact copies removed, near duplicates
-    removed); stored records can be among the removed. Where no two stored
-    records collide, `dedup_batch` gives the same result."""
+    """Step 4 of `run_consolidation` over every stored retained or promoted
+    record plus the batch, in `survivor_order`. First each pending record
+    with the content of an earlier survivor is absorbed by the first such
+    survivor as an exact copy; then each pending record whose `np.dot`
+    similarity to an earlier survivor reaches `threshold` is absorbed by the
+    most similar one (ties: the first) as a near copy. A stored record
+    always survives. Returns (survivors, exact copies removed, near
+    duplicates removed), each in `survivor_order`."""
     batch_ids = {r.id for r in batch}
-    existing = [r for r in store.records.values()
-                if r.state in (STATE_RETAINED, STATE_PROMOTED)
-                and r.id not in batch_ids]
-    survivors, exact_removed = exact_dedup(existing + list(batch))
-    survivors, near_removed = near_dedup(survivors, threshold)
+    pool = [r for r in store.records.values()
+            if r.state in (STATE_RETAINED, STATE_PROMOTED) and r.id not in batch_ids]
+    unique, exact_removed = [], []
+    for rec in sorted(pool + list(batch), key=survivor_order):
+        first = next((i for i, s in enumerate(unique) if s.content == rec.content), None)
+        if rec.state == STATE_PENDING and first is not None:
+            unique[first] = absorb(unique[first], rec, exact=True)
+            exact_removed.append(rec)
+        else:
+            unique.append(rec)
+    survivors, near_removed = [], []
+    for rec in unique:
+        sims = [float(np.dot(s.embedding, rec.embedding)) for s in survivors]
+        best = max(range(len(sims)), key=sims.__getitem__, default=None)
+        if rec.state == STATE_PENDING and best is not None and sims[best] >= threshold:
+            survivors[best] = absorb(survivors[best], rec, exact=False)
+            near_removed.append(rec)
+        else:
+            survivors.append(rec)
     return survivors, exact_removed, near_removed
 
 
@@ -54,3 +80,91 @@ def forget_ranking(store, now):
         ranked.append((*forget_priority(store, rec, now), rec.id))
     ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
     return ranked
+
+
+def scan_oracle(store, qvec, k, now, time_range=None, session_id=None,
+                tier=None, importance_filter=None):
+    """The episodic scan as a loop over every record, building and sorting a
+    `Hit` for each: the definition the index-backed scan reproduces."""
+    if importance_filter is None:
+        importance_filter = store.config.importance_filter
+    hits = []
+    for rec in store.records.values():
+        if rec.state == STATE_TOMBSTONE or rec.encoded_at > now:
+            continue
+        if tier is not None and rec.tier != tier:
+            continue
+        if session_id is not None and rec.event.session_id != session_id:
+            continue
+        ts = rec.event.timestamp
+        if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
+            continue
+        decayed = decayed_importance(rec.importance, rec.encoded_at, now,
+                                     store.config.lambda_decay)
+        if decayed < importance_filter:
+            continue
+        sim = float(np.dot(qvec, rec.embedding))
+        hits.append(Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim,
+                        final_score=sim, timestamp=ts, content=rec.content,
+                        source_ids=rec.source_ids))
+    hits.sort(key=_rank_key)
+    return hits[:k]
+
+
+# The earlier `cluster`, which recomputed each pair average with `math.fsum`
+# after every merge, word for word but for its name: the Lance-Williams
+# `cluster` must give exactly its output, group order and member order.
+def cluster_reference(batch: Sequence[EpisodicRecord], distance: float
+            ) -> list[list[EpisodicRecord]]:
+    """Average-linkage agglomerative clustering on cosine distance.
+
+    Merging stops when the minimum inter-cluster distance exceeds the
+    configured cutoff. Ties pick the pair whose smallest member ids compare
+    lowest, so the result is order-independent and deterministic.
+    """
+    records = sorted(batch, key=lambda r: r.id)
+    n = len(records)
+    if n == 0:
+        return []
+    if n == 1:
+        return [[records[0]]]
+    # per-pair dots + fsum averaging: correctly rounded and independent of
+    # summation order, so an independent reference computes identical values
+    base = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        base[i, i] = 0.0
+        for j in range(i + 1, n):
+            d = 1.0 - float(np.dot(records[i].embedding, records[j].embedding))
+            base[i, j] = d
+            base[j, i] = d
+    clusters: dict[str, list[int]] = {r.id: [i] for i, r in enumerate(records)}
+
+    def pair_distance(a: str, b: str) -> float:
+        total = math.fsum(base[i, j] for i in clusters[a] for j in clusters[b])
+        return total / (len(clusters[a]) * len(clusters[b]))
+
+    dist: dict[tuple[str, str], float] = {}
+    keys = sorted(clusters)
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            dist[(keys[i], keys[j])] = pair_distance(keys[i], keys[j])
+
+    while len(clusters) > 1:
+        best = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
+        (a, b), d = best
+        if d > distance:
+            break
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+        for key in list(dist):
+            if b in key:
+                del dist[key]
+        for other in clusters:
+            if other == a:
+                continue
+            pair = (a, other) if a < other else (other, a)
+            dist[pair] = pair_distance(a, other)
+    out = []
+    for key in sorted(clusters):
+        out.append([records[i] for i in sorted(clusters[key])])
+    return out

@@ -1,7 +1,7 @@
 import math
 import random
+from dataclasses import replace
 from datetime import timedelta
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from engram.consolidation import (
     REASON_OUT_OF_ORDER,
     _pair_distances,
     cluster,
-    content_hash,
     exact_dedup,
     make_gist,
     near_dedup,
@@ -24,19 +23,23 @@ from engram.consolidation import (
 )
 from engram.embedding import HashEmbedder
 from engram.errors import DuplicateId
+from engram.forgetting import degrade
 from engram.graph import KnowledgeGraph
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
+    TIER_WARM,
     EpisodicRecord,
+    FidelityLevel,
     StoreConfig,
 )
 from engram.retrieval import open_lability, reconsolidate
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, make_record, minutes
+from oracles import cluster_reference
 
 EMB = HashEmbedder(256, 0)
 
@@ -108,10 +111,10 @@ def test_exact_dedup_keeps_earliest_and_merges():
 
 
 def exact_dedup_oracle(batch):
-    """Brute force: group by content hash, earliest (ts, id) survives."""
+    """Brute force: group by content, earliest (ts, id) survives."""
     groups = {}
     for rec in batch:
-        groups.setdefault(content_hash(rec.content), []).append(rec)
+        groups.setdefault(rec.content, []).append(rec)
     survivors, removed = set(), set()
     for members in groups.values():
         members = sorted(members, key=lambda r: (r.event.timestamp, r.id))
@@ -182,65 +185,6 @@ def test_near_dedup_invariants(seed, threshold):
 
 
 # -- clustering -----------------------------------------------------------
-
-# The earlier `cluster`, which recomputed each pair average with `math.fsum`
-# after every merge, word for word but for its name: the Lance-Williams
-# `cluster` must give exactly its output, group order and member order.
-def cluster_reference(batch: Sequence[EpisodicRecord], distance: float
-            ) -> list[list[EpisodicRecord]]:
-    """Average-linkage agglomerative clustering on cosine distance.
-
-    Merging stops when the minimum inter-cluster distance exceeds the
-    configured cutoff. Ties pick the pair whose smallest member ids compare
-    lowest, so the result is order-independent and deterministic.
-    """
-    records = sorted(batch, key=lambda r: r.id)
-    n = len(records)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[records[0]]]
-    # per-pair dots + fsum averaging: correctly rounded and independent of
-    # summation order, so an independent reference computes identical values
-    base = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        base[i, i] = 0.0
-        for j in range(i + 1, n):
-            d = 1.0 - float(np.dot(records[i].embedding, records[j].embedding))
-            base[i, j] = d
-            base[j, i] = d
-    clusters: dict[str, list[int]] = {r.id: [i] for i, r in enumerate(records)}
-
-    def pair_distance(a: str, b: str) -> float:
-        total = math.fsum(base[i, j] for i in clusters[a] for j in clusters[b])
-        return total / (len(clusters[a]) * len(clusters[b]))
-
-    dist: dict[tuple[str, str], float] = {}
-    keys = sorted(clusters)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            dist[(keys[i], keys[j])] = pair_distance(keys[i], keys[j])
-
-    while len(clusters) > 1:
-        best = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
-        (a, b), d = best
-        if d > distance:
-            break
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
-        for key in list(dist):
-            if b in key:
-                del dist[key]
-        for other in clusters:
-            if other == a:
-                continue
-            pair = (a, other) if a < other else (other, a)
-            dist[pair] = pair_distance(a, other)
-    out = []
-    for key in sorted(clusters):
-        out.append([records[i] for i in sorted(clusters[key])])
-    return out
-
 
 def cluster_oracle(batch, cutoff):
     """Naive O(n^3) average-linkage: recompute every pair average from raw
@@ -539,6 +483,23 @@ def test_run_consolidation_dedups_against_existing_store(store):
     assert report.exact_dups_removed == 1
     assert "copy" not in store.records
     assert "copy" in store.records["orig"].source_ids
+
+
+def test_dedup_finds_a_degraded_stored_record_by_its_content(store):
+    # a degraded record keeps the embedding of its full text, so a new copy
+    # of its shortened text is no near candidate; it is still an exact copy
+    full = "supercalifragilisticexpialidocious antidisestablishmentarianism x1 x2 x3 x4"
+    stored = replace(make_record(store.embedder, "orig", full, ts=T0),
+                     state=STATE_RETAINED, tier=TIER_WARM)
+    store.records["orig"] = stored = degrade(stored, T0 + hours(1))
+    assert stored.fidelity == FidelityLevel.L1 and stored.content != full
+    copy = store.ingest(make_event("copy", ts=T0 + hours(2), content=stored.content))
+    assert float(np.dot(copy.embedding, stored.embedding)) < store.config.near_dedup_threshold
+    report = run_consolidation(store, T0 + hours(3))
+    assert report.exact_dups_removed == 1 and report.near_dups_removed == 0
+    assert "copy" not in store.records
+    assert store.records["orig"].source_ids == ("orig", "copy")
+    assert store.records["orig"].access_count == stored.access_count + 1
 
 
 def test_dedup_never_removes_a_stored_record_for_a_new_copy(store):

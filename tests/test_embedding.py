@@ -1,5 +1,4 @@
 import io
-import itertools
 import json
 import subprocess
 import sys

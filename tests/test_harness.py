@@ -9,11 +9,9 @@ from engram.harness import (
     StreamSpec,
     budget_sweep,
     generate_stream,
-    retained_records,
-    retained_substantive_fraction,
     stream_run,
 )
-from engram.model import MemoryEvent, StoreConfig
+from engram.model import StoreConfig
 
 
 def test_generate_stream_deterministic():

@@ -9,7 +9,6 @@ from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
 from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.forgetting import apply_ttl
-from engram.graph import RETRIEVAL_THRESHOLD
 from engram.model import (
     STATE_RETAINED,
     STATE_TOMBSTONE,
@@ -17,7 +16,6 @@ from engram.model import (
     TIER_WARM,
     FidelityLevel,
     StoreConfig,
-    decayed_importance,
     hours_between,
 )
 from engram.retrieval import (

@@ -1,5 +1,5 @@
-"""The sleep's two indexed passes against their pairwise oracles: dedup of
-the new batch against the whole-store dedup it replaced, and the forget
+"""The sleep's two indexed passes against their pairwise oracles: step 4's
+dedup of the new batch against the whole-store dedup loop, and the forget
 ranking against criterion 3's `interference`. The budgets come from the
 loaded Hypothesis profile (see conftest.py)."""
 
@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from engram.consolidation import dedup_batch
+from engram import consolidation
+from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
 from engram.forgetting import rank_forget_candidates
 from engram.model import (
@@ -21,6 +21,7 @@ from engram.model import (
     STATE_TOMBSTONE,
     EpisodicRecord,
     FidelityLevel,
+    StoreConfig,
 )
 from engram.store import MemoryStore
 
@@ -37,8 +38,6 @@ stored_records = st.lists(
     max_size=10)
 batch_records = st.lists(st.tuples(words, st.integers(0, 30), st.floats(0.0, 1.0)),
                          min_size=1, max_size=10)
-bystanders = st.lists(st.tuples(words, st.sampled_from([STATE_PENDING, STATE_TOMBSTONE])),
-                      max_size=3)
 
 
 def _record(eid, content, offset, **fields):
@@ -47,51 +46,63 @@ def _record(eid, content, offset, **fields):
 
 
 def _merged(rec):
-    return rec.id, rec.source_ids, rec.importance, rec.access_count, rec.state
+    return rec.id, rec.source_ids, rec.importance, rec.access_count
 
 
-def _collides(rec, kept, threshold):
-    return any(rec.content == k.content
-               or float(np.dot(rec.embedding, k.embedding)) >= threshold
-               for k in kept)
-
-
-@given(stored=stored_records, batch=batch_records, others=bystanders,
+@given(stored=stored_records, batch=batch_records, tombstones=st.lists(words, max_size=3),
        threshold=st.sampled_from([0.3, 0.559, 0.8]))
-def test_dedup_batch_equals_the_whole_store_pass(stored, batch, others, threshold):
-    """Where no two stored records collide, deciding only the batch gives
-    the whole-store pass's survivors, absorbers and merged fields."""
-    store = MemoryStore()
-    kept = []
+def test_step_4_equals_the_whole_store_pass(stored, batch, tombstones, threshold):
+    """On any store, colliding stored records included, step 4 of
+    `run_consolidation` removes the batch records the whole-store pass
+    removes, in its order, and leaves every survivor merged as it does."""
+    store = MemoryStore(StoreConfig(near_dedup_threshold=threshold))
     for i, (content, state, offset, importance, access) in enumerate(stored):
         rec = _record(f"s{i}", content, offset, state=state, importance=importance,
                       access_count=access, source_ids=(f"s{i}", f"old{i}"))
-        if not _collides(rec, kept, threshold):
-            kept.append(rec)
-            store.records[rec.id] = rec
-    for i, (content, state) in enumerate(others):
-        # pending outside the batch, or tombstones: neither is a candidate
-        rec = _record(f"o{i}", content, i, state=state)
         store.records[rec.id] = rec
-    new = []
+    for i, content in enumerate(tombstones):
+        # a tombstone is never a candidate
+        rec = _record(f"t{i}", content, i, state=STATE_TOMBSTONE)
+        store.records[rec.id] = replace(rec.with_content(""), fidelity=FidelityLevel.L5)
     for i, (content, offset, importance) in enumerate(batch):
+        # arrival order: a record more than the skew behind is quarantined
         rec = _record(f"b{i}", content, offset, importance=importance)
         store.records[rec.id] = rec
-        new.append(rec)
-    new.sort(key=lambda r: (r.event.timestamp, r.id))
-    batch_ids = {r.id for r in new}
 
-    oracle_survivors, oracle_exact, oracle_near = whole_store_dedup(store, new, threshold)
-    assert all(r.id in batch_ids for r in oracle_exact + oracle_near)
-    survivors, absorbers, exact_removed, near_removed = dedup_batch(store, new, threshold)
+    seen = {}
+    exact_dedup, near_dedup = consolidation.exact_dedup, consolidation.near_dedup
 
-    assert [r.id for r in exact_removed] == [r.id for r in oracle_exact]
+    def exact_spy(pool):
+        # the store as step 4 finds it, with the scored batch
+        new = [r for r in pool if r.state == STATE_PENDING]
+        seen["oracle"] = whole_store_dedup(store, new, threshold)
+        seen["exact"] = exact_dedup(pool)
+        return seen["exact"]
+
+    def near_spy(pool, near_threshold):
+        seen["near"] = near_dedup(pool, near_threshold)
+        return seen["near"]
+
+    consolidation.exact_dedup, consolidation.near_dedup = exact_spy, near_spy
+    try:
+        report = run_consolidation(store, T0 + hours(1))
+    finally:
+        consolidation.exact_dedup, consolidation.near_dedup = exact_dedup, near_dedup
+
+    oracle_survivors, oracle_exact, oracle_near = seen["oracle"]
+    survivors, near_removed = seen["near"]
+    assert [r.id for r in seen["exact"][1]] == [r.id for r in oracle_exact]
     assert [r.id for r in near_removed] == [r.id for r in oracle_near]
-    assert [_merged(r) for r in survivors] == \
-        [_merged(r) for r in oracle_survivors if r.id in batch_ids]
-    assert {k: _merged(r) for k, r in absorbers.items()} == \
-        {r.id: _merged(r) for r in oracle_survivors
-         if r.id not in batch_ids and _merged(r) != _merged(store.records[r.id])}
+    assert report.exact_dups_removed == len(oracle_exact)
+    assert report.near_dups_removed == len(oracle_near)
+    assert report.removed_existing == 0 and report.accounting_holds()
+    assert [_merged(r) for r in survivors if r.state == STATE_PENDING] == \
+        [_merged(r) for r in oracle_survivors if r.state == STATE_PENDING]
+    # every stored record stays, merged as the oracle merges it, and the
+    # batch survivors keep their merged fields through classification
+    for rec in oracle_survivors:
+        assert _merged(store.records[rec.id]) == _merged(rec)
+    assert all(r.id not in store.records for r in oracle_exact + oracle_near)
 
 
 @given(records=st.lists(

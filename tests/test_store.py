@@ -13,7 +13,6 @@ from engram.model import (
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
-    StoreConfig,
 )
 from engram.store import MemoryStore
 
