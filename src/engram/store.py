@@ -18,7 +18,14 @@ index anew on its first scan.
 A snapshot is read under the lock. Its text splices in each stored value's
 canonical JSON, which `codec.dumps` encodes on the first snapshot that holds
 the value and memoizes on it; an unchanged record is never encoded twice.
-Nothing is encoded at load or in `replace`.
+Nothing is encoded at load or in `replace`. Snapshots are written as version
+2, where every array (embeddings, the centroid sum) is the codec's sparse
+object of its non-zero entries; version 1, with dense float lists, is still
+read.
+
+The record map keeps the live (non-tombstone) record count and their token
+total up to date on every write, so `active_count` and `active_tokens` are
+O(1).
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ from .model import (
     estimate_tokens,
 )
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 def read_events(lines: Iterable[str]) -> Iterator[MemoryEvent]:
@@ -79,29 +87,49 @@ class QuarantineEntry:
 class RecordMap(dict):
     """The store's id -> record dict. Every writer notes the ids it touches
     in `dirty`, so the embedding index brings just those rows up to date; a
-    new map is `stale`, and the index is rebuilt from it whole."""
+    new map is `stale`, and the index is rebuilt from it whole. Every writer
+    also keeps `live`, the count of non-tombstone records, and `tokens`,
+    their `estimate_tokens` total."""
 
-    __slots__ = ("dirty", "stale")
+    __slots__ = ("dirty", "stale", "live", "tokens")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.dirty: set[str] = set()
         self.stale = True
+        self.live = self.tokens = 0
+        for record in self.values():
+            self._add(record, 1)
+
+    def _add(self, record: EpisodicRecord, sign: int) -> None:
+        """Add (sign 1) or take away (sign -1) `record`'s share of the
+        totals."""
+        if record.state != STATE_TOMBSTONE:
+            self.live += sign
+            self.tokens += sign * estimate_tokens(record.content)
 
     def __setitem__(self, key, value):
+        old = self.get(key)
+        self._add(value, 1)
         dict.__setitem__(self, key, value)
+        if old is not None:
+            self._add(old, -1)
         self.dirty.add(key)
 
     def __delitem__(self, key):
+        self._add(self[key], -1)
         dict.__delitem__(self, key)
         self.dirty.add(key)
 
     def pop(self, key, *default):
         self.dirty.add(key)
+        if key in self:
+            self._add(self[key], -1)
         return dict.pop(self, key, *default)
 
     def popitem(self):
         key, value = dict.popitem(self)
+        self._add(value, -1)
         self.dirty.add(key)
         return key, value
 
@@ -120,6 +148,7 @@ class RecordMap(dict):
 
     def clear(self):
         dict.clear(self)
+        self.live = self.tokens = 0
         self.stale = True
 
     def __reduce__(self):
@@ -473,11 +502,10 @@ class MemoryStore:
         return [r for r in self.records.values() if r.state != STATE_TOMBSTONE]
 
     def active_count(self) -> int:
-        return sum(1 for r in self.records.values() if r.state != STATE_TOMBSTONE)
+        return self.records.live
 
     def active_tokens(self) -> int:
-        return sum(estimate_tokens(r.content) for r in self.records.values()
-                   if r.state != STATE_TOMBSTONE)
+        return self.records.tokens
 
     def centroid(self) -> Optional[np.ndarray]:
         if self.centroid_count == 0:
@@ -570,7 +598,7 @@ class MemoryStore:
 
     @classmethod
     def from_state_dict(cls, d: dict[str, Any], embedder=None) -> "MemoryStore":
-        if d.get("version") != SNAPSHOT_VERSION:
+        if d.get("version") not in READABLE_VERSIONS:
             raise SnapshotFormatError(f"unsupported snapshot version {d.get('version')}")
         try:
             store = cls(decode(StoreConfig, d["config"]), embedder=embedder)

@@ -3,13 +3,15 @@
 Each oracle is the plain loop the engine once ran, or its definition: dedup
 over the whole store, forget priorities from `forgetting.interference`
 (criterion 3) over every live record, the episodic scan over every record,
-and clustering with every pair average recomputed. Oracle and engine share
-the pinned pairwise rules (`absorb`, `survivor_order`, `interference`);
-they differ in how candidates are found and sums are kept. The oracles are
-slow on purpose, and they live here, not in `src/`."""
+clustering with every pair average recomputed, and the v1 rendering of a
+snapshot. Oracle and engine share the pinned pairwise rules (`absorb`,
+`survivor_order`, `interference`); they differ in how candidates are found
+and sums are kept. The oracles are slow on purpose, and they live here, not
+in `src/`."""
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
@@ -168,3 +170,22 @@ def cluster_reference(batch: Sequence[EpisodicRecord], distance: float
     for key in sorted(clusters):
         out.append([records[i] for i in sorted(clusters[key])])
     return out
+
+
+def _dense(obj: dict):
+    """A codec sparse-array object as the v1 dense float list; any other
+    object as it is."""
+    if obj.keys() != {"i", "n", "v"}:
+        return obj
+    out = [0.0] * obj["n"]
+    for i, v in zip(obj["i"], obj["v"]):
+        out[i] = v
+    return out
+
+
+def as_v1(text: str) -> str:
+    """A snapshot's text as the v1 writer wrote it: every array a dense
+    float list, `version` 1, and the canonical dump."""
+    state = json.loads(text, object_hook=_dense)
+    state["version"] = 1
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))

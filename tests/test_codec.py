@@ -10,6 +10,9 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from engram.cli import main
 from engram.codec import decode, dumps, encode
@@ -68,11 +71,29 @@ def _snapshot(store):
     return json.loads(store.snapshot_json())
 
 
+def _embedding(d):
+    return d["records"][0]["embedding"]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda d: d["records"][0].pop("event"),
     lambda d: d["records"][0].pop("embedding"),
     lambda d: d["config"].update(lamda_decay=0.002),
-], ids=["record-without-event", "record-without-embedding", "config-typo"])
+    lambda d: _embedding(d)["i"].reverse(),
+    lambda d: _embedding(d)["i"].__setitem__(1, _embedding(d)["i"][0]),
+    lambda d: _embedding(d)["i"].__setitem__(-1, _embedding(d)["n"]),
+    lambda d: _embedding(d)["i"].__setitem__(0, -1),
+    lambda d: _embedding(d)["v"].pop(),
+    lambda d: _embedding(d).update(x=0),
+    lambda d: _embedding(d).pop("n"),
+    lambda d: _embedding(d)["v"].__setitem__(0, None),
+    lambda d: d.update(centroid_sum={"i": [0], "n": 0, "v": [1.0]}),
+    lambda d: d.update(centroid_sum=[0.5, "1.5"]),
+], ids=["record-without-event", "record-without-embedding", "config-typo",
+        "indices-decreasing", "index-repeated", "index-past-the-end",
+        "index-negative", "fewer-values-than-indices", "array-extra-key",
+        "array-without-length", "value-null", "centroid-index-past-the-end",
+        "dense-centroid-with-a-string"])
 def test_malformed_snapshot_rejected(store, corrupt):
     d = _snapshot(store)
     corrupt(d)
@@ -92,12 +113,47 @@ def test_top_level_values():
     assert decode(Optional[datetime], encode(T0)) == T0
     assert encode(T0) == "2026-01-05T00:00:00Z"
     assert encode({"a": T0}) == {"a": "2026-01-05T00:00:00Z"}
-    assert encode(np.array([0.5, -1.0])) == [0.5, -1.0]
+    assert encode(np.array([0.5, 0.0, -1.0])) == {"i": [0, 2], "n": 3, "v": [0.5, -1.0]}
+    assert encode(np.zeros(2)) == {"i": [], "n": 2, "v": []}
     assert encode(FidelityLevel.L3) == 3
     assert encode(frozenset({"b", "a"})) == ["a", "b"]
     assert decode(frozenset[str], ["b", "a"]) == frozenset({"a", "b"})
-    vec = decode(np.ndarray, [1, 2])
-    assert vec.dtype == np.float64 and vec.tolist() == [1.0, 2.0]
+    vec = decode(np.ndarray, {"i": [1], "n": 3, "v": [2]})
+    assert vec.dtype == np.float64 and vec.tolist() == [0.0, 2.0, 0.0]
+
+
+def test_a_v1_dense_list_still_decodes():
+    vec = decode(np.ndarray, [1, 0, -0.0, 2.5])
+    assert vec.dtype == np.float64
+    assert vec.tobytes() == np.array([1.0, 0.0, -0.0, 2.5]).tobytes()
+    assert decode(np.ndarray, []).shape == (0,)
+
+
+def assert_bit_exact_roundtrip(a):
+    text = json.dumps(encode(a))
+    back = decode(np.ndarray, json.loads(text))
+    assert back.dtype == np.float64 and back.tobytes() == a.tobytes()
+
+
+def test_arrays_roundtrip_bit_exact(store):
+    vec = store.embedder.embed("Alice ships the Kestrel release")
+    assert 0 < np.count_nonzero(vec) < len(vec) // 4  # a sparse vector
+    for k in range(300):  # notes of one to six words
+        words = " ".join(f"w{k}x{j}" for j in range(k % 6 + 1))
+        store.add_to_centroid(store.embedder.embed(words))
+    centroid = store.centroid_sum
+    assert np.count_nonzero(centroid) > len(centroid) * 3 // 4  # a dense one
+    for a in (np.zeros(256), np.array([0.0, -0.0, 1.0, -0.0]), centroid, vec,
+              np.array([np.nan, np.inf, -np.inf, 5e-324]), np.zeros(0)):
+        assert_bit_exact_roundtrip(a)
+
+
+# NaN is left out: JSON has one NaN, so a NaN's sign and payload are lost
+@given(hnp.arrays(np.float64, st.integers(0, 64),
+                  elements=st.one_of(st.just(0.0), st.just(-0.0),
+                                     st.floats(allow_nan=False, allow_subnormal=True))))
+def test_random_arrays_roundtrip_bit_exact(a):
+    assert_bit_exact_roundtrip(a)
 
 
 def canonical(value):

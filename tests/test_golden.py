@@ -1,7 +1,10 @@
-"""Golden v1 format pins: a stored snapshot and the JSON stdout of the CLI
-reports must stay byte-identical as the code that writes them changes."""
+"""Golden format pins: stored snapshots, their v1 rendering and the JSON
+stdout of the CLI reports must stay byte-identical as the code that writes
+them changes."""
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 from engram.cli import main
@@ -10,12 +13,19 @@ from engram.harness import StreamSpec, generate_stream, stream_run
 from engram.model import StoreConfig
 from engram.store import MemoryStore
 
+from oracles import as_v1
+
 DATA = Path(__file__).parent / "data"
 SNAPSHOT_V1 = DATA / "snapshot_v1.json"
+SNAPSHOT_V2 = DATA / "snapshot_v2.json"
 CLI_GOLDEN = DATA / "cli_golden.json"
 
-# Both data files were written by the hand-written serializers that the codec
-# replaced, and are never regenerated: they are the v1 format. The snapshot is
+# `snapshot_v1.json` and `cli_golden.json` were written by the hand-written
+# serializers that the codec replaced. The snapshot is never regenerated: it
+# is the v1 format, with dense float lists for arrays. `snapshot_v2.json` is
+# that store loaded and written once by the v2 writer, whose arrays are
+# sparse; the three `run` checkpoint fingerprints in `cli_golden.json` were
+# rewritten once for v2, and no other byte of it. The v1 snapshot is
 # a `StoreConfig(cluster_distance=0.8, embed_dimension=32)` store: session 0 of
 # `generate_stream(StreamSpec(sessions=2, events_per_session=10), seed=3)`
 # consolidated in aggressive mode and forgotten to budget 3000; session 1 plus
@@ -24,9 +34,28 @@ CLI_GOLDEN = DATA / "cli_golden.json"
 # levels, and the last retained record by id opened for lability.
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_snapshot_v1_fixture_reserializes_byte_identical():
     text = SNAPSHOT_V1.read_text(encoding="utf-8")
-    assert MemoryStore.load_snapshot(str(SNAPSHOT_V1)).snapshot_json() == text
+    assert as_v1(MemoryStore.load_snapshot(str(SNAPSHOT_V1)).snapshot_json()) == text
+
+
+def test_snapshot_v1_fixture_loads_as_the_v2_fixture():
+    v2 = SNAPSHOT_V2.read_text(encoding="utf-8")
+    assert json.loads(v2)["version"] == 2
+    assert MemoryStore.load_snapshot(str(SNAPSHOT_V1)).snapshot_json() == v2
+    assert MemoryStore.load_snapshot(str(SNAPSHOT_V2)).snapshot_json() == v2
+
+
+def test_cli_snapshot_upgrades_a_v1_store(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(SNAPSHOT_V1, "store.json")
+    assert main(["--store", "store.json", "snapshot", "out.json"]) == 0
+    capsys.readouterr()
+    assert Path("out.json").read_bytes() == SNAPSHOT_V2.read_bytes()
 
 
 def test_snapshot_v1_fixture_covers_every_persisted_type():
@@ -88,8 +117,10 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch, capsys):
 
 
 
-# `stream_run` checkpoint fingerprints, recorded before records became frozen
-# values: the transaction copy must not change what any checkpoint holds.
+# `stream_run` checkpoint fingerprints of the v1 rendering of each
+# checkpoint's snapshot, recorded before records became frozen values: the
+# transaction copy and the v2 writer must not change what any checkpoint
+# holds.
 STREAM_FINGERPRINTS = DATA / "stream_fingerprints.json"
 STREAM_PIN_SPEC = StreamSpec(sessions=8, events_per_session=40,
                              planted_violations=6)
@@ -101,15 +132,32 @@ STREAM_PIN_RUNS = {
 
 
 def stream_fingerprints() -> dict[str, list[str]]:
-    """Checkpoint fingerprints for seeds 0 and 1 in every pinned mode.
-    `python tests/test_golden.py` rewrites the data file from them."""
+    """For seeds 0 and 1 in every pinned mode, the sha256 of the v1
+    rendering of each checkpoint's snapshot, read by a spy on
+    `MemoryStore.snapshot_json`; each checkpoint's `state_fingerprint` must
+    be the sha256 of the v2 text itself. `python tests/test_golden.py`
+    rewrites the data file from them."""
     out = {}
-    for seed in (0, 1):
-        manifest = generate_stream(STREAM_PIN_SPEC, seed=seed)
-        for name, (mode, config) in STREAM_PIN_RUNS.items():
-            metrics = stream_run(manifest, config, mode=mode, budget=3000)
-            out[f"{name}-{seed}"] = [c.state_fingerprint
-                                     for c in metrics.checkpoints]
+    seen: list[tuple[str, str]] = []  # (v2 hash, v1 hash) per snapshot
+    real = MemoryStore.snapshot_json
+
+    def spy(store):
+        text = real(store)
+        seen.append((sha256(text), sha256(as_v1(text))))
+        return text
+
+    MemoryStore.snapshot_json = spy
+    try:
+        for seed in (0, 1):
+            manifest = generate_stream(STREAM_PIN_SPEC, seed=seed)
+            for name, (mode, config) in STREAM_PIN_RUNS.items():
+                seen.clear()
+                metrics = stream_run(manifest, config, mode=mode, budget=3000)
+                assert [c.state_fingerprint for c in metrics.checkpoints] \
+                    == [v2 for v2, _v1 in seen]
+                out[f"{name}-{seed}"] = [v1 for _v2, v1 in seen]
+    finally:
+        MemoryStore.snapshot_json = real
     return out
 
 

@@ -151,8 +151,9 @@ def inject_failure(store, nth):
 class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
     drawn query, the index-backed scan equals `scan_oracle`; after every
-    step, `snapshot_json` equals the canonical dump of `state_dict`, and
-    every id once promoted is still stored, promoted or a tombstone. A
+    step, `snapshot_json` equals the canonical dump of `state_dict`, the
+    running live count and token total equal their full sums, and every id
+    once promoted is still stored, promoted or a tombstone. A
     forgetting run meets its budget whenever the records it may not touch
     fit in it."""
 
@@ -315,6 +316,13 @@ class IndexMachine(RuleBasedStateMachine):
         index = self.store.embedding_index()
         assert len(index) == self.store.active_count()
         assert sorted(index.keys) == self.live_ids()
+
+    @invariant()
+    def totals_are_the_full_sums(self):
+        live = self.store.active_records()
+        assert self.store.active_count() == len(live)
+        assert self.store.active_tokens() == sum(estimate_tokens(r.content)
+                                                 for r in live)
 
     @invariant()
     def snapshot_is_the_canonical_state(self):

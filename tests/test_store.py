@@ -13,10 +13,11 @@ from engram.model import (
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
+    estimate_tokens,
 )
-from engram.store import MemoryStore
+from engram.store import MemoryStore, RecordMap
 
-from conftest import T0, hours, make_event, minutes
+from conftest import T0, hours, make_event, make_record, minutes
 
 
 def test_ingest_rejects_duplicate_id(store):
@@ -81,6 +82,42 @@ def test_active_tokens_ignores_tombstones(store):
     store.replace(replace(rec.with_content(""), state="tombstone"))
     assert store.active_tokens() == 10
     assert store.active_count() == 1
+
+
+def full_sums(records):
+    """(live count, live tokens) by a walk over every record."""
+    live = [r for r in records.values() if r.state != STATE_TOMBSTONE]
+    return len(live), sum(estimate_tokens(r.content) for r in live)
+
+
+def test_record_map_totals_follow_every_writer(embedder):
+    def rec(eid, n, state=STATE_RETAINED):
+        return replace(make_record(embedder, eid=eid, content="x" * n), state=state)
+
+    m = RecordMap({"a": rec("a", 8), "t": rec("t", 0, STATE_TOMBSTONE)})
+    steps = [
+        lambda: m.__setitem__("b", rec("b", 12)),
+        lambda: m.__setitem__("a", rec("a", 0, STATE_TOMBSTONE)),
+        lambda: m.__setitem__("t", rec("t", 20)),
+        lambda: m.__delitem__("b"),
+        lambda: m.pop("t"),
+        lambda: m.pop("missing", None),
+        lambda: m.setdefault("c", rec("c", 5)),
+        lambda: m.setdefault("c", rec("c", 40)),
+        lambda: m.update({"d": rec("d", 7)}, e=rec("e", 9)),
+        lambda: m.__ior__({"d": rec("d", 1)}),
+        lambda: m.popitem(),
+    ]
+    assert (m.live, m.tokens) == full_sums(m) == (1, 2)
+    for step in steps:
+        step()
+        assert (m.live, m.tokens) == full_sums(m)
+    for twin in (copy.copy(m), copy.deepcopy(m), RecordMap(m)):
+        assert (twin.live, twin.tokens) == full_sums(m)
+    m.clear()
+    assert (m.live, m.tokens) == (0, 0)
+    with pytest.raises(KeyError):
+        m.pop("missing")
 
 
 def test_snapshot_roundtrip_byte_identical(store, tmp_path):
