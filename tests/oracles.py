@@ -3,8 +3,8 @@
 Each oracle is the plain loop the engine once ran, or its definition: dedup
 over the whole store, forget priorities from `forgetting.interference`
 (criterion 3) over every live record, the episodic scan over every record,
-clustering with every pair average recomputed, and the v1 rendering of a
-snapshot. Oracle and engine share the pinned pairwise rules (`absorb`,
+clustering with every pair average recomputed, the v1 rendering of a
+snapshot, and a snapshot with its tombstones in the existence-metadata form. Oracle and engine share the pinned pairwise rules (`absorb`,
 `survivor_order`, `interference`); they differ in how candidates are found
 and sums are kept. The oracles are slow on purpose, and they live here, not
 in `src/`."""
@@ -188,4 +188,20 @@ def as_v1(text: str) -> str:
     float list, `version` 1, and the canonical dump."""
     state = json.loads(text, object_hook=_dense)
     state["version"] = 1
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def thin_tombstones(text: str) -> str:
+    """A snapshot's text with each tombstone record holding only existence
+    metadata: no content, no entities, no score breakdown, an all-zero
+    embedding of the same length, and fidelity 5; every other field and
+    every other value as it is. The canonical dump."""
+    state = json.loads(text)
+    for rec in state["records"]:
+        if rec["state"] == STATE_TOMBSTONE:
+            rec["event"]["content"] = ""
+            rec["embedding"] = {"i": [], "n": rec["embedding"]["n"], "v": []}
+            rec["entities"] = []
+            rec["score_breakdown"] = {}
+            rec["fidelity"] = 5
     return json.dumps(state, sort_keys=True, separators=(",", ":"))

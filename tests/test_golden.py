@@ -13,7 +13,7 @@ from engram.harness import StreamSpec, generate_stream, stream_run
 from engram.model import StoreConfig
 from engram.store import MemoryStore
 
-from oracles import as_v1
+from oracles import as_v1, thin_tombstones
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT_V1 = DATA / "snapshot_v1.json"
@@ -118,9 +118,10 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch, capsys):
 
 
 # `stream_run` checkpoint fingerprints of the v1 rendering of each
-# checkpoint's snapshot, recorded before records became frozen values: the
-# transaction copy and the v2 writer must not change what any checkpoint
-# holds.
+# checkpoint's snapshot with its tombstones thinned to existence metadata:
+# the transaction copy, the v2 writer and the tombstone constructor must not
+# change what any checkpoint holds. The fields thinning drops are the ones
+# no engine path reads once a record is a tombstone.
 STREAM_FINGERPRINTS = DATA / "stream_fingerprints.json"
 STREAM_PIN_SPEC = StreamSpec(sessions=8, events_per_session=40,
                              planted_violations=6)
@@ -133,9 +134,9 @@ STREAM_PIN_RUNS = {
 
 def stream_fingerprints() -> dict[str, list[str]]:
     """For seeds 0 and 1 in every pinned mode, the sha256 of the v1
-    rendering of each checkpoint's snapshot, read by a spy on
-    `MemoryStore.snapshot_json`; each checkpoint's `state_fingerprint` must
-    be the sha256 of the v2 text itself. `python tests/test_golden.py`
+    rendering of each checkpoint's snapshot with thinned tombstones, read by
+    a spy on `MemoryStore.snapshot_json`; each checkpoint's
+    `state_fingerprint` must be the sha256 of the v2 text itself. `python tests/test_golden.py`
     rewrites the data file from them."""
     out = {}
     seen: list[tuple[str, str]] = []  # (v2 hash, v1 hash) per snapshot
@@ -143,7 +144,7 @@ def stream_fingerprints() -> dict[str, list[str]]:
 
     def spy(store):
         text = real(store)
-        seen.append((sha256(text), sha256(as_v1(text))))
+        seen.append((sha256(text), sha256(as_v1(thin_tombstones(text)))))
         return text
 
     MemoryStore.snapshot_json = spy
