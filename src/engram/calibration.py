@@ -289,12 +289,3 @@ def generate_corpus(topics: Optional[Sequence[str]] = None,
     return CalibrationCorpus(sessions=out,
                              provenance=f"template-generator seed={seed}")
 
-
-def apply_profile(config_dict: dict[str, Any],
-                  profile: CalibrationProfile) -> dict[str, Any]:
-    """StoreConfig overrides from a profile."""
-    out = dict(config_dict)
-    out["near_dedup_threshold"] = profile.near_dedup_threshold
-    out["cluster_distance"] = profile.cluster_distance
-    out["interference_threshold"] = profile.interference_threshold
-    return out

@@ -34,10 +34,6 @@ def _load_store(path: str) -> MemoryStore:
     return MemoryStore(StoreConfig())
 
 
-def _save_store(store: MemoryStore, path: str) -> None:
-    store.save_snapshot(path)
-
-
 def _now(args, store: MemoryStore) -> datetime:
     if getattr(args, "now", None):
         return utc(args.now)
@@ -51,7 +47,7 @@ def cmd_ingest(args) -> int:
     store = _load_store(args.store)
     with open(args.file, encoding="utf-8") as fh:
         records = store.ingest_jsonl(fh)
-    _save_store(store, args.store)
+    store.save_snapshot(args.store)
     print(json.dumps({"ingested": len(records)}))
     return 0
 
@@ -94,7 +90,7 @@ def cmd_consolidate(args) -> int:
     report = run_consolidation(store, _now(args, store), mode=args.mode)
     if args.budget is not None:
         run_forgetting(store, _now(args, store), budget=args.budget)
-    _save_store(store, args.store)
+    store.save_snapshot(args.store)
     print(json.dumps(report.to_dict(), sort_keys=True))
     _append_ledger(args.ledger, report.to_dict())
     return 0 if report.accounting_holds() else 1
@@ -103,7 +99,7 @@ def cmd_consolidate(args) -> int:
 def cmd_forget(args) -> int:
     store = _load_store(args.store)
     report = run_forgetting(store, _now(args, store), budget=args.budget)
-    _save_store(store, args.store)
+    store.save_snapshot(args.store)
     print(json.dumps(encode(report), sort_keys=True))
     _append_ledger(args.ledger, encode(report))
     return 0
@@ -141,7 +137,7 @@ def cmd_snapshot(args) -> int:
 
 def cmd_load(args) -> int:
     store = MemoryStore.load_snapshot(args.file)
-    _save_store(store, args.store)
+    store.save_snapshot(args.store)
     print(json.dumps({"loaded_records": len(store.records)}))
     return 0
 

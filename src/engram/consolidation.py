@@ -37,10 +37,8 @@ from .model import (
     STATE_PENDING,
     STATE_PROMOTED,
     STATE_RETAINED,
-    STATE_TOMBSTONE,
     TIER_WARM,
     EpisodicRecord,
-    FidelityLevel,
     MemoryEvent,
     StoreConfig,
     hours_between,
@@ -476,7 +474,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 elif b == "prune":
                     pruned = replace(rec, state=STATE_RETAINED, tier=TIER_WARM,
                                      ttl_expires_at=warm_ttl)
-                    store.replace(forgetting.degrade(pruned, now))
+                    store.replace(forgetting.degrade(pruned))
                     report.pruned += 1
                 else:
                     store.replace(replace(rec, state=STATE_RETAINED,
@@ -485,9 +483,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
             # merged cluster members fold into their gist: counted promoted,
             # episodic copies become tombstones
             for rec_id in sorted(merged_member_ids):
-                rec = store.records[rec_id]
-                store.replace(replace(rec.with_content(""), state=STATE_TOMBSTONE,
-                                      fidelity=FidelityLevel.L5))
+                store.replace(forgetting.tombstone(store.records[rec_id]))
                 report.promoted += 1
 
             for draft in gist_drafts:

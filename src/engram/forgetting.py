@@ -2,8 +2,13 @@
 ladder, and adaptive forgetting down to a token budget.
 
 Forgetting never hard-deletes: records walk the fidelity ladder one level
-per step and end as tombstones that keep only existence metadata. The
-semantic copy of a promoted record survives episodic TTL expiry.
+per step and end as tombstones that keep only existence metadata. Every
+tombstone is built by `tombstone`: it keeps the id, the event's timestamp,
+session, actor, kind, metadata and causes, `encoded_at`, `last_accessed`,
+`ttl_expires_at`, `tier`, `importance`, `access_count` and `source_ids`;
+the content, `entities` and `score_breakdown` are emptied and the embedding
+is all zeros. The semantic copy of a promoted record survives episodic TTL
+expiry.
 
 A sleep ranks the forget candidates once (`rank_forget_candidates`): the
 interference step and the budget walk share that ranking, which is taken
@@ -70,9 +75,7 @@ def apply_ttl(store: MemoryStore, now: datetime) -> list[str]:
         if rec.state == STATE_TOMBSTONE:
             continue
         if now > rec.ttl_expires_at:
-            store.replace(replace(rec.with_content(""),
-                                  state=STATE_TOMBSTONE,
-                                  fidelity=FidelityLevel.L5))
+            store.replace(tombstone(rec))
             expired.append(rec.id)
     return expired
 
@@ -111,7 +114,7 @@ def rank_forget_candidates(store: MemoryStore, now: datetime
     / (decayed + EPSILON)`, where `others` are its `MemoryStore.near`
     candidates in `store.records` order. `interference` decides each
     candidate with `np.dot` and sums in that order, so the priority equals
-    the one over `store.active_records()` bit for bit."""
+    the one over every live record in `store.records` order bit for bit."""
     config = store.config
     position: dict[str, int] = {}
     eligible: list[EpisodicRecord] = []
@@ -136,17 +139,34 @@ def rank_forget_candidates(store: MemoryStore, now: datetime
 _SENTENCE_END_RE = re.compile(r"[.!?\n]")
 
 
-def degrade(record: EpisodicRecord, now: datetime) -> EpisodicRecord:
+def tombstone(record: EpisodicRecord) -> EpisodicRecord:
+    """`record` as a tombstone: fidelity L5 and state tombstone, with no
+    content, entities or score breakdown and an all-zero embedding of the
+    same length. Every other field is kept; `source_ids` lets an id absorbed
+    by dedup still be traced. No engine path reads what is dropped: the
+    embedding index and `near` skip tombstones, and lability,
+    reconsolidation and reinforcement refuse them."""
+    return replace(record, event=replace(record.event, content=""),
+                   embedding=np.zeros(len(record.embedding)), entities=(),
+                   score_breakdown={}, fidelity=FidelityLevel.L5,
+                   state=STATE_TOMBSTONE)
+
+
+def degrade(record: EpisodicRecord) -> EpisodicRecord:
     """Advance a record exactly one fidelity level.
 
     L1/L2 keep a prefix sized by the level's retained token fraction; L3
     keeps the first sentence plus entity names; L4 keeps only the event kind
-    and entity names; L5 is the empty-content tombstone (id, timestamps and
-    metadata preserved).
+    and entity names; L5 is `tombstone(record)`, which keeps only existence
+    metadata: the id, the event's timestamp, session, actor, kind, metadata
+    and causes, the record's times, tier, importance, access count and
+    `source_ids`.
     """
     if record.fidelity >= FidelityLevel.L5:
         raise AlreadyTombstone(record.id)
     nxt = record.fidelity.next_level()
+    if nxt == FidelityLevel.L5:
+        return tombstone(record)
     content = record.content
     entity_part = ", ".join(record.entities)
     if nxt in (FidelityLevel.L1, FidelityLevel.L2):
@@ -157,13 +177,10 @@ def degrade(record: EpisodicRecord, now: datetime) -> EpisodicRecord:
         m = _SENTENCE_END_RE.search(content)
         first = content[:m.start() + 1] if m else content
         content = (first + (" " + entity_part if entity_part else "")).strip()
-    elif nxt == FidelityLevel.L4:
+    else:  # L4
         content = (record.event.kind + (": " + entity_part if entity_part else ""))
-    else:  # L5 tombstone
-        content = ""
-    state = STATE_TOMBSTONE if nxt == FidelityLevel.L5 else record.state
     return replace(record, event=replace(record.event, content=content),
-                   fidelity=nxt, state=state)
+                   fidelity=nxt)
 
 
 def degradation_due(record: EpisodicRecord, now: datetime,
@@ -199,7 +216,7 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int, now: datetime,
         for _prio, _dec, rec in ranked:
             current = store.records[rec.id]
             while tokens > budget_tokens and current.state != STATE_TOMBSTONE:
-                updated = degrade(current, now)
+                updated = degrade(current)
                 store.replace(updated)
                 tokens -= estimate_tokens(current.content) - estimate_tokens(updated.content)
                 report.budget_steps += 1
@@ -241,7 +258,7 @@ def run_forgetting(store: MemoryStore, now: datetime,
                 if current.event.metadata.get("error_signal") == "true":
                     continue
                 if degradation_due(current, now, config):
-                    updated = degrade(current, now)
+                    updated = degrade(current)
                     store.replace(updated)
                     report.interference_degraded += 1
                     tombstoned = tombstoned or updated.state == STATE_TOMBSTONE

@@ -358,13 +358,3 @@ def report(metrics: RunMetrics, fmt: str = "json") -> str:
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def sweep_report(rows: Sequence[dict[str, Any]], fmt: str = "json") -> str:
-    if fmt == "json":
-        return json.dumps(list(rows), sort_keys=True, indent=2)
-    lines = ["budget  tokens  active  substantive_kept"]
-    for r in rows:
-        lines.append(f"{r['budget']:>6}  {r['final_tokens']:>6}  "
-                     f"{r['final_active']:>6}  "
-                     f"{r['retained_substantive_fraction']:.4f}")
-    return "\n".join(lines)

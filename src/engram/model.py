@@ -85,7 +85,7 @@ class ReadOnlyDict(dict):
 
     __slots__ = ()
 
-    def _refuse(self, *args, **kwargs):
+    def _refuse(self, *_args, **_kwargs):
         raise TypeError(f"{type(self).__name__} is read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
@@ -175,7 +175,7 @@ class EpisodicRecord:
 @dataclass
 class StoreConfig:
     """All tunables in one place; thresholds default to the shipped
-    calibration values, overridable from a CalibrationProfile."""
+    calibration values."""
 
     lambda_decay: float = 0.001            # per hour
     near_dedup_threshold: float = 0.559

@@ -498,9 +498,6 @@ class MemoryStore:
                 out[i].append(self.records[index.keys[j]])
             return out
 
-    def active_records(self) -> list[EpisodicRecord]:
-        return [r for r in self.records.values() if r.state != STATE_TOMBSTONE]
-
     def active_count(self) -> int:
         return self.records.live
 

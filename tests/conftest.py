@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import settings
 
-from engram.codec import decode, encode
+from engram.codec import decode, dumps, encode
 from engram.embedding import HashEmbedder
-from engram.model import EpisodicRecord, MemoryEvent, StoreConfig
+from engram.model import (
+    STATE_TOMBSTONE,
+    EpisodicRecord,
+    FidelityLevel,
+    MemoryEvent,
+    StoreConfig,
+)
 from engram.store import MemoryStore
 
 T0 = datetime(2026, 1, 5, tzinfo=timezone.utc)
@@ -69,3 +76,25 @@ def roundtrip(tp, value):
     again = decode(tp, json.loads(json.dumps(data)))
     assert encode(again) == data
     return again
+
+
+# the record fields a tombstone keeps besides its event
+TOMBSTONE_KEEPS = ("encoded_at", "last_accessed", "ttl_expires_at", "tier",
+                   "importance", "access_count", "source_ids")
+
+
+def assert_tombstone_of(store, before):
+    """The stored record of `before.id` is `before` as a tombstone that
+    keeps only existence metadata: no content, entities or score breakdown,
+    an all-zero embedding, fidelity L5; `before`'s event but for the content
+    and its `TOMBSTONE_KEEPS` fields. The snapshot holds that record's
+    text."""
+    tomb = store.records[before.id]
+    assert (tomb.state, tomb.fidelity, tomb.content, tomb.entities,
+            dict(tomb.score_breakdown)) == (STATE_TOMBSTONE, FidelityLevel.L5, "", (), {})
+    assert tomb.event == replace(before.event, content="")
+    assert [getattr(tomb, f) for f in TOMBSTONE_KEEPS] == \
+        [getattr(before, f) for f in TOMBSTONE_KEEPS]
+    text = dumps(tomb)
+    assert '"embedding":{"i":[],"n":256,"v":[]}' in text
+    assert text in store.snapshot_json()

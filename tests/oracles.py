@@ -30,6 +30,12 @@ from engram.model import (
 from engram.retrieval import Hit, _rank_key
 
 
+def live_records(store):
+    """Every stored record that is not a tombstone, in `store.records`
+    order."""
+    return [r for r in store.records.values() if r.state != STATE_TOMBSTONE]
+
+
 def whole_store_dedup(store, batch, threshold):
     """Step 4 of `run_consolidation` over every stored retained or promoted
     record plus the batch, in `survivor_order`. First each pending record
@@ -66,7 +72,7 @@ def forget_priority(store, rec, now):
     """Criterion 3's interference of `rec` over the live records, divided by
     its decayed importance: the priority `rank_forget_candidates` ranks by."""
     config = store.config
-    assessed = interference(rec, store.active_records(), config.interference_threshold,
+    assessed = interference(rec, live_records(store), config.interference_threshold,
                             config.retro_weight, config.pro_weight)
     decayed = decayed_importance(rec.importance, rec.encoded_at, now, config.lambda_decay)
     return assessed.interference / (decayed + EPSILON), decayed

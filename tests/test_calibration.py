@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from engram.calibration import (
     CalibrationCorpus,
     Turn,
-    apply_profile,
     derive_profile,
     derive_thresholds,
     derive_weights,
@@ -16,7 +15,6 @@ from engram.calibration import (
     roc_auc,
     similarity_distributions,
 )
-from engram.codec import decode, encode
 from engram.embedding import HashEmbedder
 from engram.errors import DegenerateLabels, InsufficientSamples
 from engram.model import StoreConfig
@@ -192,14 +190,3 @@ def test_corpus_jsonl_roundtrip():
     again = CalibrationCorpus.from_jsonl(corpus.to_jsonl())
     assert again.fingerprint() == corpus.fingerprint()
 
-
-def test_apply_profile_overrides_thresholds():
-    profile = derive_profile(generate_corpus(seed=0), EMB)
-    base = encode(StoreConfig())
-    merged = apply_profile(base, profile)
-    config = decode(StoreConfig, merged)
-    assert config.near_dedup_threshold == profile.near_dedup_threshold
-    assert config.cluster_distance == profile.cluster_distance
-    assert config.interference_threshold == profile.interference_threshold
-    # untouched keys keep their defaults
-    assert config.lambda_decay == 0.001

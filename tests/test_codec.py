@@ -219,5 +219,5 @@ def test_a_tombstone_text_drops_its_content(store):
     assert text == json.dumps(store.state_dict(), sort_keys=True, separators=(",", ":"))
     last = replace(store.records["b"], fidelity=FidelityLevel.L4)
     dumps(last)
-    tomb = degrade(last, T0 + hours(40))
+    tomb = degrade(last)
     assert tomb.content == "" and "a later note" not in dumps(tomb)

@@ -38,7 +38,7 @@ from engram.model import (
 from engram.retrieval import open_lability, reconsolidate
 from engram.store import MemoryStore
 
-from conftest import T0, hours, make_event, make_record, minutes
+from conftest import T0, assert_tombstone_of, hours, make_event, make_record, minutes
 from oracles import cluster_reference
 
 EMB = HashEmbedder(256, 0)
@@ -491,7 +491,7 @@ def test_dedup_finds_a_degraded_stored_record_by_its_content(store):
     full = "supercalifragilisticexpialidocious antidisestablishmentarianism x1 x2 x3 x4"
     stored = replace(make_record(store.embedder, "orig", full, ts=T0),
                      state=STATE_RETAINED, tier=TIER_WARM)
-    store.records["orig"] = stored = degrade(stored, T0 + hours(1))
+    store.records["orig"] = stored = degrade(stored)
     assert stored.fidelity == FidelityLevel.L1 and stored.content != full
     copy = store.ingest(make_event("copy", ts=T0 + hours(2), content=stored.content))
     assert float(np.dot(copy.embedding, stored.embedding)) < store.config.near_dedup_threshold
@@ -570,6 +570,30 @@ def test_mode_aggressive_merges_clusters(store):
     merged = [m for m in store.graph.memories.values()
               if m.source_ids >= {"c1", "c2"}]
     assert len(merged) == 1
+
+
+def test_merged_cluster_members_become_tombstones_of_existence_metadata(monkeypatch):
+    # at the shipped cluster_distance, 0.404, a pair close enough to merge is
+    # already a near duplicate; at 0.8 the pair below merges
+    store = MemoryStore(StoreConfig(cluster_distance=0.8))
+    _ingest(store, [
+        make_event("c1", ts=T0, content="Alice shipped the Kestrel release notes"),
+        make_event("c2", ts=T0 + minutes(1), content="Bob reviewed the Kestrel deploy plan"),
+    ])
+    scored = {}
+    write = store.replace
+
+    def spy(record):
+        if record.state != STATE_TOMBSTONE:
+            scored[record.id] = record
+        write(record)
+
+    monkeypatch.setattr(store, "replace", spy)
+    report = run_consolidation(store, T0 + hours(1), mode=MODE_AGGRESSIVE)
+    assert report.clusters_formed == 1 and report.near_dups_removed == 0
+    for rid in ("c1", "c2"):
+        assert scored[rid].entities and scored[rid].score_breakdown
+        assert_tombstone_of(store, scored[rid])
 
 
 def test_run_consolidation_rolls_back_on_failure(store):

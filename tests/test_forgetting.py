@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from engram.model import (
 )
 from engram.store import MemoryStore
 
-from conftest import T0, hours, make_event, make_record, minutes
+from conftest import T0, assert_tombstone_of, hours, make_event, make_record, minutes
 
 EMB = HashEmbedder(256, 0)
 
@@ -109,6 +111,16 @@ def test_apply_ttl_tombstones_expired(store):
     assert store.records["new"].state != STATE_TOMBSTONE
 
 
+def test_apply_ttl_leaves_a_tombstone_of_existence_metadata(store):
+    store.ingest(make_event("p", ts=T0, metadata={"outcome": "success"},
+                            content="Alice closed the Meridian incident"))
+    run_consolidation(store, T0 + hours(1))
+    before = store.records["p"]
+    assert before.entities and before.score_breakdown
+    assert apply_ttl(store, before.ttl_expires_at + minutes(1)) == ["p"]
+    assert_tombstone_of(store, before)
+
+
 def test_apply_ttl_expires_promoted_episodic_copy_keeps_gist(store):
     store.ingest(make_event("p", ts=T0, metadata={"outcome": "success"},
                             content="Alice closed the Meridian incident"))
@@ -134,30 +146,40 @@ def test_degrade_walks_ladder():
                          entities=("Alice",))
     tokens0 = estimate_tokens(rec.content)
 
-    l1 = degrade(rec, T0)
+    l1 = degrade(rec)
     assert l1.fidelity == FidelityLevel.L1
     assert estimate_tokens(l1.content) <= int(tokens0 * 0.75) + 1
     assert content.startswith(l1.content)
 
-    l2 = degrade(l1, T0)
+    l2 = degrade(l1)
     assert l2.fidelity == FidelityLevel.L2
 
-    l3 = degrade(l2, T0)
+    l3 = degrade(l2)
     assert l3.fidelity == FidelityLevel.L3
     assert "Alice" in l3.content  # first sentence + entities
 
-    l4 = degrade(l3, T0)
+    l4 = degrade(l3)
     assert l4.fidelity == FidelityLevel.L4
     assert l4.content == "comment: Alice"
 
-    l5 = degrade(l4, T0)
+    l5 = degrade(l4)
     assert l5.fidelity == FidelityLevel.L5
     assert l5.content == ""
     assert l5.state == STATE_TOMBSTONE
     assert l5.id == rec.id  # existence metadata preserved
 
     with pytest.raises(AlreadyTombstone):
-        degrade(l5, T0)
+        degrade(l5)
+
+
+def test_degrade_from_l4_leaves_a_tombstone_of_existence_metadata(store):
+    rec = make_record(EMB, "d", "Alice met Bob about Meridian", ts=T0,
+                      metadata={"outcome": "success"}, causes=("c",))
+    before = replace(rec, fidelity=FidelityLevel.L4, state=STATE_RETAINED,
+                     entities=("Alice", "Bob"), score_breakdown={"surprise": 0.4},
+                     access_count=2, source_ids=("d", "d2"))
+    store.records["d"] = degrade(before)
+    assert_tombstone_of(store, before)
 
 
 def test_degradation_due_requires_age_and_low_importance():

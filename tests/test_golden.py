@@ -136,7 +136,8 @@ def stream_fingerprints() -> dict[str, list[str]]:
     """For seeds 0 and 1 in every pinned mode, the sha256 of the v1
     rendering of each checkpoint's snapshot with thinned tombstones, read by
     a spy on `MemoryStore.snapshot_json`; each checkpoint's
-    `state_fingerprint` must be the sha256 of the v2 text itself. `python tests/test_golden.py`
+    `state_fingerprint` must be the sha256 of the v2 text itself, and the
+    engine's tombstones must already be thin. `python tests/test_golden.py`
     rewrites the data file from them."""
     out = {}
     seen: list[tuple[str, str]] = []  # (v2 hash, v1 hash) per snapshot
@@ -144,6 +145,7 @@ def stream_fingerprints() -> dict[str, list[str]]:
 
     def spy(store):
         text = real(store)
+        assert thin_tombstones(text) == text
         seen.append((sha256(text), sha256(as_v1(thin_tombstones(text)))))
         return text
 

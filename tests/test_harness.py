@@ -13,6 +13,8 @@ from engram.harness import (
 )
 from engram.model import StoreConfig
 
+from oracles import live_records
+
 
 def test_generate_stream_deterministic():
     spec = StreamSpec(sessions=4, events_per_session=10)
@@ -88,7 +90,7 @@ def test_quarantined_violations_never_admitted():
     store = holder["store"]
     planted = {eid for eid, gt in m.ground_truth.items()
                if gt.planted_violation}
-    active = {r.id for r in store.active_records()}
+    active = {r.id for r in live_records(store)}
     assert planted.isdisjoint(active)
 
 
@@ -121,9 +123,3 @@ def test_report_formats():
     with pytest.raises(ValueError):
         harness.report(metrics, fmt="xml")
 
-
-def test_sweep_report_text():
-    m = generate_stream(StreamSpec(sessions=3, events_per_session=10), seed=0)
-    rows = budget_sweep(m, StoreConfig(), budgets=[200])
-    text = harness.sweep_report(rows, fmt="text")
-    assert "budget" in text and "200" in text

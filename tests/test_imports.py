@@ -1,8 +1,13 @@
-"""Every imported name in `src/` and `tests/` is used.
+"""Every imported name in `src/` and `tests/` is used, and every parameter
+of a function in `src/` is read.
 
-A stdlib stand-in for a linter's unused-import rule. A name counts as used
-when the module reads it anywhere (a quoted annotation included) or lists it
-in `__all__`. `from __future__` imports are directives, not names."""
+Stdlib stand-ins for a linter's unused-import and unused-argument rules. A
+name counts as used when the module reads it anywhere (a quoted annotation
+included) or lists it in `__all__`. `from __future__` imports are
+directives, not names. A parameter of a `def` counts as read when the
+body, a nested function included, loads its name; `self`, `cls` and names
+that start with `_` are exempt, so a signature fixed from outside (a
+protocol method, a callback) marks what it ignores with `_`."""
 
 from __future__ import annotations
 
@@ -59,6 +64,24 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
                   if name not in used)
 
 
+def unused_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) for each parameter of a `def`, not
+    exempt, that the body never reads."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused.extend((node.lineno, node.name, p.arg)
+                      for p in params
+                      if p is not None and p.arg not in ("self", "cls")
+                      and not p.arg.startswith("_") and p.arg not in read)
+    return sorted(unused)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -74,3 +97,16 @@ def test_the_check_sees_what_it_should():
         "def f(x: 'MemoryStore') -> Optional[int]:\n"
         "    return os.sep\n")
     assert unused_imports(source) == [(2, "j")]
+    source = (
+        "class C:\n"
+        "    def m(self, a, _b, *args, c=1, **kw):\n"
+        "        def inner(d):\n"
+        "            return a + d\n"
+        "        return sorted(kw, key=lambda e: inner(0))\n")
+    assert unused_parameters(source) == [(2, "m", "args"), (2, "m", "c")]
+
+
+def test_no_unused_parameters_in_src():
+    found = {str(path.relative_to(ROOT)): unused_parameters(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.is_relative_to(ROOT / "src")}
+    assert {path: unused for path, unused in found.items() if unused} == {}

@@ -25,9 +25,10 @@ from hypothesis.stateful import (
 )
 
 from engram import forgetting
+from engram.codec import encode
 from engram.consolidation import MODES, run_consolidation
 from engram.embedding import HashEmbedder
-from engram.forgetting import rank_forget_candidates, run_forgetting
+from engram.forgetting import rank_forget_candidates, run_forgetting, tombstone
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
@@ -36,7 +37,6 @@ from engram.model import (
     TIER_HOT,
     TIER_WARM,
     EpisodicRecord,
-    FidelityLevel,
     StoreConfig,
     estimate_tokens,
 )
@@ -49,7 +49,7 @@ from engram.scoring import frequency_factor
 from engram.store import MemoryStore, dot_error_bound
 
 from conftest import T0, hours, make_event, minutes
-from oracles import scan_oracle
+from oracles import live_records, scan_oracle
 
 VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
 SESSIONS = ["s0", "s1", "s2"]
@@ -102,7 +102,7 @@ def assert_near_complete(store, records, threshold):
     float64 `np.dot` with it reaches `threshold`, and nothing from outside
     the pool. The pool is the live records, or those in the states plus
     `records`."""
-    live = store.active_records()
+    live = live_records(store)
     query_ids = {r.id for r in records}
     for states in (None, KEPT):
         pool = [r for r in live
@@ -152,8 +152,9 @@ class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
     drawn query, the index-backed scan equals `scan_oracle`; after every
     step, `snapshot_json` equals the canonical dump of `state_dict`, the
-    running live count and token total equal their full sums, and every id
-    once promoted is still stored, promoted or a tombstone. A
+    running live count and token total equal their full sums, every id
+    once promoted is still stored, promoted or a tombstone, and every
+    tombstone is in the form `forgetting.tombstone` builds. A
     forgetting run meets its budget whenever the records it may not touch
     fit in it."""
 
@@ -165,7 +166,7 @@ class IndexMachine(RuleBasedStateMachine):
         self.promoted: set[str] = set()
 
     def live_ids(self):
-        return sorted(r.id for r in self.store.active_records())
+        return sorted(r.id for r in live_records(self.store))
 
     @rule(content=words, session=st.sampled_from(SESSIONS),
           step=st.integers(0, 90), late=st.booleans(), inverted=st.booleans())
@@ -222,13 +223,13 @@ class IndexMachine(RuleBasedStateMachine):
                                     and after.state == STATE_TOMBSTONE)
         # the budget holds whenever the records the walk may not touch,
         # promoted and labile, fit in it
-        fixed = sum(estimate_tokens(r.content) for r in store.active_records()
+        fixed = sum(estimate_tokens(r.content) for r in live_records(store)
                     if r.state == STATE_PROMOTED or store.is_labile(r.id, self.clock))
         if budget is not None and fixed <= budget:
             assert report.tokens_after <= budget
             assert report.tokens_after == store.active_tokens()
 
-    @precondition(lambda self: self.store.active_records())
+    @precondition(lambda self: live_records(self.store))
     @rule(data=st.data(), content=words,
           confidence=st.floats(0.0, 1.0, allow_nan=False))
     def relearn(self, data, content, confidence):
@@ -252,13 +253,14 @@ class IndexMachine(RuleBasedStateMachine):
         elif change == "importance":
             new = replace(rec, importance=data.draw(st.floats(-1.0, 1.0)))
         elif change == "embedding":
+            if rec.state == STATE_TOMBSTONE:
+                return  # a tombstone has no embedding to rewrite
             new = replace(rec, embedding=EMB.embed(data.draw(words)))
         elif change == "session":
             session = data.draw(st.sampled_from(SESSIONS))
             new = replace(rec, event=replace(rec.event, session_id=session))
         else:
-            new = replace(rec.with_content(""), state=STATE_TOMBSTONE,
-                          fidelity=FidelityLevel.L5)
+            new = tombstone(rec)
         records[rid] = new
 
     @rule(mode=st.sampled_from(MODES), nth=st.integers(1, 4))
@@ -319,10 +321,17 @@ class IndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def totals_are_the_full_sums(self):
-        live = self.store.active_records()
+        live = live_records(self.store)
         assert self.store.active_count() == len(live)
         assert self.store.active_tokens() == sum(estimate_tokens(r.content)
                                                  for r in live)
+
+    @invariant()
+    def tombstones_hold_existence_metadata_only(self):
+        # records are `eq=False` values: compare their encodings
+        for rec in self.store.records.values():
+            if rec.state == STATE_TOMBSTONE:
+                assert encode(tombstone(rec)) == encode(rec)
 
     @invariant()
     def snapshot_is_the_canonical_state(self):
@@ -347,7 +356,7 @@ class IndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def near_is_complete(self):
-        assert_near_complete(self.store, self.store.active_records(),
+        assert_near_complete(self.store, live_records(self.store),
                              self.store.config.interference_threshold)
 
 

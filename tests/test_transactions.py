@@ -16,6 +16,8 @@ from engram.harness import StreamSpec, generate_stream
 from engram.model import StoreConfig
 from engram.store import MemoryStore
 
+from oracles import live_records
+
 
 class Injected(RuntimeError):
     pass
@@ -125,7 +127,7 @@ def test_lability_and_feedback_write_under_the_lock(monkeypatch):
     monkeypatch.setattr(store, "replace", recording(store.replace))
     monkeypatch.setattr(store.graph, "replace_memory",
                         recording(store.graph.replace_memory))
-    rec_id = min(store.active_records(), key=lambda r: r.id).id
+    rec_id = min(live_records(store), key=lambda r: r.id).id
     mem_id = min(store.graph.memories)
     for memory_id in (rec_id, mem_id):
         handle = retrieval.open_lability(store, memory_id, now)
