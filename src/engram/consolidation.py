@@ -3,8 +3,8 @@
 Order of stages per batch: temporal validation -> scoring -> classification
 -> exact dedup -> near dedup -> (aggressive only: cluster + merge) -> gist
 -> promotion. Pruned records enter graceful degradation rather than being
-hard-deleted. The whole batch is transactional: on any stage failure the
-store is restored to its pre-batch state.
+hard-deleted. The whole batch runs in one `MemoryStore.transaction()`: on
+any stage failure the store is restored to its pre-batch state.
 
 Dedup runs `exact_dedup`, then `near_dedup`, over a pool: the batch, the
 stored retained and promoted records that step 2's `MemoryStore.near` found
@@ -359,139 +359,134 @@ def run_consolidation(store: MemoryStore, now: datetime,
         raise ValueError(f"unknown consolidation mode {mode!r}")
     config = store.config
     warm_ttl = now + timedelta(hours=config.warm_ttl_hours)
-    with store.lock:
-        chk = store._checkpoint()
-        try:
-            report = ConsolidationReport(batch_id=store.next_batch_id())
-            report.store_size_before = store.active_count()
-            report.tokens_before = store.active_tokens()
+    with store.transaction():
+        report = ConsolidationReport(batch_id=store.next_batch_id())
+        report.store_size_before = store.active_count()
+        report.tokens_before = store.active_tokens()
 
-            # 1. quarantine re-validation, then temporal validation in
-            # arrival order
-            readmitted = _revalidate_quarantine(store, now, report)
-            for event in readmitted:
-                store.readmit(event)
-            pending = [r for r in store.records.values()
-                       if r.state == STATE_PENDING]
-            fresh_events = [r.event for r in pending
-                            if r.id not in store.admitted_ids]
-            report.input_count = len(fresh_events) + len(readmitted)
-            admitted_events, anomalous, store.watermark = validate_temporal(
-                fresh_events, store.watermark, store.admitted_ids,
-                config.skew_tolerance_min)
-            for event, reason in anomalous:
-                store.quarantine_event(event, reason, now)
-            report.quarantined = len(anomalous)
+        # 1. quarantine re-validation, then temporal validation in
+        # arrival order
+        readmitted = _revalidate_quarantine(store, now, report)
+        for event in readmitted:
+            store.readmit(event)
+        pending = [r for r in store.records.values()
+                   if r.state == STATE_PENDING]
+        fresh_events = [r.event for r in pending
+                        if r.id not in store.admitted_ids]
+        report.input_count = len(fresh_events) + len(readmitted)
+        admitted_events, anomalous, store.watermark = validate_temporal(
+            fresh_events, store.watermark, store.admitted_ids,
+            config.skew_tolerance_min)
+        for event, reason in anomalous:
+            store.quarantine_event(event, reason, now)
+        report.quarantined = len(anomalous)
 
-            batch = [store.records[e.id] for e in admitted_events]
-            batch.extend(store.records[e.id] for e in readmitted)
-            batch.sort(key=lambda r: (r.event.timestamp, r.id))
+        batch = [store.records[e.id] for e in admitted_events]
+        batch.extend(store.records[e.id] for e in readmitted)
+        batch.sort(key=lambda r: (r.event.timestamp, r.id))
 
-            if mode == MODE_NONE:
-                # keep-everything baseline: admit and retain, nothing else
-                for rec in batch:
-                    store.replace(replace(rec, state=STATE_RETAINED,
-                                          tier=TIER_WARM,
-                                          ttl_expires_at=warm_ttl))
-                report.retained = len(batch)
-                report.store_size_after = store.active_count()
-                report.tokens_after = store.active_tokens()
-                return report
-
-            # 2. scoring (running-centroid surprise prior, single writer);
-            # the frequency factor counts the stored retained and promoted
-            # records and the batch records before each record; step 4
-            # dedups against the same candidates
-            near = store.near(batch, config.near_dedup_threshold,
-                              (STATE_RETAINED, STATE_PROMOTED))
-            for rec, candidates in zip(batch, near):
-                earlier = [o for o in candidates
-                           if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
-                composite, breakdown = score_record(
-                    rec, now, earlier, store.centroid(), store.graph, config,
-                    weights)
-                rec = replace(rec, importance=composite, score_breakdown=breakdown)
-                store.replace(rec)
-                store.add_to_centroid(rec.embedding)
-            batch = [store.records[r.id] for r in batch]
-
-            # 3. classification (before dedup, per pipeline order)
-            bucket: dict[str, str] = {}
-            if batch:
-                cls = classify(batch, config.promote_fraction, config.prune_fraction)
-                for r in cls.promote:
-                    bucket[r.id] = "promote"
-                for r in cls.retain:
-                    bucket[r.id] = "retain"
-                for r in cls.prune:
-                    bucket[r.id] = "prune"
-
-            # 4. dedup: the batch, with the stored retained and promoted
-            # records step 2 found near it and the stored holders of a
-            # batch content (a degraded record keeps its old embedding, so
-            # it may be no near candidate); a stored record is never
-            # removed, so `removed_existing` stays 0
-            batch_ids = {r.id for r in batch}
-            contents = {r.content for r in batch}
-            stored = {o.id for candidates in near for o in candidates
-                      if o.id not in batch_ids}
-            stored.update(k for k, r in store.records.items()
-                          if r.state in (STATE_RETAINED, STATE_PROMOTED)
-                          and r.content in contents)
-            survivors, exact_removed = exact_dedup(
-                batch + [store.records[k] for k in stored])
-            survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
-            report.exact_dups_removed = len(exact_removed)
-            report.near_dups_removed = len(near_removed)
-            for rec in exact_removed + near_removed:
-                store.records.pop(rec.id)
-            for rec in survivors:
-                if rec is not store.records[rec.id]:
-                    store.replace(rec)
-            batch_survivors = [r for r in survivors if r.state == STATE_PENDING]
-
-            # 5. aggressive mode: cluster surviving batch and merge
-            merged_member_ids: set[str] = set()
-            gist_drafts: list[GistDraft] = []
-            if mode == MODE_AGGRESSIVE and batch_survivors:
-                groups = cluster(batch_survivors, config.cluster_distance)
-                report.clusters_formed = sum(1 for g in groups if len(g) > 1)
-                for group in groups:
-                    if len(group) > 1:
-                        gist_drafts.append(make_gist(group, config, summarizer))
-                        merged_member_ids.update(r.id for r in group)
-
-            # 6. apply classification / gists / promotion
-            for rec in batch_survivors:
-                if rec.id in merged_member_ids:
-                    continue
-                b = bucket.get(rec.id, "retain")
-                if b == "promote":
-                    gist_drafts.append(make_gist([rec], config, summarizer))
-                    store.replace(replace(rec, state=STATE_PROMOTED,
-                                          tier=TIER_WARM, ttl_expires_at=warm_ttl))
-                    report.promoted += 1
-                elif b == "prune":
-                    pruned = replace(rec, state=STATE_RETAINED, tier=TIER_WARM,
-                                     ttl_expires_at=warm_ttl)
-                    store.replace(forgetting.degrade(pruned))
-                    report.pruned += 1
-                else:
-                    store.replace(replace(rec, state=STATE_RETAINED,
-                                          tier=TIER_WARM, ttl_expires_at=warm_ttl))
-                    report.retained += 1
-            # merged cluster members fold into their gist: counted promoted,
-            # episodic copies become tombstones
-            for rec_id in sorted(merged_member_ids):
-                store.replace(forgetting.tombstone(store.records[rec_id]))
-                report.promoted += 1
-
-            for draft in gist_drafts:
-                promote(draft, store.graph, store.embedder, now)
-
+        if mode == MODE_NONE:
+            # keep-everything baseline: admit and retain, nothing else
+            for rec in batch:
+                store.replace(replace(rec, state=STATE_RETAINED,
+                                      tier=TIER_WARM,
+                                      ttl_expires_at=warm_ttl))
+            report.retained = len(batch)
             report.store_size_after = store.active_count()
             report.tokens_after = store.active_tokens()
             return report
-        except Exception:
-            store._restore(chk)
-            raise
+
+        # 2. scoring (running-centroid surprise prior, single writer);
+        # the frequency factor counts the stored retained and promoted
+        # records and the batch records before each record; step 4
+        # dedups against the same candidates
+        near = store.near(batch, config.near_dedup_threshold,
+                          (STATE_RETAINED, STATE_PROMOTED))
+        for rec, candidates in zip(batch, near):
+            earlier = [o for o in candidates
+                       if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
+            composite, breakdown = score_record(
+                rec, now, earlier, store.centroid(), store.graph, config,
+                weights)
+            rec = replace(rec, importance=composite, score_breakdown=breakdown)
+            store.replace(rec)
+            store.add_to_centroid(rec.embedding)
+        batch = [store.records[r.id] for r in batch]
+
+        # 3. classification (before dedup, per pipeline order)
+        bucket: dict[str, str] = {}
+        if batch:
+            cls = classify(batch, config.promote_fraction, config.prune_fraction)
+            for r in cls.promote:
+                bucket[r.id] = "promote"
+            for r in cls.retain:
+                bucket[r.id] = "retain"
+            for r in cls.prune:
+                bucket[r.id] = "prune"
+
+        # 4. dedup: the batch, with the stored retained and promoted
+        # records step 2 found near it and the stored holders of a
+        # batch content (a degraded record keeps its old embedding, so
+        # it may be no near candidate); a stored record is never
+        # removed, so `removed_existing` stays 0
+        batch_ids = {r.id for r in batch}
+        contents = {r.content for r in batch}
+        stored = {o.id for candidates in near for o in candidates
+                  if o.id not in batch_ids}
+        stored.update(k for k, r in store.records.items()
+                      if r.state in (STATE_RETAINED, STATE_PROMOTED)
+                      and r.content in contents)
+        survivors, exact_removed = exact_dedup(
+            batch + [store.records[k] for k in stored])
+        survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
+        report.exact_dups_removed = len(exact_removed)
+        report.near_dups_removed = len(near_removed)
+        for rec in exact_removed + near_removed:
+            store.records.pop(rec.id)
+        for rec in survivors:
+            if rec is not store.records[rec.id]:
+                store.replace(rec)
+        batch_survivors = [r for r in survivors if r.state == STATE_PENDING]
+
+        # 5. aggressive mode: cluster surviving batch and merge
+        merged_member_ids: set[str] = set()
+        gist_drafts: list[GistDraft] = []
+        if mode == MODE_AGGRESSIVE and batch_survivors:
+            groups = cluster(batch_survivors, config.cluster_distance)
+            report.clusters_formed = sum(1 for g in groups if len(g) > 1)
+            for group in groups:
+                if len(group) > 1:
+                    gist_drafts.append(make_gist(group, config, summarizer))
+                    merged_member_ids.update(r.id for r in group)
+
+        # 6. apply classification / gists / promotion
+        for rec in batch_survivors:
+            if rec.id in merged_member_ids:
+                continue
+            b = bucket.get(rec.id, "retain")
+            if b == "promote":
+                gist_drafts.append(make_gist([rec], config, summarizer))
+                store.replace(replace(rec, state=STATE_PROMOTED,
+                                      tier=TIER_WARM, ttl_expires_at=warm_ttl))
+                report.promoted += 1
+            elif b == "prune":
+                pruned = replace(rec, state=STATE_RETAINED, tier=TIER_WARM,
+                                 ttl_expires_at=warm_ttl)
+                store.replace(forgetting.degrade(pruned))
+                report.pruned += 1
+            else:
+                store.replace(replace(rec, state=STATE_RETAINED,
+                                      tier=TIER_WARM, ttl_expires_at=warm_ttl))
+                report.retained += 1
+        # merged cluster members fold into their gist: counted promoted,
+        # episodic copies become tombstones
+        for rec_id in sorted(merged_member_ids):
+            store.replace(forgetting.tombstone(store.records[rec_id]))
+            report.promoted += 1
+
+        for draft in gist_drafts:
+            promote(draft, store.graph, store.embedder, now)
+
+        report.store_size_after = store.active_count()
+        report.tokens_after = store.active_tokens()
+        return report

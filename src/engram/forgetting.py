@@ -7,20 +7,24 @@ tombstone is built by `tombstone`: it keeps the id, the event's timestamp,
 session, actor, kind, metadata and causes, `encoded_at`, `last_accessed`,
 `ttl_expires_at`, `tier`, `importance`, `access_count` and `source_ids`;
 the content, `entities` and `score_breakdown` are emptied and the embedding
-is all zeros. The semantic copy of a promoted record survives episodic TTL
-expiry.
+is a shared read-only vector of zeros. The semantic copy of a promoted
+record survives episodic TTL expiry.
 
 A sleep ranks the forget candidates once (`rank_forget_candidates`): the
 interference step and the budget walk share that ranking, which is taken
 again only when the interference step has made a tombstone. Each priority
 is criterion 3's `interference` over the candidates `MemoryStore.near`
 picks from the store's embedding index, so the formula has one
-implementation.
+implementation. `interference` sums with `math.fsum`, so a priority does
+not depend on the order of the candidates. The budget walk reads the
+store's own token total after each step.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -30,7 +34,8 @@ import numpy as np
 
 from .errors import AlreadyTombstone
 from .model import (
-    STATE_PROMOTED,
+    STATE_PENDING,
+    STATE_RETAINED,
     STATE_TOMBSTONE,
     EpisodicRecord,
     FidelityLevel,
@@ -86,9 +91,11 @@ def interference(memory: EpisodicRecord,
                  retro_weight: float = 0.6,
                  pro_weight: float = 0.4) -> InterferenceAssessment:
     """Sum of direction-weighted similarities over records similar above the
-    threshold; newer contributors (retroactive) weigh more than older ones."""
+    threshold; newer contributors (retroactive) weigh more than older ones.
+    The sum is `math.fsum`'s correctly rounded one, the same float for any
+    order of `others`."""
     contributors: list[tuple[str, str, float]] = []
-    total = 0.0
+    terms: list[float] = []
     for other in others:
         if other.id == memory.id:
             continue
@@ -100,33 +107,30 @@ def interference(memory: EpisodicRecord,
         else:
             direction, w = DIRECTION_PROACTIVE, pro_weight
         contributors.append((other.id, direction, sim))
-        total += w * sim
-    return InterferenceAssessment(memory_id=memory.id, interference=total,
+        terms.append(w * sim)
+    return InterferenceAssessment(memory_id=memory.id, interference=math.fsum(terms),
                                   contributors=contributors)
 
 
 def rank_forget_candidates(store: MemoryStore, now: datetime
                            ) -> list[tuple[float, float, EpisodicRecord]]:
-    """All eligible records (live, not promoted, not labile) ranked
+    """All eligible records (pending or retained, not labile) ranked
     most-forgettable first: (priority desc, decayed importance asc, id).
 
     A record's priority is `interference(rec, others, threshold).interference
     / (decayed + EPSILON)`, where `others` are its `MemoryStore.near`
-    candidates in `store.records` order. `interference` decides each
-    candidate with `np.dot` and sums in that order, so the priority equals
-    the one over every live record in `store.records` order bit for bit."""
+    candidates. `interference` decides each candidate with `np.dot`, so the
+    priority equals the one over every live record. The eligible records
+    are the embedding index's live rows in those states."""
     config = store.config
-    position: dict[str, int] = {}
-    eligible: list[EpisodicRecord] = []
-    for pos, rec in enumerate(store.records.values()):
-        position[rec.id] = pos
-        if (rec.state not in (STATE_TOMBSTONE, STATE_PROMOTED)
-                and not store.is_labile(rec.id, now)):
-            eligible.append(rec)
+    with store.lock:
+        index = store.embedding_index()
+        rows = np.flatnonzero(index.in_states((STATE_PENDING, STATE_RETAINED)))
+        keys = [index.keys[row] for row in rows.tolist()]
+        eligible = [store.records[k] for k in keys if not store.is_labile(k, now)]
+        near = store.near(eligible, config.interference_threshold)
     ranked = []
-    near = store.near(eligible, config.interference_threshold)
     for rec, others in zip(eligible, near):
-        others.sort(key=lambda other: position[other.id])
         assessed = interference(rec, others, config.interference_threshold,
                                 config.retro_weight, config.pro_weight)
         decayed = decayed_importance(rec.importance, rec.encoded_at, now,
@@ -139,15 +143,24 @@ def rank_forget_candidates(store: MemoryStore, now: datetime
 _SENTENCE_END_RE = re.compile(r"[.!?\n]")
 
 
+@functools.lru_cache(maxsize=None)
+def _zeros(length: int) -> np.ndarray:
+    """A read-only all-zero vector of `length`, one per length, which every
+    tombstone of that length shares."""
+    zeros = np.zeros(length)
+    zeros.setflags(write=False)
+    return zeros
+
+
 def tombstone(record: EpisodicRecord) -> EpisodicRecord:
     """`record` as a tombstone: fidelity L5 and state tombstone, with no
-    content, entities or score breakdown and an all-zero embedding of the
-    same length. Every other field is kept; `source_ids` lets an id absorbed
-    by dedup still be traced. No engine path reads what is dropped: the
-    embedding index and `near` skip tombstones, and lability,
-    reconsolidation and reinforcement refuse them."""
+    content, entities or score breakdown and the shared all-zero embedding
+    of the same length (`_zeros`). Every other field is kept; `source_ids`
+    lets an id absorbed by dedup still be traced. No engine path reads what
+    is dropped: the embedding index and `near` skip tombstones, and
+    lability, reconsolidation and reinforcement refuse them."""
     return replace(record, event=replace(record.event, content=""),
-                   embedding=np.zeros(len(record.embedding)), entities=(),
+                   embedding=_zeros(len(record.embedding)), entities=(),
                    score_breakdown={}, fidelity=FidelityLevel.L5,
                    state=STATE_TOMBSTONE)
 
@@ -209,23 +222,21 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int, now: datetime,
     if budget_tokens <= 0:
         raise ValueError("budget must be positive")
     report = ForgettingReport()
-    tokens = store.active_tokens()
-    if tokens > budget_tokens:
+    if store.active_tokens() > budget_tokens:
         if ranked is None:
             ranked = rank_forget_candidates(store, now)
         for _prio, _dec, rec in ranked:
             current = store.records[rec.id]
-            while tokens > budget_tokens and current.state != STATE_TOMBSTONE:
-                updated = degrade(current)
-                store.replace(updated)
-                tokens -= estimate_tokens(current.content) - estimate_tokens(updated.content)
+            while (store.active_tokens() > budget_tokens
+                   and current.state != STATE_TOMBSTONE):
+                current = degrade(current)
+                store.replace(current)
                 report.budget_steps += 1
-                if updated.state == STATE_TOMBSTONE:
+                if current.state == STATE_TOMBSTONE:
                     report.budget_tombstoned += 1
-                current = updated
-            if tokens <= budget_tokens:
+            if store.active_tokens() <= budget_tokens:
                 break
-    report.tokens_after = tokens
+    report.tokens_after = store.active_tokens()
     report.active_after = store.active_count()
     return report
 
@@ -242,39 +253,34 @@ def run_forgetting(store: MemoryStore, now: datetime,
     importance and `encoded_at` and on the live set, so the ranking stays
     exact until a record becomes a tombstone; only then is it taken again."""
     config = store.config
-    with store.lock:
-        chk = store._checkpoint()
-        try:
-            report = ForgettingReport()
-            report.expired_ids = apply_ttl(store, now)
-            report.ttl_expired = len(report.expired_ids)
+    with store.transaction():
+        report = ForgettingReport()
+        report.expired_ids = apply_ttl(store, now)
+        report.ttl_expired = len(report.expired_ids)
 
-            ranked = rank_forget_candidates(store, now)
-            tombstoned = False
-            for prio, _dec, rec in ranked:
-                if prio <= config.forget_priority_floor:
-                    break  # the ranking is by priority: the rest are lower
-                current = store.records[rec.id]
-                if current.event.metadata.get("error_signal") == "true":
-                    continue
-                if degradation_due(current, now, config):
-                    updated = degrade(current)
-                    store.replace(updated)
-                    report.interference_degraded += 1
-                    tombstoned = tombstoned or updated.state == STATE_TOMBSTONE
+        ranked = rank_forget_candidates(store, now)
+        tombstoned = False
+        for prio, _dec, rec in ranked:
+            if prio <= config.forget_priority_floor:
+                break  # the ranking is by priority: the rest are lower
+            current = store.records[rec.id]
+            if current.event.metadata.get("error_signal") == "true":
+                continue
+            if degradation_due(current, now, config):
+                updated = degrade(current)
+                store.replace(updated)
+                report.interference_degraded += 1
+                tombstoned = tombstoned or updated.state == STATE_TOMBSTONE
 
-            budget = budget if budget is not None else config.token_budget
-            if budget is not None:
-                sub = forget_to_budget(store, budget, now,
-                                       None if tombstoned else ranked)
-                report.budget_steps = sub.budget_steps
-                report.budget_tombstoned = sub.budget_tombstoned
-            report.tokens_after = store.active_tokens()
-            report.active_after = store.active_count()
-            # the degrade steps dirty many index rows: sync them inside the
-            # job, not in the next query
-            store.embedding_index()
-            return report
-        except Exception:
-            store._restore(chk)
-            raise
+        budget = budget if budget is not None else config.token_budget
+        if budget is not None:
+            sub = forget_to_budget(store, budget, now,
+                                   None if tombstoned else ranked)
+            report.budget_steps = sub.budget_steps
+            report.budget_tombstoned = sub.budget_tombstoned
+        report.tokens_after = store.active_tokens()
+        report.active_after = store.active_count()
+        # the degrade steps dirty many index rows: sync them inside the
+        # job, not in the next query
+        store.embedding_index()
+        return report

@@ -8,13 +8,12 @@ checkpoint k is a pure function of sessions 1..k and config.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .codec import encode
 from .consolidation import MODE_DEDUP, MODE_NONE, run_consolidation
@@ -248,9 +247,7 @@ def stream_run(manifest: StreamManifest,
                mode: str = MODE_DEDUP,
                budget: Optional[int] = None,
                store: Optional[MemoryStore] = None,
-               max_sessions: Optional[int] = None,
-               checkpoint_cb: Optional[Callable[[MemoryStore, int], None]] = None
-               ) -> RunMetrics:
+               max_sessions: Optional[int] = None) -> RunMetrics:
     """Replay sessions in temporal order, consolidating (then forgetting)
     every N sessions. No lookahead: each checkpoint uses only the sessions
     ingested so far, with `now` pinned to the newest ingested timestamp."""
@@ -288,12 +285,9 @@ def stream_run(manifest: StreamManifest,
                 index=idx, session_id=sid,
                 active_count=store.active_count(),
                 active_tokens=store.active_tokens(),
-                state_fingerprint=hashlib.sha256(
-                    store.snapshot_json().encode("utf-8")).hexdigest(),
+                state_fingerprint=store.fingerprint(),
             )
             metrics.checkpoints.append(cp)
-            if checkpoint_cb is not None:
-                checkpoint_cb(store, idx)
 
     (metrics.retention_precision, metrics.store_reduction,
      metrics.retained_count, metrics.retained_referenced) = compute_metrics(
@@ -324,14 +318,10 @@ def budget_sweep(manifest: StreamManifest, config: StoreConfig,
                  mode: str = MODE_DEDUP) -> list[dict[str, Any]]:
     rows = []
     for budget in budgets:
-        holder: dict[str, MemoryStore] = {}
-
-        def keep(store: MemoryStore, _idx: int) -> None:
-            holder["store"] = store
-
+        store = MemoryStore(config)
         m = stream_run(manifest, config, every_n=every_n, mode=mode,
-                       budget=budget, checkpoint_cb=keep)
-        frac = retained_substantive_fraction(holder["store"], manifest)
+                       budget=budget, store=store)
+        frac = retained_substantive_fraction(store, manifest)
         rows.append({"budget": budget,
                      "final_tokens": m.token_totals[-1],
                      "final_active": m.store_size_series[-1],

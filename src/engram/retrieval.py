@@ -136,70 +136,63 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     source-id overlap, recency-boosted and primed, truncated to k. The query
     is embedded once. `now` defaults to the store's logical now. A query is
     point-in-time: records encoded and memories created after `now` are not
-    visible to it."""
+    visible to it. Everything after the embedding runs under the store's
+    lock, so no writer changes the store mid-query."""
     config = store.config
     if k is None:
         k = config.retrieval_k
-    if now is None:
-        now = store.logical_now() or datetime.now(timezone.utc)
     qvec = store.embedder.embed(query)
-    hot = _episodic_scan(store, qvec, k, now, tier=TIER_HOT,
-                         session_id=session_id)
-    warm = _episodic_scan(store, qvec, k, now, tier=TIER_WARM)
+    with store.lock:
+        if now is None:
+            now = store.logical_now() or datetime.now(timezone.utc)
+        # each record has one tier, so the hot and warm hits are disjoint
+        episodic_hits = (_episodic_scan(store, qvec, k, now, tier=TIER_HOT,
+                                        session_id=session_id)
+                         + _episodic_scan(store, qvec, k, now, tier=TIER_WARM))
 
-    episodic_hits: list[Hit] = []
-    seen_ids: set[str] = set()
-    for hit in hot + warm:
-        if hit.memory_id not in seen_ids:
-            seen_ids.add(hit.memory_id)
-            episodic_hits.append(hit)
-
-    # graph pathway seeded by entities of the strongest episodic hits
-    seed_entities: dict[str, None] = {}
-    for hit in episodic_hits[:k]:
-        rec = store.records.get(hit.memory_id)
-        if rec is not None:
-            for name in rec.entities:
+        # graph pathway seeded by entities of the strongest episodic hits
+        seed_entities: dict[str, None] = {}
+        for hit in episodic_hits[:k]:
+            for name in store.records[hit.memory_id].entities:
                 seed_entities.setdefault(name, None)
-    graph_hits: list[Hit] = []
-    silent_by_entity: dict[str, float] = {}
-    if seed_entities:
-        for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
-            if mem.created_at > now:
+        graph_hits: list[Hit] = []
+        silent_by_entity: dict[str, float] = {}
+        if seed_entities:
+            for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
+                if mem.created_at > now:
+                    continue
+                weight = mem.priming_weight(now, config)
+                if weight == 0.0:  # matured: surfaces as a hit of its own
+                    graph_hits.append(_memory_hit(mem, qvec, hops))
+                else:
+                    # silent memories prime episodic results sharing an entity
+                    for name in mem.entities:
+                        key = name.casefold()
+                        silent_by_entity[key] = max(silent_by_entity.get(key, 0.0), weight)
+
+        # merge + dedupe: an episodic copy beats its own semantic gist
+        covered_sources: set[str] = set()
+        for hit in episodic_hits:
+            covered_sources.update(hit.source_ids)
+            covered_sources.add(hit.memory_id)
+        merged = list(episodic_hits)
+        for hit in graph_hits:
+            if any(src in covered_sources for src in hit.source_ids):
                 continue
-            weight = mem.priming_weight(now, config)
-            if weight == 0.0:  # matured: surfaces as a hit of its own
-                graph_hits.append(_memory_hit(mem, qvec, hops))
-            else:
-                # silent memories prime episodic results sharing an entity
-                for name in mem.entities:
-                    key = name.casefold()
-                    silent_by_entity[key] = max(silent_by_entity.get(key, 0.0), weight)
+            merged.append(hit)
+            covered_sources.update(hit.source_ids)
 
-    # merge + dedupe: an episodic copy beats its own semantic gist
-    covered_sources: set[str] = set()
-    for hit in episodic_hits:
-        covered_sources.update(hit.source_ids)
-        covered_sources.add(hit.memory_id)
-    merged = list(episodic_hits)
-    for hit in graph_hits:
-        if any(src in covered_sources for src in hit.source_ids):
-            continue
-        merged.append(hit)
-        covered_sources.update(hit.source_ids)
-
-    for hit in merged:
-        age_h = max(hours_between(hit.timestamp, now), 0.0)
-        hit.recency_boost = 1.0 + config.recency_boost_beta * math.exp(
-            -config.recency_boost_lambda * age_h)
-        if hit.tier != TIER_GRAPH and silent_by_entity:
-            rec = store.records.get(hit.memory_id)
-            if rec is not None:
+        for hit in merged:
+            age_h = max(hours_between(hit.timestamp, now), 0.0)
+            hit.recency_boost = 1.0 + config.recency_boost_beta * math.exp(
+                -config.recency_boost_lambda * age_h)
+            if hit.tier != TIER_GRAPH and silent_by_entity:
                 best = max((silent_by_entity.get(n.casefold(), 0.0)
-                            for n in rec.entities), default=0.0)
+                            for n in store.records[hit.memory_id].entities),
+                           default=0.0)
                 if best > 0.0:
                     hit.priming_boost = 1.0 + config.priming_gamma * best
-        hit.final_score = hit.base_sim * hit.recency_boost * hit.priming_boost
+            hit.final_score = hit.base_sim * hit.recency_boost * hit.priming_boost
 
     merged.sort(key=_rank_key)
     return RetrievalResult(query=query, k=k, as_of=now, hits=merged[:k])

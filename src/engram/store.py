@@ -1,10 +1,11 @@
 """Tiered memory store: ingest, quarantine bookkeeping, lability tracking,
 versioned snapshots, and the embedding index every similarity scan reads.
 
-Batch lifecycle jobs take the store's writer lock and see a consistent
-state. Records, graph nodes, semantic memories and quarantine entries are
-immutable values, replaced by id, so a transaction checkpoint copies the
-containers and shares the values.
+Batch lifecycle jobs run in `MemoryStore.transaction()`: they hold the
+store's writer lock, so they see a consistent state, and a job that raises
+leaves the store as it found it. Records, graph nodes, semantic memories
+and quarantine entries are immutable values, replaced by id, so the
+transaction's checkpoint copies the containers and shares the values.
 
 The embedding index is derived state: a float32 matrix of the live
 (non-tombstone) records with parallel arrays of their filter fields. It is
@@ -18,10 +19,10 @@ index anew on its first scan.
 A snapshot is read under the lock. Its text splices in each stored value's
 canonical JSON, which `codec.dumps` encodes on the first snapshot that holds
 the value and memoizes on it; an unchanged record is never encoded twice.
-Nothing is encoded at load or in `replace`. Snapshots are written as version
-2, where every array (embeddings, the centroid sum) is the codec's sparse
-object of its non-zero entries; version 1, with dense float lists, is still
-read.
+Nothing is encoded at load or in `replace`. `MemoryStore.fingerprint` is the
+sha256 of the snapshot text. Snapshots are written as version 2, where every
+array (embeddings, the centroid sum) is the codec's sparse object of its
+non-zero entries; version 1, with dense float lists, is still read.
 
 The record map keeps the live (non-tombstone) record count and their token
 total up to date on every write, so `active_count` and `active_tokens` are
@@ -31,6 +32,7 @@ O(1).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -575,6 +577,11 @@ class MemoryStore:
             write(self._state(), pieces)
         return "".join(pieces)
 
+    def fingerprint(self) -> str:
+        """The hex sha256 of `snapshot_json()`: equal fingerprints mean
+        byte-identical snapshots."""
+        return hashlib.sha256(self.snapshot_json().encode("utf-8")).hexdigest()
+
     def save_snapshot(self, path: str) -> None:
         """Write to a sibling temp file, then rename it over `path`, so a
         crash mid-write leaves the previous file intact. The lock is held
@@ -644,13 +651,18 @@ class MemoryStore:
         }
 
     def _restore(self, chk: dict[str, Any]) -> None:
-        self.records = chk["records"]
-        self.graph = chk["graph"]
-        self.quarantine = chk["quarantine"]
-        self.admitted_ids = chk["admitted_ids"]
-        self.watermark = chk["watermark"]
-        self.centroid_sum = chk["centroid_sum"]
-        self.centroid_count = chk["centroid_count"]
-        self.labile_until = chk["labile_until"]
-        self.total_ingested = chk["total_ingested"]
-        self.batch_seq = chk["batch_seq"]
+        for name, value in chk.items():
+            setattr(self, name, value)
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run a lifecycle job's body under the writer lock. When the body
+        raises an `Exception`, the store is restored to its state at entry
+        and the error is re-raised."""
+        with self.lock:
+            chk = self._checkpoint()
+            try:
+                yield
+            except Exception:
+                self._restore(chk)
+                raise

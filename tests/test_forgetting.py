@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from engram.forgetting import (
     interference,
     rank_forget_candidates,
     run_forgetting,
+    tombstone,
 )
 from engram.model import (
     STATE_PROMOTED,
@@ -99,6 +101,19 @@ def test_interference_asymmetry_property(sim, seed):
     assert retro - pro == pytest.approx((0.6 - 0.4) * got_sim, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.542, 1.0), st.integers(-3, 3)),
+                min_size=2, max_size=5))
+def test_interference_is_one_float_for_every_order(contributors):
+    """The sum is correctly rounded, so no order of `others` moves a bit."""
+    mem = _vec_record("m", _basis(8, 0), T0)
+    others = [_vec_record(f"o{i}", _mix(8, 0, i + 1, sim), T0 + hours(dt))
+              for i, (sim, dt) in enumerate(contributors)]
+    want = interference(mem, others, 0.542).interference
+    for order in itertools.permutations(others):
+        assert interference(mem, order, 0.542).interference == want
+
+
 # -- TTL -------------------------------------------------------------------
 
 def test_apply_ttl_tombstones_expired(store):
@@ -119,6 +134,18 @@ def test_apply_ttl_leaves_a_tombstone_of_existence_metadata(store):
     assert before.entities and before.score_breakdown
     assert apply_ttl(store, before.ttl_expires_at + minutes(1)) == ["p"]
     assert_tombstone_of(store, before)
+
+
+def test_tombstones_share_one_read_only_zero_vector(store):
+    for eid in ("a", "b"):
+        store.ingest(make_event(eid, ts=T0, content=f"note {eid}"))
+    first, second = (tombstone(store.records[eid]) for eid in ("a", "b"))
+    assert first.embedding is second.embedding
+    assert not first.embedding.flags.writeable
+    assert first.embedding.shape == (256,) and not first.embedding.any()
+    for rec in (first, second):
+        store.replace(rec)
+        assert_tombstone_of(store, rec)
 
 
 def test_apply_ttl_expires_promoted_episodic_copy_keeps_gist(store):

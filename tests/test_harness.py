@@ -12,6 +12,7 @@ from engram.harness import (
     stream_run,
 )
 from engram.model import StoreConfig
+from engram.store import MemoryStore
 
 from oracles import live_records
 
@@ -84,10 +85,8 @@ def test_prefix_replay_equality():
 def test_quarantined_violations_never_admitted():
     spec = StreamSpec(sessions=4, events_per_session=25, planted_violations=4)
     m = generate_stream(spec, seed=1)
-    holder = {}
-    stream_run(m, StoreConfig(), every_n=1,
-               checkpoint_cb=lambda s, i: holder.update(store=s))
-    store = holder["store"]
+    store = MemoryStore(StoreConfig())
+    stream_run(m, StoreConfig(), every_n=1, store=store)
     planted = {eid for eid, gt in m.ground_truth.items()
                if gt.planted_violation}
     active = {r.id for r in live_records(store)}

@@ -190,6 +190,19 @@ class IndexMachine(RuleBasedStateMachine):
             self.store.ingest(make_event(f"e{self.serial}", ts=self.clock,
                                          session=session, content=content))
 
+    @rule(shared=st.sampled_from(VOCAB), size=st.integers(2, 4),
+          session=st.sampled_from(SESSIONS))
+    def ingest_overlapping(self, shared, size, session):
+        # contents that share one word of three: similarity near 1/3, below
+        # near-dedup's threshold and within cluster distance 0.8, so an
+        # aggressive batch merges them
+        for _ in range(size):
+            self.clock += minutes(1)
+            self.serial += 1
+            content = f"{shared} note{self.serial} item{self.serial}"
+            self.store.ingest(make_event(f"e{self.serial}", ts=self.clock,
+                                         session=session, content=content))
+
     @rule(mode=st.sampled_from(MODES), pending=st.booleans())
     def consolidate(self, mode, pending):
         if pending:

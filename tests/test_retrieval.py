@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,35 @@ def test_hybrid_embeds_query_once():
     result = hybrid_retrieve(store, "Kestrel postmortem", now=T0 + hours(400))
     assert {h.tier for h in result.hits} == {TIER_HOT, TIER_WARM, TIER_GRAPH}
     assert embedder.calls == 1
+
+
+def test_hybrid_holds_the_store_lock_through_graph_traversal(store):
+    """A writer on another thread cannot take the store's lock while the
+    query walks the graph."""
+    store.ingest(make_event("ep", ts=T0, content="Kestrel incident report"))
+    store.graph.insert_memory("Kestrel postmortem summary",
+                              EMB.embed("Kestrel postmortem summary"),
+                              frozenset({"other"}), ("Kestrel",), T0)
+    traverse, taken = store.graph.traverse, []
+
+    def probe():
+        if store.lock.acquire(blocking=False):
+            store.lock.release()
+            taken.append(True)
+        else:
+            taken.append(False)
+
+    def probed_traverse(*args, **kwargs):
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive()
+        return traverse(*args, **kwargs)
+
+    store.graph.traverse = probed_traverse
+    result = hybrid_retrieve(store, "Kestrel incident", now=T0 + hours(1))
+    assert [h.memory_id for h in result.hits] == ["ep"]
+    assert taken == [False]
 
 
 def test_recency_boost_decays_with_age(store):

@@ -111,8 +111,8 @@ def test_step_4_equals_the_whole_store_pass(stored, batch, tombstones, threshold
               st.integers(0, 3), st.floats(0.0, 1.0), st.booleans()),
     max_size=14),
     later=st.integers(0, 400))
-# five equal records: each priority sums four terms weighted 0.4 or 0.6, and
-# the rounded float sum depends on their order
+# five equal records: each priority sums four terms weighted 0.4 or 0.6,
+# whose plain float sum would depend on their order
 @example(records=[("alpha", STATE_PENDING, 0, 0.0, False)] * 5, later=0)
 def test_forget_priorities_are_interference_over_decayed_importance(records, later):
     """Each priority is criterion 3's `interference` over the live records,

@@ -1,7 +1,6 @@
 """Every mutating job is transactional: a failure injected mid-job leaves the
 store byte-identical to its state before the job."""
 
-import hashlib
 import json
 import os
 import threading
@@ -98,6 +97,19 @@ def test_forgetting_rolls_back_a_failed_degrade(monkeypatch):
     assert store.active_tokens() <= 1000
 
 
+def test_a_failed_transaction_restores_the_store_and_reraises():
+    store, now = grown_store(StoreConfig())
+    before = store.snapshot_json()
+    with pytest.raises(Injected, match="after the jobs"):
+        with store.transaction():
+            run_consolidation(store, now, mode=MODE_AGGRESSIVE)
+            run_forgetting(store, now, budget=1000)
+            assert store.snapshot_json() != before
+            raise Injected("after the jobs")
+    assert store.snapshot_json() == before
+    assert run_consolidation(store, now).accounting_holds()
+
+
 class DepthLock:
     """A stand-in for the store's writer lock that tracks how deeply it is
     held."""
@@ -160,10 +172,6 @@ def test_snapshots_read_the_store_under_the_lock(monkeypatch, tmp_path):
     assert lock.depth == 0
 
 
-def fingerprint(store):
-    return hashlib.sha256(store.snapshot_json().encode("utf-8")).hexdigest()
-
-
 def test_a_snapshot_taken_during_a_sleep_waits_for_the_whole_batch():
     """Another thread's snapshot, asked for after the batch's first write,
     sees the state after the batch, not a half-applied one."""
@@ -181,8 +189,8 @@ def test_a_snapshot_taken_during_a_sleep_waits_for_the_whole_batch():
                              kwargs={"mode": MODE_AGGRESSIVE})
     sleep.start()
     assert written.wait(10)
-    seen = fingerprint(store)
+    seen = store.fingerprint()
     sleep.join(10)
     assert not sleep.is_alive()
     del store.replace
-    assert seen == fingerprint(store)
+    assert seen == store.fingerprint()
