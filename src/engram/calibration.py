@@ -1,9 +1,10 @@
-"""Synthetic calibration: similarity-distribution percentile rules and
-per-signal ROC-AUC weight derivation.
+"""Synthetic calibration: similarity-distribution percentile rules.
 
 The shipped thresholds (0.559 / 0.404 / 0.542) come from an unpublished
-corpus; this module re-derives a profile from any labeled corpus,
-deterministically, with no benchmark exposure.
+corpus; this module re-derives them from any labeled corpus,
+deterministically, with no benchmark exposure. The scorer's weights are
+fixed (`scoring.FIVE_FACTOR_DEFAULTS`); `roc_auc` measures how well a
+signal separates substantive turns from filler.
 """
 
 from __future__ import annotations
@@ -13,19 +14,15 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .codec import encode
 from .errors import DegenerateLabels, InsufficientSamples
-from .scoring import SignalWeights, surprise_factor
 
 LABEL_SUBSTANTIVE = "substantive"
 LABEL_FILLER = "filler"
-
-AUC_EXCESS_FLOOR = 0.01
-SIGNAL_NAMES = ("content_length", "surprise", "turn_position", "recency")
 
 
 @dataclass
@@ -38,7 +35,6 @@ class Turn:
 @dataclass
 class CalibrationCorpus:
     sessions: list[tuple[str, list[Turn]]]
-    provenance: str = ""
 
     def all_turns(self) -> list[tuple[str, Turn]]:
         return [(sid, t) for sid, turns in self.sessions for t in turns]
@@ -58,7 +54,7 @@ class CalibrationCorpus:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str, provenance: str = "") -> "CalibrationCorpus":
+    def from_jsonl(cls, text: str) -> "CalibrationCorpus":
         sessions: dict[str, list[Turn]] = {}
         for line in text.splitlines():
             line = line.strip()
@@ -67,7 +63,7 @@ class CalibrationCorpus:
             d = json.loads(line)
             sessions.setdefault(d["session_id"], []).append(
                 Turn(text=d["text"], label=d["label"], position=d["position"]))
-        return cls(sessions=list(sessions.items()), provenance=provenance)
+        return cls(sessions=list(sessions.items()))
 
 
 @dataclass
@@ -75,15 +71,10 @@ class CalibrationProfile:
     near_dedup_threshold: float
     cluster_distance: float
     interference_threshold: float
-    signal_weights: SignalWeights
-    per_signal_auc: dict[str, float]
     corpus_fingerprint: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {**encode(self), "signal_weights": dict(self.signal_weights.weights)}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(encode(self), sort_keys=True, separators=(",", ":"))
 
 
 def percentile(samples: Sequence[float], p: float) -> float:
@@ -158,77 +149,13 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return u / (n_pos * n_neg)
 
 
-def content_length_signal(text: str, p95_length: float) -> float:
-    if p95_length <= 0:
-        return 0.0
-    return min(len(text) / p95_length, 1.0)
-
-
-def turn_position_signal(index: int, session_length: int) -> float:
-    if session_length <= 0:
-        return 0.0
-    return 1.0 - index / session_length
-
-
-def signal_scores(corpus: CalibrationCorpus, embedder,
-                  lambda_decay: float = 0.001
-                  ) -> tuple[dict[str, list[float]], list[int]]:
-    """Per-turn values of the four calibrated signals plus substantive
-    labels, in corpus order. The surprise prior is the running centroid of
-    previously seen turns; recency uses synthetic one-hour turn spacing."""
-    lengths = [len(t.text) for _sid, t in corpus.all_turns()]
-    p95_len = percentile(lengths, 95.0)
-    scores: dict[str, list[float]] = {name: [] for name in SIGNAL_NAMES}
-    labels: list[int] = []
-    centroid_sum: Optional[np.ndarray] = None
-    count = 0
-    turn_index = 0
-    total_turns = len(lengths)
-    for sid, turns in corpus.sessions:
-        session_len = len(turns)
-        for pos, turn in enumerate(turns):
-            vec = embedder.embed(turn.text)
-            centroid = None
-            if count:
-                centroid = centroid_sum / np.linalg.norm(centroid_sum)
-            scores["content_length"].append(content_length_signal(turn.text, p95_len))
-            scores["surprise"].append(surprise_factor(vec, centroid))
-            scores["turn_position"].append(turn_position_signal(pos, session_len))
-            age_h = float(total_turns - 1 - turn_index)
-            scores["recency"].append(math.exp(-lambda_decay * age_h))
-            labels.append(1 if turn.label == LABEL_SUBSTANTIVE else 0)
-            centroid_sum = vec if centroid_sum is None else centroid_sum + vec
-            count += 1
-            turn_index += 1
-    return scores, labels
-
-
-def derive_weights(corpus: CalibrationCorpus, embedder,
-                   floor: float = AUC_EXCESS_FLOOR
-                   ) -> tuple[SignalWeights, dict[str, float]]:
-    """AUC-excess normalization: weight_i proportional to
-    max(AUC_i - 0.5, floor)."""
-    scores, labels = signal_scores(corpus, embedder)
-    aucs = {name: roc_auc(scores[name], labels) for name in SIGNAL_NAMES}
-    excess = {name: max(auc - 0.5, floor) for name, auc in aucs.items()}
-    total = sum(excess.values())
-    weights = {name: excess[name] / total for name in SIGNAL_NAMES}
-    # renormalize exactly to 1 to absorb float residue
-    s = sum(weights.values())
-    weights = {k: v / s for k, v in weights.items()}
-    return SignalWeights(weights=weights), aucs
-
-
 def derive_profile(corpus: CalibrationCorpus, embedder) -> CalibrationProfile:
     within, cross, all_pairs = similarity_distributions(corpus, embedder)
     near, cluster_d, interf = derive_thresholds(within, cross, all_pairs)
-    weights, aucs = derive_weights(corpus, embedder)
     return CalibrationProfile(
         near_dedup_threshold=near,
         cluster_distance=cluster_d,
         interference_threshold=interf,
-        signal_weights=weights,
-        per_signal_auc=aucs,
         corpus_fingerprint=corpus.fingerprint(),
     )
 
@@ -286,6 +213,5 @@ def generate_corpus(topics: Optional[Sequence[str]] = None,
                 label = LABEL_FILLER
             turns.append(Turn(text=text, label=label, position=pos))
         out.append((f"session-{s:03d}", turns))
-    return CalibrationCorpus(sessions=out,
-                             provenance=f"template-generator seed={seed}")
+    return CalibrationCorpus(sessions=out)
 

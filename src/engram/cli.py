@@ -72,8 +72,7 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     with open(args.stream, encoding="utf-8") as fh:
         events = list(read_events(fh))
-    manifest = harness.StreamManifest(events=events, ground_truth={},
-                                      planted_rates={})
+    manifest = harness.StreamManifest(events=events, ground_truth={})
     if args.manifest:
         with open(args.manifest, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -145,8 +144,7 @@ def cmd_load(args) -> int:
 def cmd_calibrate(args) -> int:
     if args.corpus:
         with open(args.corpus, encoding="utf-8") as fh:
-            corpus = calibration.CalibrationCorpus.from_jsonl(
-                fh.read(), provenance=args.corpus)
+            corpus = calibration.CalibrationCorpus.from_jsonl(fh.read())
     else:
         corpus = calibration.generate_corpus(seed=args.seed)
     embedder = HashEmbedder(args.dimension, args.seed)

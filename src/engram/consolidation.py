@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .model import (
     StoreConfig,
     hours_between,
 )
-from .scoring import SignalWeights, classify, score_record
+from .scoring import classify, score_record
 from .store import EmbeddingIndex, MemoryStore, RecordMap
 
 log = logging.getLogger("engram.consolidation")
@@ -289,27 +289,15 @@ class GistDraft:
 
 
 def make_gist(cluster_records: Sequence[EpisodicRecord],
-              config: StoreConfig,
-              summarizer: Optional[Callable[[Sequence[EpisodicRecord]], str]] = None
-              ) -> GistDraft:
-    """Build a semantic gist draft from a cluster: by default, the top-m
+              config: StoreConfig) -> GistDraft:
+    """Build a semantic gist draft from a cluster: the top-m
     highest-importance members' contents concatenated and truncated to the
-    gist token cap. A failing external summarizer falls back to the
-    default."""
+    gist token cap."""
     if not cluster_records:
         raise ValueError("cluster must be non-empty")
-    text: Optional[str] = None
-    if summarizer is not None:
-        try:
-            text = summarizer(cluster_records)
-        except Exception:
-            log.warning("summarizer failed; falling back to default gist")
-            text = None
-    if text is None:
-        top = sorted(cluster_records,
-                     key=lambda r: (-r.importance, r.encoded_at, r.id))
-        top = top[:config.gist_top_m]
-        text = "\n".join(r.content for r in top)
+    top = sorted(cluster_records,
+                 key=lambda r: (-r.importance, r.encoded_at, r.id))
+    text = "\n".join(r.content for r in top[:config.gist_top_m])
     text = text[:config.gist_max_tokens * 4]
     source_ids: set[str] = set()
     entities: dict[str, None] = {}
@@ -352,9 +340,7 @@ def _revalidate_quarantine(store: MemoryStore, now: datetime,
 
 
 def run_consolidation(store: MemoryStore, now: datetime,
-                      mode: str = MODE_DEDUP,
-                      weights: Optional[SignalWeights] = None,
-                      summarizer=None) -> ConsolidationReport:
+                      mode: str = MODE_DEDUP) -> ConsolidationReport:
     if mode not in MODES:
         raise ValueError(f"unknown consolidation mode {mode!r}")
     config = store.config
@@ -406,8 +392,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
             earlier = [o for o in candidates
                        if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
             composite, breakdown = score_record(
-                rec, now, earlier, store.centroid(), store.graph, config,
-                weights)
+                rec, now, earlier, store.centroid(), store.graph, config)
             rec = replace(rec, importance=composite, score_breakdown=breakdown)
             store.replace(rec)
             store.add_to_centroid(rec.embedding)
@@ -456,7 +441,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
             report.clusters_formed = sum(1 for g in groups if len(g) > 1)
             for group in groups:
                 if len(group) > 1:
-                    gist_drafts.append(make_gist(group, config, summarizer))
+                    gist_drafts.append(make_gist(group, config))
                     merged_member_ids.update(r.id for r in group)
 
         # 6. apply classification / gists / promotion
@@ -465,7 +450,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
                 continue
             b = bucket.get(rec.id, "retain")
             if b == "promote":
-                gist_drafts.append(make_gist([rec], config, summarizer))
+                gist_drafts.append(make_gist([rec], config))
                 store.replace(replace(rec, state=STATE_PROMOTED,
                                       tier=TIER_WARM, ttl_expires_at=warm_ttl))
                 report.promoted += 1

@@ -29,10 +29,6 @@ class NegativeElapsed(EngramError):
     pass
 
 
-class InvalidWeights(EngramError):
-    pass
-
-
 class EmptyBatch(EngramError):
     pass
 

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -37,21 +37,11 @@ _WORD_RE = re.compile(r"[@#][\w][\w'-]*|[A-Za-z][\w'-]*")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?\n]+")
 
 
-def extract_entities(content: str,
-                     extractor: Optional[Callable[[str], Iterable[str]]] = None
-                     ) -> tuple[str, ...]:
-    """Pull entity names out of text.
-
-    Default rule-based pass: maximal runs of capitalized tokens (a
+def extract_entities(content: str) -> tuple[str, ...]:
+    """Pull entity names out of text: maximal runs of capitalized tokens (a
     sentence-initial stopword does not start a run), plus @-mentions and
-    #-refs. An external extractor may be plugged in; on failure it falls
-    back to the default rule.
+    #-refs.
     """
-    if extractor is not None:
-        try:
-            return tuple(dict.fromkeys(extractor(content)))
-        except Exception:
-            pass
     entities: dict[str, None] = {}
     for sentence in _SENTENCE_SPLIT_RE.split(content):
         tokens = _WORD_RE.findall(sentence)

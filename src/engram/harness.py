@@ -52,7 +52,6 @@ class GroundTruth:
 class StreamManifest:
     events: list[MemoryEvent]
     ground_truth: dict[str, GroundTruth]
-    planted_rates: dict[str, float]
 
     def base_rate(self) -> float:
         n = sum(1 for gt in self.ground_truth.values() if gt.future_referenced)
@@ -185,10 +184,7 @@ def generate_stream(spec: StreamSpec, seed: int = 0) -> StreamManifest:
                     causes=ev.causes + (f"missing-{ev.id}",))
                 truth[ev.id].planted_violation = "causal_inversion"
 
-    rates = {"duplicate": spec.duplicate_rate,
-             "future_reference": spec.future_reference_rate,
-             "violations": spec.planted_violations / max(total, 1)}
-    return StreamManifest(events=events, ground_truth=truth, planted_rates=rates)
+    return StreamManifest(events=events, ground_truth=truth)
 
 
 @dataclass
@@ -254,6 +250,8 @@ def stream_run(manifest: StreamManifest,
     config = config or StoreConfig()
     if every_n is None:
         every_n = config.consolidate_every_n_sessions
+    if every_n < 1:
+        raise ValueError(f"every_n must be at least 1, got {every_n}")
     if budget is None:
         budget = config.token_budget
     store = store or MemoryStore(config)

@@ -124,6 +124,8 @@ def episodic_search(store: MemoryStore, query: str, k: int,
     """Exact cosine scan over non-tombstone episodic records passing the
     temporal/session filters, top-k by similarity. Records encoded after
     `now` are not visible."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     return _episodic_scan(store, store.embedder.embed(query), k, now,
                           time_range, session_id, tier, importance_filter)
 
@@ -141,6 +143,8 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     config = store.config
     if k is None:
         k = config.retrieval_k
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     qvec = store.embedder.embed(query)
     with store.lock:
         if now is None:

@@ -9,13 +9,13 @@ the threshold, which `frequency_factor` then decides with `np.dot`."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, InvalidWeights, NegativeElapsed
+from .errors import EmptyBatch, NegativeElapsed
 from .model import (
     EpisodicRecord,
     MemoryEvent,
@@ -30,17 +30,6 @@ FIVE_FACTOR_DEFAULTS = {
     "entity_salience": 0.15,
     "outcome": 0.15,
 }
-
-
-@dataclass(frozen=True)
-class SignalWeights:
-    weights: dict[str, float] = field(default_factory=lambda: dict(FIVE_FACTOR_DEFAULTS))
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights.values()):
-            raise InvalidWeights("weights must be non-negative")
-        if abs(sum(self.weights.values()) - 1.0) > 1e-9:
-            raise InvalidWeights("weights must sum to 1")
 
 
 def recency_factor(encoded_at: datetime, now: datetime, lam: float) -> float:
@@ -88,15 +77,13 @@ def outcome_factor(event: MemoryEvent) -> float:
     return 0.0
 
 
-def composite_importance(factors: dict[str, float],
-                         weights: SignalWeights) -> tuple[float, dict[str, float]]:
-    """Weighted sum of the factors named in `weights`. Returns (composite, breakdown)
-    where the breakdown carries every factor plus the composite itself."""
-    missing = set(weights.weights) - set(factors)
-    if missing:
-        raise InvalidWeights(f"missing factors: {sorted(missing)}")
-    composite = sum(weights.weights[k] * factors[k] for k in weights.weights)
-    breakdown = {k: factors[k] for k in weights.weights}
+def composite_importance(factors: dict[str, float]
+                         ) -> tuple[float, dict[str, float]]:
+    """Sum of `FIVE_FACTOR_DEFAULTS` weights times factors, in that order.
+    Returns (composite, breakdown) where the breakdown carries every factor
+    plus the composite itself."""
+    composite = sum(w * factors[k] for k, w in FIVE_FACTOR_DEFAULTS.items())
+    breakdown = {k: factors[k] for k in FIVE_FACTOR_DEFAULTS}
     breakdown["composite"] = composite
     return composite, breakdown
 
@@ -104,12 +91,9 @@ def composite_importance(factors: dict[str, float],
 def score_record(record: EpisodicRecord, now: datetime,
                  earlier: Sequence[EpisodicRecord],
                  prior_centroid: Optional[np.ndarray],
-                 graph, config: StoreConfig,
-                 weights: Optional[SignalWeights] = None
-                 ) -> tuple[float, dict[str, float]]:
+                 graph, config: StoreConfig) -> tuple[float, dict[str, float]]:
     """Five-factor score for one pending record against the current store;
     the frequency factor counts the records in `earlier`."""
-    weights = weights or SignalWeights()
     factors = {
         "recency": recency_factor(record.encoded_at, now, config.lambda_decay),
         "frequency": frequency_factor(record, earlier, config.near_dedup_threshold),
@@ -117,7 +101,7 @@ def score_record(record: EpisodicRecord, now: datetime,
         "entity_salience": entity_salience_factor(record.entities, graph),
         "outcome": outcome_factor(record.event),
     }
-    composite, breakdown = composite_importance(factors, weights)
+    composite, breakdown = composite_importance(factors)
     composite = apply_authority_downweight(composite, record.event,
                                            factors["surprise"], config)
     breakdown["composite"] = composite

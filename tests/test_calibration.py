@@ -9,7 +9,6 @@ from engram.calibration import (
     Turn,
     derive_profile,
     derive_thresholds,
-    derive_weights,
     generate_corpus,
     percentile,
     roc_auc,
@@ -154,18 +153,7 @@ def test_roc_auc_matches_pair_counting(rows):
         auc_oracle(scores, labels), abs=1e-12)
 
 
-# -- weights and profile ---------------------------------------------------
-
-def test_derive_weights_sum_to_one_and_follow_auc():
-    corpus = generate_corpus(seed=0)
-    weights, aucs = derive_weights(corpus, EMB)
-    assert sum(weights.weights.values()) == pytest.approx(1.0)
-    # content length separates long substantive turns from short filler
-    assert aucs["content_length"] > 0.9
-    assert weights.weights["content_length"] == max(weights.weights.values())
-    # recency over uniform spacing carries ~no signal -> floor weight
-    assert weights.weights["recency"] < 0.05
-
+# -- profile ---------------------------------------------------------------
 
 def test_derive_profile_deterministic():
     corpus = generate_corpus(seed=0)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from engram.calibration import generate_corpus
 from engram.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_cwd")
@@ -99,8 +100,35 @@ def test_calibrate_writes_profile(tmp_path, capsys):
     code, out = _run(capsys, "calibrate", "--out", "profile.json")
     assert code == 0
     profile = json.loads((tmp_path / "profile.json").read_text())
-    assert set(profile) >= {"near_dedup_threshold", "cluster_distance",
-                            "interference_threshold", "signal_weights"}
+    assert set(profile) == {"near_dedup_threshold", "cluster_distance",
+                            "interference_threshold", "corpus_fingerprint"}
+    assert json.loads(out) == profile
+
+
+def test_calibrate_corpus_file_prints_what_plain_calibrate_prints(tmp_path, capsys):
+    (tmp_path / "corpus.jsonl").write_text(generate_corpus(seed=0).to_jsonl(),
+                                           encoding="utf-8")
+    code, plain = _run(capsys, "calibrate")
+    assert code == 0
+    code, from_file = _run(capsys, "calibrate", "--corpus", "corpus.jsonl")
+    assert code == 0
+    assert from_file == plain
+
+
+def test_out_of_range_counts_exit_nonzero(tmp_path, capsys):
+    (tmp_path / "in.jsonl").write_text("\n".join(json.dumps(
+        {"id": f"e{i}", "ts": f"2026-01-05T00:0{i}:00Z", "session_id": f"s{i}",
+         "actor": "user", "kind": "comment", "content": f"alpha topic {i}"})
+        for i in range(5)), encoding="utf-8")
+    _run(capsys, "--store", "st.json", "ingest", "in.jsonl")
+    for k in ("0", "-1", "-2"):
+        code, out = _run(capsys, "--store", "st.json", "retrieve", "alpha",
+                         "--k", k)
+        assert (code, out) == (1, "")
+    for every_n in ("0", "-5"):
+        code, out = _run(capsys, "run", "--stream", "in.jsonl",
+                         "--every-n", every_n)
+        assert (code, out) == (1, "")
 
 
 def test_missing_file_fails_nonzero(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engram import consolidation
 from engram.consolidation import (
     MODE_AGGRESSIVE,
     MODE_NONE,
@@ -326,18 +327,6 @@ def test_make_gist_truncates_to_token_cap():
     assert len(draft.gist) == 16  # 4 tokens * 4 chars
 
 
-def test_make_gist_summarizer_fallback():
-    config = StoreConfig()
-    recs = [make_record(EMB, "g", "the content", importance=1.0)]
-
-    def bad(_records):
-        raise RuntimeError("llm down")
-
-    assert make_gist(recs, config, summarizer=bad).gist == "the content"
-    assert make_gist(recs, config,
-                     summarizer=lambda rs: "summary").gist == "summary"
-
-
 def test_promote_idempotent_by_source_set():
     g = KnowledgeGraph()
     config = StoreConfig()
@@ -596,19 +585,27 @@ def test_merged_cluster_members_become_tombstones_of_existence_metadata(monkeypa
         assert_tombstone_of(store, scored[rid])
 
 
-def test_run_consolidation_rolls_back_on_failure(store):
+def test_run_consolidation_rolls_back_on_failure(store, monkeypatch):
     _ingest(store, [make_event(f"e{i}", ts=T0 + minutes(i),
                                content=f"row {i} " +
                                " ".join(f"z{i}{j}" for j in range(5)))
                     for i in range(5)])
     before = store.snapshot_json()
+    real = consolidation.score_record
+    calls = []
 
-    class ExplodingWeights:
-        pass
+    def fail_third(*args):
+        calls.append(args[0].id)
+        if len(calls) == 3:
+            # two scored records of the batch are already written
+            assert store.snapshot_json() != before
+            raise RuntimeError("scoring failed")
+        return real(*args)
 
-    with pytest.raises(AttributeError):
-        # invalid weights object blows up inside scoring; store must roll back
-        run_consolidation(store, T0 + hours(1), weights=ExplodingWeights())
+    monkeypatch.setattr(consolidation, "score_record", fail_third)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        run_consolidation(store, T0 + hours(1))
+    assert len(calls) == 3
     assert store.snapshot_json() == before
 
 

@@ -44,16 +44,6 @@ def test_extract_deduplicates_preserving_order():
     assert out == ("Alice", "Bob")
 
 
-def test_extract_pluggable_extractor_with_fallback():
-    assert extract_entities("I met Alice", extractor=lambda t: ["X", "X", "Y"]) == \
-        ("X", "Y")
-
-    def broken(text):
-        raise RuntimeError("model offline")
-
-    assert extract_entities("I met Alice", extractor=broken) == ("Alice",)
-
-
 # -- maturation sigmoid ---------------------------------------------------
 
 def test_activation_curve_values():

@@ -73,6 +73,15 @@ def test_stream_run_final_partial_window_flushes():
     assert [c.index for c in metrics.checkpoints] == [2, 4, 5]
 
 
+def test_stream_run_rejects_every_n_below_one():
+    m = generate_stream(StreamSpec(sessions=3, events_per_session=5), seed=0)
+    for every_n in (0, -5):
+        with pytest.raises(ValueError):
+            stream_run(m, StoreConfig(), every_n=every_n)
+    with pytest.raises(ValueError):
+        stream_run(m, StoreConfig(consolidate_every_n_sessions=0))
+
+
 def test_prefix_replay_equality():
     m = generate_stream(StreamSpec(sessions=8, events_per_session=10), seed=0)
     full = stream_run(m, StoreConfig(), every_n=1)

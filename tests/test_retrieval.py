@@ -69,6 +69,13 @@ def test_episodic_search_importance_filter(store):
                             importance_filter=0.1)] == ["a"]
 
 
+def test_episodic_search_rejects_k_below_one(store):
+    store.ingest(make_event("a", ts=T0, content="alpha topic"))
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            episodic_search(store, "alpha topic", k, T0 + hours(1))
+
+
 def test_tier_priority_breaks_exact_ties(store):
     # identical content means identical base similarity
     store.ingest(make_event("warm-rec", ts=T0, content="the same words"))
@@ -228,6 +235,16 @@ def test_hybrid_holds_the_store_lock_through_graph_traversal(store):
     result = hybrid_retrieve(store, "Kestrel incident", now=T0 + hours(1))
     assert [h.memory_id for h in result.hits] == ["ep"]
     assert taken == [False]
+
+
+def test_hybrid_rejects_k_below_one(store):
+    for i in range(5):
+        store.ingest(make_event(f"e{i}", ts=T0 + minutes(i),
+                                content=f"alpha topic {i}"))
+    assert len(hybrid_retrieve(store, "alpha topic", k=1).hits) == 1
+    for k in (0, -1, -2):
+        with pytest.raises(ValueError):
+            hybrid_retrieve(store, "alpha topic", k=k)
 
 
 def test_recency_boost_decays_with_age(store):

@@ -3,14 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engram.calibration import content_length_signal, turn_position_signal
 from engram.embedding import HashEmbedder
-from engram.errors import EmptyBatch, InvalidWeights
+from engram.errors import EmptyBatch
 from engram.graph import KnowledgeGraph
 from engram.model import StoreConfig
 from engram.scoring import (
     FIVE_FACTOR_DEFAULTS,
-    SignalWeights,
     apply_authority_downweight,
     classify,
     composite_importance,
@@ -29,13 +27,6 @@ EMB = HashEmbedder(256, 0)
 
 def test_default_weights_sum_to_one():
     assert sum(FIVE_FACTOR_DEFAULTS.values()) == pytest.approx(1.0)
-
-
-def test_weights_validation():
-    with pytest.raises(InvalidWeights):
-        SignalWeights(weights={"recency": 0.5, "frequency": 0.6})
-    with pytest.raises(InvalidWeights):
-        SignalWeights(weights={"recency": 1.2, "frequency": -0.2})
 
 
 def test_recency_factor_decays():
@@ -79,15 +70,15 @@ def test_entity_salience_uses_graph_max():
 def test_composite_hand_example():
     factors = {"recency": 1.0, "frequency": 0.5, "surprise": 1.0,
                "entity_salience": 0.0, "outcome": 1.0}
-    composite, breakdown = composite_importance(factors, SignalWeights())
+    composite, breakdown = composite_importance(factors)
     # 0.25*1 + 0.25*0.5 + 0.20*1 + 0.15*0 + 0.15*1
     assert composite == pytest.approx(0.725)
     assert breakdown["composite"] == composite
 
 
 def test_composite_missing_factor():
-    with pytest.raises(InvalidWeights):
-        composite_importance({"recency": 1.0}, SignalWeights())
+    with pytest.raises(KeyError):
+        composite_importance({"recency": 1.0})
 
 
 @given(st.dictionaries(
@@ -97,10 +88,10 @@ def test_composite_missing_factor():
     st.floats(0.0, 0.5))
 def test_composite_monotone_in_each_factor(factors, name, bump):
     """Raising any single factor never lowers the composite."""
-    lo, _ = composite_importance(factors, SignalWeights())
+    lo, _ = composite_importance(factors)
     raised = dict(factors)
     raised[name] = min(1.0, raised[name] + bump)
-    hi, _ = composite_importance(raised, SignalWeights())
+    hi, _ = composite_importance(raised)
     assert hi >= lo - 1e-12
 
 
@@ -108,7 +99,7 @@ def test_composite_monotone_in_each_factor(factors, name, bump):
     st.sampled_from(sorted(FIVE_FACTOR_DEFAULTS)),
     st.floats(0.0, 1.0), min_size=5, max_size=5))
 def test_composite_bounded(factors):
-    composite, _ = composite_importance(factors, SignalWeights())
+    composite, _ = composite_importance(factors)
     assert -1e-12 <= composite <= 1.0 + 1e-12
 
 
@@ -137,14 +128,6 @@ def test_score_record_breakdown_complete():
     assert set(breakdown) == set(FIVE_FACTOR_DEFAULTS) | {"composite"}
     assert breakdown["composite"] == composite
     assert 0.0 <= composite <= 1.0
-
-
-def test_calibrated_signals():
-    assert content_length_signal("abcd", 8.0) == 0.5
-    assert content_length_signal("x" * 20, 8.0) == 1.0
-    assert content_length_signal("x", 0.0) == 0.0
-    assert turn_position_signal(0, 10) == 1.0
-    assert turn_position_signal(9, 10) == pytest.approx(0.1)
 
 
 # -- classification -------------------------------------------------------
