@@ -35,9 +35,10 @@ to a list. `dumps` memoizes the text of a frozen dataclass on the instance's
 `__dict__` the first time it is asked for, so it must be given only frozen
 values whose fields are immutable too. The values a snapshot stores are:
 records, semantic memories, entity nodes and quarantine entries hold
-read-only arrays and dicts, tuples and frozensets. `dataclasses.replace`
-builds a new instance without the memo, and `encode` reads only the fields,
-so the memo never reaches the JSON. `write` walks dicts (with str keys) and
+read-only arrays and dicts, tuples and frozensets. `model.evolve`, which
+builds every changed value, copies only the declared fields, so a new
+instance starts without the memo; `encode` reads only the fields, so the
+memo never reaches the JSON. `write` walks dicts (with str keys) and
 lists, so a snapshot reuses the memoized text of every stored value it
 holds; every other value, a tuple included, is written whole.
 """

@@ -4,7 +4,9 @@ Order of stages per batch: temporal validation -> scoring -> classification
 -> exact dedup -> near dedup -> (aggressive only: cluster + merge) -> gist
 -> promotion. Pruned records enter graceful degradation rather than being
 hard-deleted. The whole batch runs in one `MemoryStore.transaction()`: on
-any stage failure the store is restored to its pre-batch state.
+any stage failure the store is restored to its pre-batch state. A batch
+takes the pending records encoded at or before its `now`; a record encoded
+later stays pending, uncounted, until a sleep whose `now` reaches it.
 
 Dedup runs `exact_dedup`, then `near_dedup`, over a pool: the batch, the
 stored retained and promoted records that step 2's `MemoryStore.near` found
@@ -24,7 +26,7 @@ pairs from an `EmbeddingIndex` over the pool; both decide each pair with
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Any, Optional, Sequence
 
@@ -41,6 +43,7 @@ from .model import (
     EpisodicRecord,
     MemoryEvent,
     StoreConfig,
+    evolve,
     hours_between,
 )
 from .scoring import classify, score_record
@@ -132,10 +135,10 @@ def absorb(survivor: EpisodicRecord, dup: EpisodicRecord,
     importance."""
     source_ids = tuple(dict.fromkeys(survivor.source_ids + dup.source_ids))
     if exact:
-        return replace(survivor, source_ids=source_ids,
-                       access_count=survivor.access_count + 1)
-    return replace(survivor, source_ids=source_ids,
-                   importance=max(survivor.importance, dup.importance))
+        return evolve(survivor, source_ids=source_ids,
+                      access_count=survivor.access_count + 1)
+    return evolve(survivor, source_ids=source_ids,
+                  importance=max(survivor.importance, dup.importance))
 
 
 def exact_dedup(batch: Sequence[EpisodicRecord]
@@ -355,8 +358,10 @@ def run_consolidation(store: MemoryStore, now: datetime,
         readmitted = _revalidate_quarantine(store, now, report)
         for event in readmitted:
             store.readmit(event)
+        # a record encoded after `now` is not yet in this batch: it stays
+        # pending for a later sleep
         pending = [r for r in store.records.values()
-                   if r.state == STATE_PENDING]
+                   if r.state == STATE_PENDING and r.encoded_at <= now]
         fresh_events = [r.event for r in pending
                         if r.id not in store.admitted_ids]
         report.input_count = len(fresh_events) + len(readmitted)
@@ -374,9 +379,9 @@ def run_consolidation(store: MemoryStore, now: datetime,
         if mode == MODE_NONE:
             # keep-everything baseline: admit and retain, nothing else
             for rec in batch:
-                store.replace(replace(rec, state=STATE_RETAINED,
-                                      tier=TIER_WARM,
-                                      ttl_expires_at=warm_ttl))
+                store.replace(evolve(rec, state=STATE_RETAINED,
+                                     tier=TIER_WARM,
+                                     ttl_expires_at=warm_ttl))
             report.retained = len(batch)
             report.store_size_after = store.active_count()
             report.tokens_after = store.active_tokens()
@@ -393,7 +398,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
                        if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
             composite, breakdown = score_record(
                 rec, now, earlier, store.centroid(), store.graph, config)
-            rec = replace(rec, importance=composite, score_breakdown=breakdown)
+            rec = evolve(rec, importance=composite, score_breakdown=breakdown)
             store.replace(rec)
             store.add_to_centroid(rec.embedding)
         batch = [store.records[r.id] for r in batch]
@@ -451,17 +456,17 @@ def run_consolidation(store: MemoryStore, now: datetime,
             b = bucket.get(rec.id, "retain")
             if b == "promote":
                 gist_drafts.append(make_gist([rec], config))
-                store.replace(replace(rec, state=STATE_PROMOTED,
-                                      tier=TIER_WARM, ttl_expires_at=warm_ttl))
+                store.replace(evolve(rec, state=STATE_PROMOTED,
+                                     tier=TIER_WARM, ttl_expires_at=warm_ttl))
                 report.promoted += 1
             elif b == "prune":
-                pruned = replace(rec, state=STATE_RETAINED, tier=TIER_WARM,
-                                 ttl_expires_at=warm_ttl)
+                pruned = evolve(rec, state=STATE_RETAINED, tier=TIER_WARM,
+                                ttl_expires_at=warm_ttl)
                 store.replace(forgetting.degrade(pruned))
                 report.pruned += 1
             else:
-                store.replace(replace(rec, state=STATE_RETAINED,
-                                      tier=TIER_WARM, ttl_expires_at=warm_ttl))
+                store.replace(evolve(rec, state=STATE_RETAINED,
+                                     tier=TIER_WARM, ttl_expires_at=warm_ttl))
                 report.retained += 1
         # merged cluster members fold into their gist: counted promoted,
         # episodic copies become tombstones

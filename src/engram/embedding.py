@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -24,11 +25,19 @@ _TOKEN_RE = re.compile(r"[#@]?[\w'-]+")
 
 
 def normalize(values) -> np.ndarray:
-    """Scale a vector to unit L2 norm, preserving direction."""
+    """Scale a vector to unit L2 norm, preserving direction.
+
+    The norm is `math.sqrt(v.dot(v))`, which is what `np.linalg.norm`
+    computes for a 1-D float64 array, so the result is
+    `v / np.linalg.norm(v)` bit for bit. A NaN or infinite entry makes the
+    squared norm non-finite, so the entries are scanned only then. A
+    squared norm that overflows warns, as `np.linalg.norm` does; a finite
+    vector is then divided by an infinite norm."""
     v = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    sq = float(v.dot(v))
+    if not math.isfinite(sq) and not np.all(np.isfinite(v)):
         raise ZeroVector("vector has non-finite entries")
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(sq)
     if n < 1e-12:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return v / n

@@ -16,8 +16,14 @@ again only when the interference step has made a tombstone. Each priority
 is criterion 3's `interference` over the candidates `MemoryStore.near`
 picks from the store's embedding index, so the formula has one
 implementation. `interference` sums with `math.fsum`, so a priority does
-not depend on the order of the candidates. The budget walk reads the
-store's own token total after each step.
+not depend on the order of the candidates.
+
+The budget walk takes each ranked record down the ladder on its content
+alone: `_ladder_content`, which `degrade` also uses, gives each step's text,
+and the walk keeps the token total from those texts. The store receives
+only the record the walk ends at, a `tombstone` at L5 or else one
+`with_content` of the content and fidelity, so each walked record is built
+and written once, however many steps it took.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import functools
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional, Sequence
 
@@ -114,18 +120,21 @@ def interference(memory: EpisodicRecord,
 
 def rank_forget_candidates(store: MemoryStore, now: datetime
                            ) -> list[tuple[float, float, EpisodicRecord]]:
-    """All eligible records (pending or retained, not labile) ranked
-    most-forgettable first: (priority desc, decayed importance asc, id).
+    """All eligible records (pending or retained, encoded at or before
+    `now`, not labile) ranked most-forgettable first: (priority desc,
+    decayed importance asc, id).
 
     A record's priority is `interference(rec, others, threshold).interference
     / (decayed + EPSILON)`, where `others` are its `MemoryStore.near`
     candidates. `interference` decides each candidate with `np.dot`, so the
     priority equals the one over every live record. The eligible records
-    are the embedding index's live rows in those states."""
+    are the embedding index's live rows in those states and encoded by
+    `now`."""
     config = store.config
     with store.lock:
         index = store.embedding_index()
-        rows = np.flatnonzero(index.in_states((STATE_PENDING, STATE_RETAINED)))
+        rows = index.select(now)
+        rows = rows[index.in_states((STATE_PENDING, STATE_RETAINED))[rows]]
         keys = [index.keys[row] for row in rows.tolist()]
         eligible = [store.records[k] for k in keys if not store.is_labile(k, now)]
         near = store.near(eligible, config.interference_threshold)
@@ -159,41 +168,47 @@ def tombstone(record: EpisodicRecord) -> EpisodicRecord:
     lets an id absorbed by dedup still be traced. No engine path reads what
     is dropped: the embedding index and `near` skip tombstones, and
     lability, reconsolidation and reinforcement refuse them."""
-    return replace(record, event=replace(record.event, content=""),
-                   embedding=_zeros(len(record.embedding)), entities=(),
-                   score_breakdown={}, fidelity=FidelityLevel.L5,
-                   state=STATE_TOMBSTONE)
+    return record.with_content("", embedding=_zeros(len(record.embedding)),
+                               entities=(), score_breakdown={},
+                               fidelity=FidelityLevel.L5, state=STATE_TOMBSTONE)
+
+
+def _ladder_content(record: EpisodicRecord, content: str,
+                    fidelity: FidelityLevel) -> str:
+    """The content one level below `fidelity`, for `fidelity` L0 to L3, of
+    `record` when its content at `fidelity` is `content`. L1/L2 keep a
+    prefix sized by the level's retained token fraction; L3 keeps the first
+    sentence plus entity names; L4 keeps only the event kind and entity
+    names. The kind and the entities do not change along the ladder, so
+    they are read from `record`."""
+    nxt = fidelity.next_level()
+    entity_part = ", ".join(record.entities)
+    if nxt in (FidelityLevel.L1, FidelityLevel.L2):
+        frac = nxt.retained_fraction / fidelity.retained_fraction
+        target_tokens = int(estimate_tokens(content) * frac)
+        return content[:target_tokens * 4]
+    if nxt == FidelityLevel.L3:
+        m = _SENTENCE_END_RE.search(content)
+        first = content[:m.start() + 1] if m else content
+        return (first + (" " + entity_part if entity_part else "")).strip()
+    return record.event.kind + (": " + entity_part if entity_part else "")
 
 
 def degrade(record: EpisodicRecord) -> EpisodicRecord:
     """Advance a record exactly one fidelity level.
 
-    L1/L2 keep a prefix sized by the level's retained token fraction; L3
-    keeps the first sentence plus entity names; L4 keeps only the event kind
-    and entity names; L5 is `tombstone(record)`, which keeps only existence
-    metadata: the id, the event's timestamp, session, actor, kind, metadata
-    and causes, the record's times, tier, importance, access count and
-    `source_ids`.
+    L1 to L4 take the content `_ladder_content` gives; L5 is
+    `tombstone(record)`, which keeps only existence metadata: the id, the
+    event's timestamp, session, actor, kind, metadata and causes, the
+    record's times, tier, importance, access count and `source_ids`.
     """
     if record.fidelity >= FidelityLevel.L5:
         raise AlreadyTombstone(record.id)
     nxt = record.fidelity.next_level()
     if nxt == FidelityLevel.L5:
         return tombstone(record)
-    content = record.content
-    entity_part = ", ".join(record.entities)
-    if nxt in (FidelityLevel.L1, FidelityLevel.L2):
-        frac = nxt.retained_fraction / record.fidelity.retained_fraction
-        target_tokens = int(estimate_tokens(content) * frac)
-        content = content[:target_tokens * 4]
-    elif nxt == FidelityLevel.L3:
-        m = _SENTENCE_END_RE.search(content)
-        first = content[:m.start() + 1] if m else content
-        content = (first + (" " + entity_part if entity_part else "")).strip()
-    else:  # L4
-        content = (record.event.kind + (": " + entity_part if entity_part else ""))
-    return replace(record, event=replace(record.event, content=content),
-                   fidelity=nxt)
+    return record.with_content(_ladder_content(record, record.content, record.fidelity),
+                               fidelity=nxt)
 
 
 def degradation_due(record: EpisodicRecord, now: datetime,
@@ -214,28 +229,43 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int, now: datetime,
                      ) -> ForgettingReport:
     """Degrade most-forgettable records until active tokens fit the budget.
 
-    The top candidate is walked down the full ladder before moving on (its
-    priority does not change as it degrades). Promoted and labile records
+    The top candidate is walked down the ladder, one level per step, until
+    the tokens fit or it is a tombstone, before moving on (its priority
+    does not change as it degrades). Each step is `degrade`'s, taken on the
+    content text (`_ladder_content`) with the token total kept from it; the
+    record the walk ends at is written once. Promoted and labile records
     are never touched; the loop is bounded by ladder depth times store
     size. `ranked` is `rank_forget_candidates(store, now)` when the caller
     already holds it."""
     if budget_tokens <= 0:
         raise ValueError("budget must be positive")
     report = ForgettingReport()
-    if store.active_tokens() > budget_tokens:
+    tokens = store.active_tokens()
+    if tokens > budget_tokens:
         if ranked is None:
             ranked = rank_forget_candidates(store, now)
         for _prio, _dec, rec in ranked:
-            current = store.records[rec.id]
-            while (store.active_tokens() > budget_tokens
-                   and current.state != STATE_TOMBSTONE):
-                current = degrade(current)
-                store.replace(current)
-                report.budget_steps += 1
-                if current.state == STATE_TOMBSTONE:
-                    report.budget_tombstoned += 1
-            if store.active_tokens() <= budget_tokens:
+            if tokens <= budget_tokens:
                 break
+            current = store.records[rec.id]
+            content, fidelity = current.content, current.fidelity
+            while tokens > budget_tokens and fidelity < FidelityLevel.L5:
+                report.budget_steps += 1
+                if fidelity == FidelityLevel.L4:
+                    # the walk ends here; the tombstone is written below
+                    fidelity = FidelityLevel.L5
+                    report.budget_tombstoned += 1
+                else:
+                    stepped = _ladder_content(current, content, fidelity)
+                    tokens += estimate_tokens(stepped) - estimate_tokens(content)
+                    content, fidelity = stepped, fidelity.next_level()
+            if fidelity == current.fidelity:
+                continue
+            if fidelity == FidelityLevel.L5:
+                store.replace(tombstone(current))
+            else:
+                store.replace(current.with_content(content, fidelity=fidelity))
+            tokens = store.active_tokens()
     report.tokens_after = store.active_tokens()
     report.active_after = store.active_count()
     return report

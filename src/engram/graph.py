@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Any, Iterable, Optional
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .codec import decode
 from .errors import NegativeElapsed
-from .model import StoreConfig, hours_between
+from .model import StoreConfig, evolve, hours_between
 
 RETRIEVAL_THRESHOLD = 0.5
 
@@ -146,8 +146,8 @@ class KnowledgeGraph:
             node = EntityNode(name=name, first_seen=when, last_seen=when)
             self.entity_memories[key] = set()
         elif not node.first_seen <= when <= node.last_seen:
-            node = replace(node, first_seen=min(node.first_seen, when),
-                           last_seen=max(node.last_seen, when))
+            node = evolve(node, first_seen=min(node.first_seen, when),
+                          last_seen=max(node.last_seen, when))
         self.entities[key] = node
         return node
 

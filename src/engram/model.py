@@ -3,16 +3,19 @@
 All timestamps are timezone-aware UTC datetimes. Records are immutable
 values: the dataclasses are frozen, embeddings are read-only arrays and
 mapping fields are `ReadOnlyDict`s, so a lifecycle stage changes a record
-only by building a new one and replacing it by id in the store.
+only by building a new one with `evolve` and replacing it by id in the
+store.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import IntEnum
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -98,6 +101,39 @@ class ReadOnlyDict(dict):
 _EMPTY = ReadOnlyDict()
 
 
+@functools.lru_cache(maxsize=None)
+def _declared(cls: type) -> tuple[tuple[str, ...], frozenset[str], Optional[Callable]]:
+    """A dataclass's field names, as a tuple and a set, and its
+    `__post_init__` (None when it has none)."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return names, frozenset(names), getattr(cls, "__post_init__", None)
+
+
+_Value = TypeVar("_Value")
+
+
+def evolve(obj: _Value, **changes) -> _Value:
+    """A copy of the frozen value `obj` with `changes` applied: what
+    `dataclasses.replace(obj, **changes)` returns, built without a call to
+    `__init__`. Only the declared fields are copied, so nothing else held
+    on the instance (the codec's memoized text) reaches the copy; then
+    `__post_init__` runs, as the constructor would run it. A name that is
+    not a field raises `TypeError`."""
+    cls = type(obj)
+    names, known, post_init = _declared(cls)
+    if not known.issuperset(changes):
+        raise TypeError(f"{cls.__name__} has no field "
+                        f"{', '.join(sorted(set(changes) - known))}")
+    new = object.__new__(cls)
+    state, old = new.__dict__, obj.__dict__
+    for name in names:
+        state[name] = old[name]
+    state.update(changes)
+    if post_init is not None:
+        post_init(new)
+    return new
+
+
 def read_only(mapping: dict) -> ReadOnlyDict:
     """A read-only copy of `mapping`; a `ReadOnlyDict` is kept as it is, and
     every empty mapping shares one instance."""
@@ -168,8 +204,10 @@ class EpisodicRecord:
     def content(self) -> str:
         return self.event.content
 
-    def with_content(self, content: str) -> "EpisodicRecord":
-        return replace(self, event=replace(self.event, content=content))
+    def with_content(self, content: str, **changes) -> "EpisodicRecord":
+        """This record with its event's content replaced and `changes`
+        applied to its own fields, built once."""
+        return evolve(self, event=evolve(self.event, content=content), **changes)
 
 
 @dataclass

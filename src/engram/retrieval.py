@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
@@ -25,6 +25,7 @@ from .model import (
     TIER_HOT,
     TIER_WARM,
     decayed_importance,
+    evolve,
     hours_between,
 )
 from .store import MemoryStore
@@ -212,13 +213,13 @@ def open_lability(store: MemoryStore, memory_id: str,
         if rec is not None:
             if rec.state == STATE_TOMBSTONE:
                 raise AlreadyTombstone(memory_id)
-            store.replace(replace(rec, access_count=rec.access_count + 1,
-                                  last_accessed=now))
+            store.replace(evolve(rec, access_count=rec.access_count + 1,
+                                 last_accessed=now))
         else:
             mem = store.graph.memories.get(memory_id)
             if mem is None:
                 raise KeyError(memory_id)
-            store.graph.replace_memory(replace(mem, access_count=mem.access_count + 1))
+            store.graph.replace_memory(evolve(mem, access_count=mem.access_count + 1))
         expires = now + window
         store.labile_until[memory_id] = expires
     return LabilityHandle(memory_id=memory_id, opened_at=now, expires_at=expires)
@@ -278,10 +279,10 @@ def reconsolidate(store: MemoryStore, handle: LabilityHandle,
         else:
             content = old_content + "\n[amendment] " + new_content
         if rec is not None:
-            updated = replace(rec.with_content(content), embedding=blended)
+            updated = rec.with_content(content, embedding=blended)
             store.replace(updated)
             return updated
-        mem = replace(mem, gist=content, embedding=blended)
+        mem = evolve(mem, gist=content, embedding=blended)
         store.graph.replace_memory(mem)
         return mem
 
@@ -298,12 +299,12 @@ def reinforce(store: MemoryStore, memory_id: str, outcome: str) -> float:
         if rec.state == STATE_TOMBSTONE:
             raise AlreadyTombstone(memory_id)
         if outcome == "success":
-            updated = replace(rec, importance=min(1.0, rec.importance +
-                                                  store.config.reinforce_step))
+            updated = evolve(rec, importance=min(1.0, rec.importance +
+                                                 store.config.reinforce_step))
         elif outcome == "failure":
             metadata = dict(rec.event.metadata)
             metadata["error_signal"] = "true"
-            updated = replace(rec, event=replace(rec.event, metadata=metadata))
+            updated = evolve(rec, event=evolve(rec.event, metadata=metadata))
         else:
             raise ValueError(f"unknown outcome {outcome!r}")
         store.replace(updated)

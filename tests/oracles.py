@@ -2,7 +2,8 @@
 
 Each oracle is the plain loop the engine once ran, or its definition: dedup
 over the whole store, forget priorities from `forgetting.interference`
-(criterion 3) over every live record, the episodic scan over every record,
+(criterion 3) over every live record, the budget walk one `degrade` and one
+store write per step, the episodic scan over every record,
 clustering with every pair average recomputed, the v1 rendering of a
 snapshot, and a snapshot with its tombstones in the existence-metadata form. Oracle and engine share the pinned pairwise rules (`absorb`,
 `survivor_order`, `interference`); they differ in how candidates are found
@@ -18,7 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from engram.consolidation import absorb, survivor_order
-from engram.forgetting import EPSILON, interference
+from engram.forgetting import (
+    EPSILON,
+    ForgettingReport,
+    degrade,
+    interference,
+    rank_forget_candidates,
+)
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
@@ -79,15 +86,42 @@ def forget_priority(store, rec, now):
 
 
 def forget_ranking(store, now):
-    """Every live, unpromoted, non-labile record by (priority desc, decayed
-    importance asc, id), as (priority, decayed, id)."""
+    """Every live, unpromoted, non-labile record encoded by `now`, by
+    (priority desc, decayed importance asc, id), as (priority, decayed,
+    id)."""
     ranked = []
     for rec in store.records.values():
-        if rec.state in (STATE_TOMBSTONE, STATE_PROMOTED) or store.is_labile(rec.id, now):
+        if (rec.state in (STATE_TOMBSTONE, STATE_PROMOTED) or rec.encoded_at > now
+                or store.is_labile(rec.id, now)):
             continue
         ranked.append((*forget_priority(store, rec, now), rec.id))
     ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
     return ranked
+
+
+def stepwise_budget_walk(store, budget_tokens, now):
+    """`forgetting.forget_to_budget` as it ran before it wrote each walked
+    record once: one `degrade` and one `store.replace` per step, with the
+    store's token total read after each."""
+    if budget_tokens <= 0:
+        raise ValueError("budget must be positive")
+    report = ForgettingReport()
+    if store.active_tokens() > budget_tokens:
+        ranked = rank_forget_candidates(store, now)
+        for _prio, _dec, rec in ranked:
+            current = store.records[rec.id]
+            while (store.active_tokens() > budget_tokens
+                   and current.state != STATE_TOMBSTONE):
+                current = degrade(current)
+                store.replace(current)
+                report.budget_steps += 1
+                if current.state == STATE_TOMBSTONE:
+                    report.budget_tombstoned += 1
+            if store.active_tokens() <= budget_tokens:
+                break
+    report.tokens_after = store.active_tokens()
+    report.active_after = store.active_count()
+    return report
 
 
 def scan_oracle(store, qvec, k, now, time_range=None, session_id=None,

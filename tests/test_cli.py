@@ -4,6 +4,7 @@ import pytest
 
 from engram.calibration import generate_corpus
 from engram.cli import main
+from engram.codec import utc
 
 pytestmark = pytest.mark.usefixtures("tmp_cwd")
 
@@ -152,6 +153,26 @@ def test_forget_with_budget(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.strip())
     assert report["tokens_after"] <= 100 or report["budget_steps"] > 0
+
+
+def test_consolidate_at_a_past_now_takes_the_records_encoded_by_then(tmp_path, capsys):
+    _run(capsys, "generate", "--out", "stream.jsonl", "--seed", "0")
+    _run(capsys, "--store", "st.json", "ingest", "stream.jsonl")
+    stamps = [utc(json.loads(line)["ts"]) for line in
+              (tmp_path / "stream.jsonl").read_text(encoding="utf-8").splitlines()]
+    code, out = _run(capsys, "--store", "st.json", "consolidate",
+                     "--now", "2026-01-10T00:00:00Z")
+    assert code == 0
+    first = json.loads(out)
+    assert 0 < first["input_count"] == sum(t <= utc("2026-01-10T00:00:00Z") for t in stamps)
+    code, out = _run(capsys, "--store", "st.json", "consolidate",
+                     "--now", "2026-01-15T00:00:00Z")
+    assert code == 0
+    rest = json.loads(out)
+    # the first batch's quarantine has expired: each entry is re-admitted,
+    # and counted again, or dropped
+    readmitted = first["quarantined"] - len(rest["quarantine_dropped"])
+    assert rest["input_count"] == len(stamps) - first["input_count"] + readmitted
 
 
 def test_retrieve_as_of_before_every_record(tmp_path, capsys):

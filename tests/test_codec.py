@@ -20,7 +20,7 @@ from engram.errors import SnapshotFormatError
 from engram.forgetting import apply_ttl, degrade
 from engram.graph import EntityNode, SemanticMemory
 from engram.harness import StreamSpec
-from engram.model import FidelityLevel, MemoryEvent, StoreConfig
+from engram.model import FidelityLevel, MemoryEvent, StoreConfig, evolve
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, make_record
@@ -186,14 +186,15 @@ def test_text_is_memoized_and_stays_out_of_the_json(embedder):
 
 def test_replaced_values_get_fresh_text(embedder):
     record, memory, node = stored_values(embedder)
-    for value, change in ((record, {"importance": 0.9}),
-                          (record, {"event": replace(record.event, content="edited")}),
-                          (memory, {"access_count": 3}),
-                          (node, {"importance": 1.0})):
-        old = dumps(value)
-        new = replace(value, **change)
-        assert dumps(new) == canonical(new) != old
-        assert dumps(value) == old
+    for build in (replace, evolve):
+        for value, change in ((record, {"importance": 0.9}),
+                              (record, {"event": build(record.event, content="edited")}),
+                              (memory, {"access_count": 3}),
+                              (node, {"importance": 1.0})):
+            old = dumps(value)
+            new = build(value, **change)
+            assert dumps(new) == canonical(new) != old
+            assert dumps(value) == old
 
 
 def test_copies_of_a_value_with_memoized_text_give_its_text(embedder):

@@ -24,7 +24,7 @@ from engram.consolidation import (
 )
 from engram.embedding import HashEmbedder
 from engram.errors import DuplicateId
-from engram.forgetting import degrade
+from engram.forgetting import degrade, run_forgetting
 from engram.graph import KnowledgeGraph
 from engram.model import (
     STATE_PENDING,
@@ -396,6 +396,25 @@ def test_run_consolidation_second_run_is_noop(store):
     before_store = MemoryStore.from_state_dict(__import__("json").loads(before))
     before_store.batch_seq = 0
     assert before_store.snapshot_json() == after_store.snapshot_json()
+
+
+def test_a_sleep_takes_the_records_encoded_by_its_now(store):
+    _ingest(store, [make_event(f"e{i}", ts=T0 + hours(i),
+                               content=f"payload {i} " +
+                               " ".join(f"p{i}{j}" for j in range(6)))
+                    for i in range(6)])
+    past = T0 + hours(2) + minutes(30)
+    first = run_consolidation(store, past)
+    assert first.input_count == 3 and first.accounting_holds()
+    later = ["e3", "e4", "e5"]
+    assert [r.id for r in store.records.values() if r.state == STATE_PENDING] == later
+    # forgetting at the same past `now` ranks only the records encoded by then
+    pending = [store.records[k] for k in later]
+    run_forgetting(store, past, budget=1)
+    assert [store.records[k] for k in later] == pending
+    rest = run_consolidation(store, T0 + hours(6))
+    assert rest.input_count == 3 and rest.accounting_holds()
+    assert all(r.state != STATE_PENDING for r in store.records.values())
 
 
 def test_run_consolidation_quarantines_and_readmits(store):

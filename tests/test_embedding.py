@@ -8,6 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from engram.embedding import (
     HashEmbedder,
@@ -25,10 +26,36 @@ def test_normalize_unit_norm():
 
 
 def test_normalize_rejects_zero_and_nonfinite():
-    with pytest.raises(ZeroVector):
-        normalize([0.0, 0.0])
-    with pytest.raises(ZeroVector):
-        normalize([float("nan"), 1.0])
+    for values in ([0.0, 0.0], [], [float("nan"), 1.0], [1.0, float("inf")],
+                   [float("-inf"), 0.0]):
+        with pytest.raises(ZeroVector):
+            normalize(values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_normalize_rejects_nonfinite_after_an_overflow_warning(bad):
+    # the squared norm overflows before the entries are scanned
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ZeroVector):
+        normalize([1e300, bad])
+
+
+@given(v=hnp.arrays(np.float64, st.integers(1, 300),
+                    elements=st.one_of(st.just(0.0), st.floats(-1e3, 1e3))),
+       scale=st.sampled_from([1.0, 1e-8, 1e-150, 1e-170, 1e150, 1e160, 1e300]))
+def test_normalize_is_division_by_the_norm(v, scale):
+    """Dense, sparse, tiny and huge vectors, those whose squared norm
+    underflows or overflows included: the result is `v / np.linalg.norm(v)`
+    bit for bit, or `ZeroVector` when that norm is below 1e-12. An
+    overflow warns in both; only the values are compared here."""
+    v = v * scale
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            with pytest.raises(ZeroVector):
+                normalize(v)
+        else:
+            assert normalize(v).tobytes() == (v / norm).tobytes()
+            assert normalize(list(v)).tobytes() == (v / norm).tobytes()
 
 
 def test_tokenize_handles_refs():

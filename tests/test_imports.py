@@ -1,5 +1,6 @@
-"""Every imported name in `src/` and `tests/` is used, and every parameter
-of a function in `src/` is read.
+"""Every imported name in `src/` and `tests/` is used, every parameter of a
+function in `src/` is read, and `src/` builds its changed values with
+`model.evolve`, never with `dataclasses.replace`.
 
 Stdlib stand-ins for a linter's unused-import and unused-argument rules. A
 name counts as used when the module reads it anywhere (a quoted annotation
@@ -82,6 +83,19 @@ def unused_parameters(source: str) -> list[tuple[int, str, str]]:
     return sorted(unused)
 
 
+def dataclasses_replace_uses(source: str) -> list[int]:
+    """The lines that import `replace` from `dataclasses` or read
+    `dataclasses.replace`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            lines.extend(node.lineno for alias in node.names if alias.name == "replace")
+        elif (isinstance(node, ast.Attribute) and node.attr == "replace"
+              and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -104,9 +118,21 @@ def test_the_check_sees_what_it_should():
         "            return a + d\n"
         "        return sorted(kw, key=lambda e: inner(0))\n")
     assert unused_parameters(source) == [(2, "m", "args"), (2, "m", "c")]
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, replace as rebuild\n"
+        "def f(x, s):\n"
+        "    return dataclasses.replace(x), s.replace('a', 'b'), rebuild(x)\n")
+    assert dataclasses_replace_uses(source) == [2, 4]
 
 
 def test_no_unused_parameters_in_src():
     found = {str(path.relative_to(ROOT)): unused_parameters(path.read_text(encoding="utf-8"))
              for path in SOURCES if path.is_relative_to(ROOT / "src")}
     assert {path: unused for path, unused in found.items() if unused} == {}
+
+
+def test_src_builds_values_with_evolve():
+    found = {str(path.relative_to(ROOT)): dataclasses_replace_uses(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.is_relative_to(ROOT / "src")}
+    assert {path: lines for path, lines in found.items() if lines} == {}

@@ -1,13 +1,15 @@
 import math
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from engram.codec import rfc3339, utc
+from engram.codec import dumps, rfc3339, utc
 from engram.embedding import HashEmbedder
 from engram.errors import NegativeElapsed
+from engram.graph import EntityNode, SemanticMemory
 from engram.model import (
     ACTORS,
     STATE_PENDING,
@@ -19,13 +21,15 @@ from engram.model import (
     EpisodicRecord,
     FidelityLevel,
     MemoryEvent,
+    ReadOnlyDict,
     StoreConfig,
     decayed_importance,
     estimate_tokens,
+    evolve,
     hours_between,
 )
 
-from conftest import T0, hours, make_event, roundtrip
+from conftest import T0, hours, make_event, make_record, roundtrip
 
 EMB = HashEmbedder(256, 0)
 
@@ -51,6 +55,13 @@ records = st.builds(
                            STATE_TOMBSTONE]),
     entities=st.lists(_texts, max_size=3).map(tuple),
     source_ids=st.lists(_texts, max_size=3).map(tuple))
+memories = st.builds(
+    SemanticMemory, id=st.text(min_size=1, max_size=10), gist=_texts,
+    embedding=st.lists(_floats, min_size=1, max_size=8).map(np.array),
+    source_ids=st.frozensets(_texts, max_size=3), created_at=_times,
+    entities=st.lists(_texts, max_size=3).map(tuple), access_count=st.integers(0, 10**6))
+nodes = st.builds(EntityNode, name=_texts, importance=_floats, first_seen=_times,
+                  last_seen=_times)
 
 
 def test_utc_roundtrip():
@@ -147,3 +158,37 @@ def test_hours_between_sign():
     assert hours_between(T0, T0 + hours(2)) == 2.0
     assert hours_between(T0 + hours(2), T0) == -2.0
     assert math.isclose(hours_between(T0, T0 + hours(0.5)), 0.5)
+
+
+@given(pair=st.one_of(*(st.tuples(values, values)
+                        for values in (events, records, memories, nodes))),
+       data=st.data())
+def test_evolve_is_replace(pair, data):
+    """`evolve` builds what `dataclasses.replace` builds, in canonical text,
+    for each value class and a change of any one field; the old value's
+    memoized text stays behind."""
+    value, donor = pair
+    name = data.draw(st.sampled_from([f.name for f in fields(value)]), label="field")
+    change = {name: getattr(donor, name)}
+    dumps(value)
+    new, want = evolve(value, **change), replace(value, **change)
+    assert new.__dict__.keys() == want.__dict__.keys()
+    assert dumps(new) == dumps(want)
+
+
+def test_evolve_rejects_unknown_fields_and_keeps_values_immutable(embedder):
+    rec = make_record(embedder)
+    for value, change in ((rec, {"content": "a property, not a field"}),
+                          (rec.event, {"nope": 1})):
+        with pytest.raises(TypeError):
+            evolve(value, **change)
+    with pytest.raises(ValueError):
+        evolve(rec.event, actor="nobody")
+    changed = evolve(rec, embedding=np.ones(256), score_breakdown={"recency": 1.0})
+    assert not changed.embedding.flags.writeable
+    assert type(changed.score_breakdown) is ReadOnlyDict
+    event = evolve(rec.event, metadata={"outcome": "success"}, causes=["evt-0"])
+    assert type(event.metadata) is ReadOnlyDict and event.causes == ("evt-0",)
+    memory = SemanticMemory(id="sem-000000", gist="g", embedding=np.ones(4),
+                            source_ids=frozenset({"evt-1"}), created_at=T0)
+    assert not evolve(memory, embedding=np.ones(4)).embedding.flags.writeable

@@ -1,6 +1,7 @@
-"""The sleep's two indexed passes against their pairwise oracles: step 4's
-dedup of the new batch against the whole-store dedup loop, and the forget
-ranking against criterion 3's `interference`. The budgets come from the
+"""The sleep's fast passes against their oracles: step 4's dedup of the new
+batch against the whole-store dedup loop, the forget ranking against
+criterion 3's `interference`, and the single-write budget walk against the
+walk that degraded and wrote one step at a time. The budgets come from the
 loaded Hypothesis profile (see conftest.py)."""
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from engram import consolidation
 from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
-from engram.forgetting import rank_forget_candidates
+from engram.forgetting import degrade, forget_to_budget, rank_forget_candidates
+from engram.graph import extract_entities
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
@@ -26,7 +28,7 @@ from engram.model import (
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, minutes
-from oracles import forget_ranking, whole_store_dedup
+from oracles import forget_ranking, stepwise_budget_walk, whole_store_dedup
 
 VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
 EMB = HashEmbedder(256, 0)
@@ -110,14 +112,18 @@ def test_step_4_equals_the_whole_store_pass(stored, batch, tombstones, threshold
                                       STATE_TOMBSTONE]),
               st.integers(0, 3), st.floats(0.0, 1.0), st.booleans()),
     max_size=14),
-    later=st.integers(0, 400))
+    later=st.integers(-4, 400))
 # five equal records: each priority sums four terms weighted 0.4 or 0.6,
 # whose plain float sum would depend on their order
 @example(records=[("alpha", STATE_PENDING, 0, 0.0, False)] * 5, later=0)
+# `now` one hour after the first record and two before the second
+@example(records=[("alpha", STATE_RETAINED, 0, 0.5, False),
+                  ("alpha beta", STATE_PENDING, 3, 0.5, False)], later=-2)
 def test_forget_priorities_are_interference_over_decayed_importance(records, later):
     """Each priority is criterion 3's `interference` over the live records,
     divided by the decayed importance plus EPSILON, exactly; the ranking
-    orders the eligible records as the oracle does."""
+    orders the eligible records as the oracle does. A `now` before some
+    records leaves those out of the ranking."""
     store = MemoryStore()
     now = T0 + hours(3 + later)
     for i, (content, state, offset, importance, labile) in enumerate(records):
@@ -131,3 +137,46 @@ def test_forget_priorities_are_interference_over_decayed_importance(records, lat
             store.labile_until[rec.id] = now + minutes(1)
     got = [(prio, dec, rec.id) for prio, dec, rec in rank_forget_candidates(store, now)]
     assert got == forget_ranking(store, now)
+
+
+LADDER_VOCAB = VOCAB + ["shipped.", "done!", "Kestrel", "why?", "@carol", "#42"]
+walked_records = st.lists(
+    st.tuples(st.lists(st.sampled_from(LADDER_VOCAB), min_size=1, max_size=24).map(" ".join),
+              st.sampled_from([STATE_PENDING, STATE_RETAINED, STATE_PROMOTED]),
+              st.integers(0, 4), st.integers(0, 6), st.floats(0.0, 1.0), st.booleans()),
+    min_size=1, max_size=14)
+
+
+def _walk_store(records, now):
+    """A store holding `records`, each degraded to its drawn level (L0 to
+    L4), with the drawn ones labile at `now`."""
+    store = MemoryStore()
+    for i, (content, state, level, offset, importance, labile) in enumerate(records):
+        rec = _record(f"w{i}", content, 30 * offset, state=state, importance=importance,
+                      entities=extract_entities(content))
+        for _ in range(level):
+            rec = degrade(rec)
+        store.records[rec.id] = rec
+        if labile:
+            store.labile_until[rec.id] = now + minutes(1)
+    return store
+
+
+@given(records=walked_records, later=st.integers(-2, 200), share=st.floats(0.0, 1.2))
+@example(records=[("Alice shipped. Bob deploy release done! kestrel", STATE_RETAINED,
+                   0, 0, 0.5, False)] * 3, later=0, share=0.0)
+@example(records=[("Alice shipped. Bob deploy", STATE_RETAINED, 1, 0, 0.5, False),
+                  ("Alice shipped. Bob deploy done!", STATE_PENDING, 0, 6, 0.5, False)],
+         later=-2, share=0.0)
+def test_budget_walk_equals_the_stepwise_walk(records, later, share):
+    """On any store, at any budget from 1 to above its token total,
+    `forget_to_budget` leaves the store byte for byte as the walk that
+    degrades and writes one step at a time, and reports the same steps,
+    tombstones and totals."""
+    now = T0 + hours(3 + later)
+    stepwise, single = _walk_store(records, now), _walk_store(records, now)
+    budget = max(1, round(share * single.active_tokens()))
+    want = stepwise_budget_walk(stepwise, budget, now)
+    got = forget_to_budget(single, budget, now)
+    assert got == want
+    assert single.snapshot_json() == stepwise.snapshot_json()

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from engram import consolidation, forgetting, retrieval
+from engram import consolidation, retrieval
 from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, MODE_NONE, run_consolidation
 from engram.forgetting import run_forgetting
 from engram.harness import StreamSpec, generate_stream
@@ -84,10 +84,12 @@ def test_consolidation_rolls_back_a_late_failure(mode, monkeypatch):
 
 
 def test_forgetting_rolls_back_a_failed_degrade(monkeypatch):
+    # the budget walk writes each walked record once, so the failure is
+    # injected at the job's third store write
     store, now = grown_store(StoreConfig())
     run_consolidation(store, now)
     before = store.snapshot_json()
-    monkeypatch.setattr(forgetting, "degrade", fail_on_call(forgetting.degrade, 3))
+    monkeypatch.setattr(MemoryStore, "replace", fail_on_call(MemoryStore.replace, 3))
     with pytest.raises(Injected):
         run_forgetting(store, now, budget=1000)
     monkeypatch.undo()
