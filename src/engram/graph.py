@@ -123,6 +123,13 @@ class KnowledgeGraph:
     and it is recomputed once before the next read of an importance or of
     the snapshot. Nodes and memories are immutable values, replaced by key,
     so `copy` needs to copy only the containers.
+
+    `co_occurs` holds each edge once, under its sorted key pair; it is the
+    persisted form. `adjacent` holds the same edges by endpoint, both ways:
+    entity key -> {neighbour key: weight}. It is derived state, written by
+    `insert_memory` beside `co_occurs` and rebuilt by `from_dict`, so the
+    snapshot never holds it. A walk reads an entity's neighbours from its
+    own row, not from a scan of every edge.
     """
 
     def __init__(self):
@@ -130,6 +137,7 @@ class KnowledgeGraph:
         self.memories: dict[str, SemanticMemory] = {}
         self.entity_memories: dict[str, set[str]] = {}     # entity key -> memory ids
         self.co_occurs: dict[tuple[str, str], int] = {}    # sorted key pair -> weight
+        self.adjacent: dict[str, dict[str, int]] = {}      # key -> neighbour key -> weight
         self._by_source_set: dict[frozenset[str], str] = {}
         self._next_memory_seq = 0
         self._importance_stale = False
@@ -157,10 +165,10 @@ class KnowledgeGraph:
         return node.importance if node else 0.0
 
     def recompute_importance(self) -> None:
-        degrees = {key: len(mems) for key, mems in self.entity_memories.items()}
-        for (a, b), _w in self.co_occurs.items():
-            degrees[a] = degrees.get(a, 0) + 1
-            degrees[b] = degrees.get(b, 0) + 1
+        # every edge endpoint is an entity, so every adjacency row is counted
+        adjacent = self.adjacent
+        degrees = {key: len(mems) + len(adjacent.get(key, ()))
+                   for key, mems in self.entity_memories.items()}
         max_degree = max(degrees.values(), default=0)
         for key, node in self.entities.items():
             if max_degree == 0:
@@ -207,9 +215,15 @@ class KnowledgeGraph:
             for j in range(i + 1, len(keys)):
                 pair = tuple(sorted((keys[i], keys[j])))
                 if pair[0] != pair[1]:
-                    self.co_occurs[pair] = self.co_occurs.get(pair, 0) + 1
+                    self._add_edge(pair, self.co_occurs.get(pair, 0) + 1)
         self._importance_stale = True
         return mem
+
+    def _add_edge(self, pair: tuple[str, str], weight: int) -> None:
+        a, b = pair
+        self.co_occurs[pair] = weight
+        self.adjacent.setdefault(a, {})[b] = weight
+        self.adjacent.setdefault(b, {})[a] = weight
 
     def replace_memory(self, mem: SemanticMemory) -> None:
         self.memories[mem.id] = mem
@@ -222,6 +236,7 @@ class KnowledgeGraph:
         g.memories = dict(self.memories)
         g.entity_memories = {k: set(v) for k, v in self.entity_memories.items()}
         g.co_occurs = dict(self.co_occurs)
+        g.adjacent = {k: dict(row) for k, row in self.adjacent.items()}
         g._by_source_set = dict(self._by_source_set)
         g._next_memory_seq = self._next_memory_seq
         g._importance_stale = self._importance_stale
@@ -230,37 +245,37 @@ class KnowledgeGraph:
     # -- traversal --------------------------------------------------------
 
     def neighbors(self, key: str) -> list[tuple[str, int]]:
-        out = []
-        for (a, b), w in self.co_occurs.items():
-            if a == key:
-                out.append((b, w))
-            elif b == key:
-                out.append((a, w))
-        # deterministic visit order: heavier edges first, then name
-        out.sort(key=lambda kw: (-kw[1], kw[0]))
-        return out
+        """The neighbours of entity key `key` with their edge weights,
+        heavier edges first, then by key; `[]` for an unknown key."""
+        return sorted(self.adjacent.get(key, {}).items(),
+                      key=lambda kw: (-kw[1], kw[0]))
 
     def traverse(self, seed_entities: Iterable[str], max_hops: int = 2
                  ) -> list[tuple[SemanticMemory, int]]:
         """Breadth-first walk over the entity graph collecting attached
-        memories; each memory is returned once at its minimal hop distance.
-        Unknown seeds contribute nothing."""
+        memories; each memory is returned once at its minimal hop distance,
+        the depth at which the walk first reaches it. Unknown seeds
+        contribute nothing.
+
+        Each level visits its entities in order (seeds as given, then each
+        entity's `neighbors`), and the result is sorted once by (hops,
+        memory id). The walk costs one `neighbors` row sort per entity
+        expanded and O(1) per reached memory, not a scan of every edge."""
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        visited: dict[str, int] = {}
+        visited: set[str] = set()
         frontier: list[str] = []
         for name in seed_entities:
             key = self._key(name)
             if key in self.entities and key not in visited:
-                visited[key] = 0
+                visited.add(key)
                 frontier.append(key)
-        results: dict[str, tuple[SemanticMemory, int]] = {}
+        hops: dict[str, int] = {}
         depth = 0
         while frontier:
             for key in frontier:
-                for mem_id in sorted(self.entity_memories.get(key, ())):
-                    if mem_id not in results:
-                        results[mem_id] = (self.memories[mem_id], visited[key])
+                for mem_id in self.entity_memories.get(key, ()):
+                    hops.setdefault(mem_id, depth)
             if depth >= max_hops:
                 break
             depth += 1
@@ -268,10 +283,12 @@ class KnowledgeGraph:
             for key in frontier:
                 for nkey, _w in self.neighbors(key):
                     if nkey not in visited:
-                        visited[nkey] = depth
+                        visited.add(nkey)
                         nxt.append(nkey)
             frontier = nxt
-        return sorted(results.values(), key=lambda mi: (mi[1], mi[0].id))
+        memories = self.memories
+        return [(memories[mem_id], d)
+                for d, mem_id in sorted((d, m) for m, d in hops.items())]
 
     # -- serialization ----------------------------------------------------
 
@@ -299,6 +316,7 @@ class KnowledgeGraph:
             g._by_source_set[mem.source_ids] = mem.id
             for name in mem.entities:
                 g.entity_memories.setdefault(g._key(name), set()).add(mem.id)
-        g.co_occurs = {(a, b): w for a, b, w in d["co_occurs"]}
+        for a, b, w in d["co_occurs"]:
+            g._add_edge((a, b), w)
         g._next_memory_seq = d["next_memory_seq"]
         return g

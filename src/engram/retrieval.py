@@ -162,18 +162,28 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
                 seed_entities.setdefault(name, None)
         graph_hits: list[Hit] = []
         silent_by_entity: dict[str, float] = {}
+        # a priming weight depends only on created_at, and the memories of
+        # one sleep share theirs: weigh each created_at once per query
+        weights: dict[datetime, float] = {}
+        folded: dict[str, str] = {}
         if seed_entities:
             for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
-                if mem.created_at > now:
+                created = mem.created_at
+                if created > now:
                     continue
-                weight = mem.priming_weight(now, config)
+                weight = weights.get(created)
+                if weight is None:
+                    weight = weights[created] = mem.priming_weight(now, config)
                 if weight == 0.0:  # matured: surfaces as a hit of its own
                     graph_hits.append(_memory_hit(mem, qvec, hops))
                 else:
                     # silent memories prime episodic results sharing an entity
                     for name in mem.entities:
-                        key = name.casefold()
-                        silent_by_entity[key] = max(silent_by_entity.get(key, 0.0), weight)
+                        key = folded.get(name)
+                        if key is None:
+                            key = folded[name] = name.casefold()
+                        if weight > silent_by_entity.get(key, 0.0):
+                            silent_by_entity[key] = weight
 
         # merge + dedupe: an episodic copy beats its own semantic gist
         covered_sources: set[str] = set()

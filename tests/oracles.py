@@ -3,18 +3,21 @@
 Each oracle is the plain loop the engine once ran, or its definition: dedup
 over the whole store, forget priorities from `forgetting.interference`
 (criterion 3) over every live record, the budget walk one `degrade` and one
-store write per step, the episodic scan over every record,
-clustering with every pair average recomputed, the v1 rendering of a
-snapshot, and a snapshot with its tombstones in the existence-metadata form. Oracle and engine share the pinned pairwise rules (`absorb`,
-`survivor_order`, `interference`); they differ in how candidates are found
-and sums are kept. The oracles are slow on purpose, and they live here, not
-in `src/`."""
+store write per step, the episodic scan over every record, the graph walk
+that scans every co-occurrence edge per visited entity, hybrid retrieval
+with one priming weight per reached memory, clustering with every pair
+average recomputed, the v1 rendering of a snapshot, and a snapshot with its
+tombstones in the existence-metadata form. Oracle and engine share the
+pinned pairwise rules (`absorb`, `survivor_order`, `interference`); they
+differ in how candidates are found and sums are kept. The oracles are slow
+on purpose, and they live here, not in `src/`."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from datetime import datetime, timezone
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,10 +34,20 @@ from engram.model import (
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
+    TIER_HOT,
+    TIER_WARM,
     EpisodicRecord,
     decayed_importance,
+    hours_between,
 )
-from engram.retrieval import Hit, _rank_key
+from engram.retrieval import (
+    TIER_GRAPH,
+    Hit,
+    RetrievalResult,
+    _episodic_scan,
+    _memory_hit,
+    _rank_key,
+)
 
 
 def live_records(store):
@@ -151,6 +164,122 @@ def scan_oracle(store, qvec, k, now, time_range=None, session_id=None,
                         source_ids=rec.source_ids))
     hits.sort(key=_rank_key)
     return hits[:k]
+
+
+# The earlier `KnowledgeGraph.neighbors` and `traverse`, word for word but
+# for taking the graph as an argument: a scan of every co-occurrence edge per
+# visited entity, and a sort of each visited entity's memory ids.
+def neighbors_by_edge_scan(graph, key: str) -> list[tuple[str, int]]:
+    out = []
+    for (a, b), w in graph.co_occurs.items():
+        if a == key:
+            out.append((b, w))
+        elif b == key:
+            out.append((a, w))
+    # deterministic visit order: heavier edges first, then name
+    out.sort(key=lambda kw: (-kw[1], kw[0]))
+    return out
+
+
+def traverse_by_edge_scan(graph, seed_entities: Iterable[str], max_hops: int = 2):
+    """Breadth-first walk over the entity graph collecting attached
+    memories; each memory is returned once at its minimal hop distance.
+    Unknown seeds contribute nothing."""
+    if max_hops < 1:
+        raise ValueError("max_hops must be >= 1")
+    visited: dict[str, int] = {}
+    frontier: list[str] = []
+    for name in seed_entities:
+        key = graph._key(name)
+        if key in graph.entities and key not in visited:
+            visited[key] = 0
+            frontier.append(key)
+    results: dict = {}
+    depth = 0
+    while frontier:
+        for key in frontier:
+            for mem_id in sorted(graph.entity_memories.get(key, ())):
+                if mem_id not in results:
+                    results[mem_id] = (graph.memories[mem_id], visited[key])
+        if depth >= max_hops:
+            break
+        depth += 1
+        nxt: list[str] = []
+        for key in frontier:
+            for nkey, _w in neighbors_by_edge_scan(graph, key):
+                if nkey not in visited:
+                    visited[nkey] = depth
+                    nxt.append(nkey)
+        frontier = nxt
+    return sorted(results.values(), key=lambda mi: (mi[1], mi[0].id))
+
+
+# The earlier `hybrid_retrieve`, word for word but for its walk: it calls
+# `traverse_by_edge_scan` and takes one `priming_weight` per reached memory.
+def hybrid_reference(store, query: str, k: Optional[int] = None,
+                     now: Optional[datetime] = None,
+                     session_id: Optional[str] = None) -> RetrievalResult:
+    config = store.config
+    if k is None:
+        k = config.retrieval_k
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    qvec = store.embedder.embed(query)
+    with store.lock:
+        if now is None:
+            now = store.logical_now() or datetime.now(timezone.utc)
+        # each record has one tier, so the hot and warm hits are disjoint
+        episodic_hits = (_episodic_scan(store, qvec, k, now, tier=TIER_HOT,
+                                        session_id=session_id)
+                         + _episodic_scan(store, qvec, k, now, tier=TIER_WARM))
+
+        # graph pathway seeded by entities of the strongest episodic hits
+        seed_entities: dict[str, None] = {}
+        for hit in episodic_hits[:k]:
+            for name in store.records[hit.memory_id].entities:
+                seed_entities.setdefault(name, None)
+        graph_hits: list[Hit] = []
+        silent_by_entity: dict[str, float] = {}
+        if seed_entities:
+            for mem, hops in traverse_by_edge_scan(store.graph, seed_entities,
+                                                   config.max_hops):
+                if mem.created_at > now:
+                    continue
+                weight = mem.priming_weight(now, config)
+                if weight == 0.0:  # matured: surfaces as a hit of its own
+                    graph_hits.append(_memory_hit(mem, qvec, hops))
+                else:
+                    # silent memories prime episodic results sharing an entity
+                    for name in mem.entities:
+                        key = name.casefold()
+                        silent_by_entity[key] = max(silent_by_entity.get(key, 0.0), weight)
+
+        # merge + dedupe: an episodic copy beats its own semantic gist
+        covered_sources: set[str] = set()
+        for hit in episodic_hits:
+            covered_sources.update(hit.source_ids)
+            covered_sources.add(hit.memory_id)
+        merged = list(episodic_hits)
+        for hit in graph_hits:
+            if any(src in covered_sources for src in hit.source_ids):
+                continue
+            merged.append(hit)
+            covered_sources.update(hit.source_ids)
+
+        for hit in merged:
+            age_h = max(hours_between(hit.timestamp, now), 0.0)
+            hit.recency_boost = 1.0 + config.recency_boost_beta * math.exp(
+                -config.recency_boost_lambda * age_h)
+            if hit.tier != TIER_GRAPH and silent_by_entity:
+                best = max((silent_by_entity.get(n.casefold(), 0.0)
+                            for n in store.records[hit.memory_id].entities),
+                           default=0.0)
+                if best > 0.0:
+                    hit.priming_boost = 1.0 + config.priming_gamma * best
+            hit.final_score = hit.base_sim * hit.recency_boost * hit.priming_boost
+
+    merged.sort(key=_rank_key)
+    return RetrievalResult(query=query, k=k, as_of=now, hits=merged[:k])
 
 
 # The earlier `cluster`, which recomputed each pair average with `math.fsum`

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from engram.codec import encode
 from engram.embedding import HashEmbedder
@@ -15,6 +17,7 @@ from engram.graph import (
 from engram.model import StoreConfig
 
 from conftest import T0, hours, roundtrip
+from oracles import neighbors_by_edge_scan, traverse_by_edge_scan
 
 EMB = HashEmbedder(256, 0)
 
@@ -175,3 +178,49 @@ def test_graph_serde_roundtrip():
     m = again.insert_memory("dup", EMB.embed("dup"), frozenset({"s1"}),
                             ("A",), T0)
     assert m.gist == "ab"
+
+
+# -- adjacency map ----------------------------------------------------------
+
+def test_insert_into_a_copy_leaves_the_original_unchanged():
+    g = _tri_graph()
+    before = {key: g.neighbors(key) for key in g.entities}
+    rows = {key: dict(row) for key, row in g.adjacent.items()}
+    c = g.copy()
+    c.insert_memory("abd", EMB.embed("abd"), frozenset({"s9"}), ("A", "B", "D"), T0)
+    assert {key: g.neighbors(key) for key in g.entities} == before
+    assert g.adjacent == rows and "d" not in g.adjacent
+    assert c.neighbors("a") == [("b", 2), ("d", 1)]
+
+
+def test_from_dict_rebuilds_the_adjacency_map():
+    g = _tri_graph()
+    g.insert_memory("ab2", EMB.embed("ab2"), frozenset({"s4"}), ("A", "B"), T0)
+    again = KnowledgeGraph.from_dict(json.loads(json.dumps(encode(g.snapshot_state()))))
+    assert again.adjacent == g.adjacent == {"a": {"b": 2}, "b": {"a": 2, "c": 1},
+                                            "c": {"b": 1}}
+
+
+def test_neighbors_of_an_unknown_key_is_empty():
+    assert _tri_graph().neighbors("nobody") == []
+    assert KnowledgeGraph().neighbors("a") == []
+
+
+NAMES = ["A", "b", "B", "C", "D", "E", "Fox", "fox", "G"]
+
+
+@given(memories=st.lists(st.lists(st.sampled_from(NAMES), max_size=4), max_size=12),
+       seeds=st.lists(st.sampled_from(NAMES + ["Nobody"]), max_size=4),
+       max_hops=st.integers(1, 4))
+def test_traverse_equals_the_edge_scan(memories, seeds, max_hops):
+    """On random graphs (case variants of a name, repeats, memories with
+    no entity) the walk over the adjacency map returns the memories, hops
+    and order of the walk that scanned every edge."""
+    g = KnowledgeGraph()
+    for i, names in enumerate(memories):
+        g.insert_memory(f"m{i}", EMB.embed(f"m{i}"), frozenset({f"s{i}"}), names,
+                        T0 + hours(i))
+    got = [(m.id, hops) for m, hops in g.traverse(seeds, max_hops)]
+    assert got == [(m.id, hops) for m, hops in traverse_by_edge_scan(g, seeds, max_hops)]
+    for key in g.entities:
+        assert g.neighbors(key) == neighbors_by_edge_scan(g, key)

@@ -4,9 +4,11 @@ every record that reaches the threshold, so the frequency factor taken over
 its candidates equals `frequency_factor` over the whole pool; and the
 snapshot text spliced from memoized values must equal the encoding of the
 whole state, under any sequence of operations; the float32 margin must
-bound the float32 error. Along the way the lifecycle invariants hold:
-dedup never removes a stored record, a promoted record only ever becomes a
-tombstone, and a failed sleep job leaves the snapshot as it was."""
+bound the float32 error; hybrid retrieval must equal its reference, and
+the graph's adjacency map must hold exactly the co-occurrence edges. Along
+the way the lifecycle invariants hold: dedup never removes a stored record,
+a promoted record only ever becomes a tombstone, and a failed sleep job
+leaves the snapshot as it was."""
 
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from engram.model import (
 )
 from engram.retrieval import (
     _episodic_scan,
+    hybrid_retrieve,
     open_lability,
     reconsolidate,
 )
@@ -49,7 +52,7 @@ from engram.scoring import frequency_factor
 from engram.store import MemoryStore, dot_error_bound
 
 from conftest import T0, hours, make_event, minutes
-from oracles import live_records, scan_oracle
+from oracles import hybrid_reference, live_records, scan_oracle
 
 VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
 SESSIONS = ["s0", "s1", "s2"]
@@ -132,26 +135,32 @@ def ranking_key(ranked):
     return [(prio, decayed, rec.id) for prio, decayed, rec in ranked]
 
 
-def inject_failure(store, nth):
-    """Make the `nth` `store.replace` call raise `Injected`; returns the
-    undo."""
+def inject_failure(obj, nth, method="replace", after=False):
+    """Make the `nth` call of `obj.method` (by default `store.replace`)
+    raise `Injected`, before it runs or, with `after`, once it has run;
+    returns the undo."""
     calls = [0]
-    write = store.replace
+    write = getattr(obj, method)
 
-    def failing(record):
+    def failing(*args):
         calls[0] += 1
-        if calls[0] == nth:
-            raise Injected(f"write {nth}")
-        write(record)
+        fail = calls[0] == nth
+        if fail and not after:
+            raise Injected(f"{method} {nth}")
+        write(*args)
+        if fail:
+            raise Injected(f"{method} {nth}")
 
-    store.replace = failing
-    return lambda: delattr(store, "replace")
+    setattr(obj, method, failing)
+    return lambda: delattr(obj, method)
 
 
 class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
-    drawn query, the index-backed scan equals `scan_oracle`; after every
-    step, `snapshot_json` equals the canonical dump of `state_dict`, the
+    drawn query, the index-backed scan equals `scan_oracle` and
+    `hybrid_retrieve` equals `hybrid_reference`; after every step, the
+    graph's `adjacent` map is the one rebuilt from `co_occurs`,
+    `snapshot_json` equals the canonical dump of `state_dict`, the
     running live count and token total equal their full sums, every id
     once promoted is still stored, promoted or a tombstone, and every
     tombstone is in the form `forgetting.tombstone` builds. A
@@ -200,6 +209,19 @@ class IndexMachine(RuleBasedStateMachine):
             self.clock += minutes(1)
             self.serial += 1
             content = f"{shared} note{self.serial} item{self.serial}"
+            self.store.ingest(make_event(f"e{self.serial}", ts=self.clock,
+                                         session=session, content=content))
+
+    @rule(names=st.lists(st.sampled_from(["Alice", "Bob", "Carol"]), min_size=2,
+                         max_size=3, unique=True),
+          size=st.integers(1, 3), session=st.sampled_from(SESSIONS))
+    def ingest_linked(self, names, size, session):
+        # records that name two or three entities, so that a sleep's gists
+        # add co-occurrence edges to the graph
+        for _ in range(size):
+            self.clock += minutes(1)
+            self.serial += 1
+            content = " and ".join(names) + f" note{self.serial}"
             self.store.ingest(make_event(f"e{self.serial}", ts=self.clock,
                                          session=session, content=content))
 
@@ -276,11 +298,14 @@ class IndexMachine(RuleBasedStateMachine):
             new = tombstone(rec)
         records[rid] = new
 
-    @rule(mode=st.sampled_from(MODES), nth=st.integers(1, 4))
-    def failed_batch(self, mode, nth):
+    @rule(mode=st.sampled_from(MODES), nth=st.integers(1, 4), at_edge=st.booleans())
+    def failed_batch(self, mode, nth, at_edge):
         store = self.store
         before = store.snapshot_json()
-        undo = inject_failure(store, nth)
+        # a failure at a graph edge comes after that edge's writes, so the
+        # rollback must not keep a row the failed batch wrote
+        undo = (inject_failure(store.graph, nth, "_add_edge", after=True) if at_edge
+                else inject_failure(store, nth))
         try:
             run_consolidation(store, self.clock, mode=mode)
         except Injected:
@@ -319,6 +344,8 @@ class IndexMachine(RuleBasedStateMachine):
             time_range = (T0 + minutes(lo), T0 + minutes(lo + span))
         assert_scan_matches(self.store, query, k, now, time_range=time_range,
                             session_id=session, tier=tier, importance_filter=importance)
+        assert hybrid_retrieve(self.store, query, k, now, session_id=session) == \
+            hybrid_reference(self.store, query, k, now, session_id=session)
 
     @invariant()
     def scans_match(self):
@@ -338,6 +365,15 @@ class IndexMachine(RuleBasedStateMachine):
         assert self.store.active_count() == len(live)
         assert self.store.active_tokens() == sum(estimate_tokens(r.content)
                                                  for r in live)
+
+    @invariant()
+    def adjacency_is_the_edge_map(self):
+        graph = self.store.graph
+        rebuilt: dict[str, dict[str, int]] = {}
+        for (a, b), weight in graph.co_occurs.items():
+            rebuilt.setdefault(a, {})[b] = weight
+            rebuilt.setdefault(b, {})[a] = weight
+        assert graph.adjacent == rebuilt
 
     @invariant()
     def tombstones_hold_existence_metadata_only(self):

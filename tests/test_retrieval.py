@@ -10,6 +10,7 @@ from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
 from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.forgetting import apply_ttl
+from engram.graph import SemanticMemory
 from engram.model import (
     STATE_RETAINED,
     STATE_TOMBSTONE,
@@ -134,6 +135,25 @@ def test_priming_boost_applied_to_episodic_sharing_entity(store):
     assert hit.priming_boost == pytest.approx(expected)
     assert hit.final_score == pytest.approx(
         hit.base_sim * hit.recency_boost * hit.priming_boost)
+
+
+def test_hybrid_weighs_each_created_at_once(store, monkeypatch):
+    """A priming weight depends only on a memory's `created_at`: a query
+    takes it once per distinct `created_at` among the memories it reaches,
+    not once per memory."""
+    store.ingest(make_event("ep", ts=T0, content="Kestrel incident report"))
+    for i in range(6):
+        store.graph.insert_memory(f"Kestrel note {i}", EMB.embed(f"Kestrel note {i}"),
+                                  frozenset({f"s{i}"}), ("Kestrel", f"Part{i}"),
+                                  T0 + hours(i % 2))
+    calls = []
+    weigh = SemanticMemory.priming_weight
+    monkeypatch.setattr(SemanticMemory, "priming_weight",
+                        lambda mem, now, config: calls.append(mem.id) or
+                        weigh(mem, now, config))
+    result = hybrid_retrieve(store, "Kestrel incident", now=T0 + hours(2))
+    assert len(calls) == 2
+    assert result.hits[0].priming_boost > 1.0
 
 
 def test_source_id_dedupe_episodic_beats_gist(store):

@@ -1,0 +1,109 @@
+"""Hybrid retrieval against its reference: the walk over the adjacency map
+and the per-query priming weights must give exactly the hits of the walk
+that scanned every co-occurrence edge and weighed every reached memory on
+its own. Stores come from ingest and `dedup`/`aggressive` sleeps spread
+over weeks, so that graph memories are silent, mature, or created after
+the query's `now`; some are reconsolidated before the queries. Every `Hit`
+field, floats included, must be equal. The budget comes from the loaded
+Hypothesis profile (see conftest.py)."""
+
+from __future__ import annotations
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, run_consolidation
+from engram.model import StoreConfig
+from engram.retrieval import TIER_GRAPH, hybrid_retrieve, open_lability, reconsolidate
+from engram.store import MemoryStore
+
+from conftest import T0, hours, make_event, minutes
+from oracles import hybrid_reference
+
+NAMES = ["Alice", "Bob", "Carol", "Kestrel", "Orion", "@dana", "#42"]
+PLAIN = ["deploy", "release", "notes", "shipped", "alpha", "beta"]
+
+contents = st.lists(st.sampled_from(NAMES + PLAIN), min_size=2, max_size=6).map(" ".join)
+# (contents of one session, the sleep's mode, hours before the session)
+sleeps = st.lists(st.tuples(st.lists(contents, min_size=1, max_size=6),
+                            st.sampled_from([MODE_DEDUP, MODE_AGGRESSIVE]),
+                            st.integers(0, 240)),
+                  min_size=1, max_size=4)
+# (which graph memory, new content, confidence)
+relearns = st.lists(st.tuples(st.integers(0, 50), contents,
+                              st.floats(0.0, 1.0, allow_nan=False)),
+                    max_size=3)
+# (query, k, `now` as (which sleep, hours after it) or None for the logical
+# now, session); k up to 30 keeps every hit of most stores, so that no graph
+# hit or priming boost is cut off
+queries = st.lists(st.tuples(contents, st.integers(1, 30),
+                             st.one_of(st.none(), st.tuples(st.integers(0, 3),
+                                                            st.integers(-30, 400))),
+                             st.sampled_from([None, "s0", "s1", "elsewhere"])),
+                   min_size=1, max_size=4)
+
+
+def build_store(sessions, relearned, maturation):
+    """A store fed `sessions`, each consolidated 20 minutes after its last
+    event, with the `relearned` graph memories reconsolidated at the end.
+    Returns the store and the time of each sleep."""
+    store = MemoryStore(StoreConfig(cluster_distance=0.8,
+                                    maturation_enabled=maturation))
+    clock, serial, slept = T0, 0, []
+    for texts, mode, gap in sessions:
+        clock += hours(gap)
+        for text in texts:
+            clock += minutes(1)
+            serial += 1
+            store.ingest(make_event(f"e{serial}", ts=clock, session=f"s{serial % 2}",
+                                    content=text))
+        slept.append(clock + minutes(20))
+        run_consolidation(store, slept[-1], mode=mode)
+    memory_ids = sorted(store.graph.memories)
+    for pick, text, confidence in relearned:
+        if memory_ids:
+            handle = open_lability(store, memory_ids[pick % len(memory_ids)], clock)
+            reconsolidate(store, handle, text, confidence, clock)
+    return store, slept
+
+
+def assert_matches_reference(store, query, k, now, session):
+    got = hybrid_retrieve(store, query, k, now, session_id=session)
+    want = hybrid_reference(store, query, k, now, session_id=session)
+    assert got == want
+    return got
+
+
+@given(sessions=sleeps, relearned=relearns, asked=queries, maturation=st.booleans())
+@example(sessions=[(["Alice deploy Kestrel", "Alice Kestrel release"], MODE_AGGRESSIVE, 0),
+                   (["Bob Orion notes", "Alice Orion shipped"], MODE_AGGRESSIVE, 200)],
+         relearned=[(1, "Alice Orion moved", 0.9)],
+         asked=[("Alice Kestrel", 6, (1, 0), None), ("Orion", 4, (1, -1), "s1")],
+         maturation=True)
+def test_hybrid_retrieve_equals_the_reference(sessions, relearned, asked, maturation):
+    store, slept = build_store(sessions, relearned, maturation)
+    for query, k, when, session in asked:
+        now = None if when is None else slept[when[0] % len(slept)] + hours(when[1])
+        assert_matches_reference(store, query, k, now, session)
+
+
+def test_reference_scenario_reaches_every_graph_branch():
+    """The hand-built case takes every branch of the graph pathway: a
+    memory two sleeps old surfaces one hop away as a graph hit, one from
+    the last sleep but one stays silent and primes the episodic hit sharing
+    its entity, and the last sleep's memory, created after `now`, is
+    skipped."""
+    store, slept = build_store(
+        [(["Kestrel launch window", "Kestrel fuel check", "Kestrel crew roster"],
+          MODE_AGGRESSIVE, 0),
+         (["Orion launch window with Kestrel pad", "Orion fuel check for Kestrel crew"],
+          MODE_AGGRESSIVE, 300),
+         (["Orion alpha", "Alice beta"], MODE_DEDUP, 1)],
+        [], maturation=True)
+    assert store.graph.neighbors("orion") == [("kestrel", 1)]
+    now = slept[-1] - minutes(20)  # the last event
+    assert max(m.created_at for m in store.graph.memories.values()) > now
+    hits = assert_matches_reference(store, "Orion alpha", 4, now, None).hits
+    assert [(h.memory_id, h.tier, h.hop_distance) for h in hits] == \
+        [("e6", "warm", None), ("e7", "warm", None), ("sem-000000", TIER_GRAPH, 1)]
+    assert hits[0].priming_boost > 1.0
