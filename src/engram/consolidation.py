@@ -47,7 +47,7 @@ from .model import (
     hours_between,
 )
 from .scoring import classify, score_record
-from .store import EmbeddingIndex, MemoryStore, RecordMap
+from .store import EmbeddingIndex, MemoryStore
 
 log = logging.getLogger("engram.consolidation")
 
@@ -171,14 +171,14 @@ def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
     `survivor_order`); the survivor merges source ids and keeps max
     importance. A record that is not pending always survives.
 
-    The pairs to score come from an `EmbeddingIndex` over `batch`, which
-    holds every pair whose similarity may reach the threshold. The index
-    holds live records only: `batch` holds no tombstones, and no two of its
+    The pairs to score come from an `EmbeddingIndex` written with `batch`,
+    which holds every pair whose similarity may reach the threshold. Each
+    record takes one row: `batch` holds no tombstones, and no two of its
     records share an id. Returns (survivors, removed), each in
     `survivor_order`."""
     ordered = sorted(batch, key=survivor_order)
     index = EmbeddingIndex()
-    index.sync(RecordMap((r.id, r) for r in ordered))
+    index.write([(r.id, r) for r in ordered])
     rows = [index.row(r.id) for r in ordered]
     position = {row: p for p, row in enumerate(rows)}
     pairs: list[list[int]] = [[] for _ in ordered]

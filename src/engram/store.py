@@ -13,8 +13,8 @@ never persisted or checkpointed. The episodic scan reads it, and
 `MemoryStore.near` is the one candidate search behind the frequency factor,
 near-dedup and interference. `MemoryStore.records` marks the ids it
 writes, and the next scan (or the end of a forgetting run) brings just those
-rows up to date; a store loaded from a snapshot or rolled back builds the
-index anew on its first scan.
+rows up to date. A store loaded from a snapshot or rolled back gets a new
+map and a fresh index, which its first scan fills the same way.
 
 A snapshot is read under the lock. Its text splices in each stored value's
 canonical JSON, which `codec.dumps` encodes on the first snapshot that holds
@@ -24,9 +24,11 @@ sha256 of the snapshot text. Snapshots are written as version 2, where every
 array (embeddings, the centroid sum) is the codec's sparse object of its
 non-zero entries; version 1, with dense float lists, is still read.
 
-The record map keeps the live (non-tombstone) record count and their token
-total up to date on every write, so `active_count` and `active_tokens` are
-O(1).
+The record map has one write path. Item assignment, `del` and `pop` report
+each write to one hook, `RecordMap._note`, which marks the id for the index
+and keeps the live (non-tombstone) record count and their token total, so
+`active_count` and `active_tokens` are O(1). The other dict mutators raise
+`TypeError`.
 """
 
 from __future__ import annotations
@@ -87,71 +89,50 @@ class QuarantineEntry:
 
 
 class RecordMap(dict):
-    """The store's id -> record dict. Every writer notes the ids it touches
-    in `dirty`, so the embedding index brings just those rows up to date; a
-    new map is `stale`, and the index is rebuilt from it whole. Every writer
-    also keeps `live`, the count of non-tombstone records, and `tokens`,
-    their `estimate_tokens` total."""
+    """The store's id -> record dict. Its three writers, `[]=`, `del` and
+    `pop`, report each write to `_note`, which keeps the derived state:
+    `dirty`, the ids written since the embedding index last read them, in
+    the order first written; `live`, the count of non-tombstone records; and
+    `tokens`, their `estimate_tokens` total. A new map notes every id it
+    holds. The other dict mutators raise `TypeError`; reads are the dict's
+    own."""
 
-    __slots__ = ("dirty", "stale", "live", "tokens")
+    __slots__ = ("dirty", "live", "tokens")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.dirty: set[str] = set()
-        self.stale = True
+    def __init__(self, mapping=()):
+        super().__init__(mapping)
+        self.dirty: dict[str, None] = {}
         self.live = self.tokens = 0
-        for record in self.values():
-            self._add(record, 1)
+        for key, record in self.items():
+            self._note(key, None, record)
 
-    def _add(self, record: EpisodicRecord, sign: int) -> None:
-        """Add (sign 1) or take away (sign -1) `record`'s share of the
-        totals."""
-        if record.state != STATE_TOMBSTONE:
-            self.live += sign
-            self.tokens += sign * estimate_tokens(record.content)
+    def _note(self, key: str, old: Optional[EpisodicRecord],
+              new: Optional[EpisodicRecord]) -> None:
+        """Account for the record at `key` going from `old` to `new` (None:
+        absent)."""
+        for record, sign in ((new, 1), (old, -1)):
+            if record is not None and record.state != STATE_TOMBSTONE:
+                self.live += sign
+                self.tokens += sign * estimate_tokens(record.content)
+        self.dirty[key] = None
 
     def __setitem__(self, key, value):
-        old = self.get(key)
-        self._add(value, 1)
+        self._note(key, self.get(key), value)
         dict.__setitem__(self, key, value)
-        if old is not None:
-            self._add(old, -1)
-        self.dirty.add(key)
 
     def __delitem__(self, key):
-        self._add(self[key], -1)
+        self._note(key, self[key], None)
         dict.__delitem__(self, key)
-        self.dirty.add(key)
 
     def pop(self, key, *default):
-        self.dirty.add(key)
         if key in self:
-            self._add(self[key], -1)
+            self._note(key, self[key], None)
         return dict.pop(self, key, *default)
 
-    def popitem(self):
-        key, value = dict.popitem(self)
-        self._add(value, -1)
-        self.dirty.add(key)
-        return key, value
+    def _refuse(self, *_args, **_kwargs):
+        raise TypeError(f"{type(self).__name__} writes only through [], del and pop")
 
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return self[key]
-
-    def update(self, *args, **kwargs):
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def clear(self):
-        dict.clear(self)
-        self.live = self.tokens = 0
-        self.stale = True
+    popitem = setdefault = update = __ior__ = clear = _refuse
 
     def __reduce__(self):
         return type(self), (dict(self),)
@@ -210,7 +191,7 @@ class EmbeddingIndex:
     event times in integer microseconds, importance, the float64 norm of the
     embedding, and interned codes of tier, session and state.
 
-    Rows are in no particular order; removing one moves the last row into
+    A new row goes at the end, and removing one moves the last row into
     its place. The index holds no records, only their keys, so a record the
     store drops is freed at once. The float32 products only choose
     candidates. Callers rescore those with the float64 `np.dot` of the
@@ -242,22 +223,18 @@ class EmbeddingIndex:
     # -- upkeep ------------------------------------------------------------
 
     def sync(self, records: RecordMap) -> None:
-        """Bring the rows up to date with `records`: the dirty ids, or every
-        record when the map is stale."""
-        if records.stale:
-            live = [(k, r) for k, r in records.items() if r.state != STATE_TOMBSTONE]
-            self.keys, self._rows = [], {}
-            self._codes = {c: {} for c in self._CODED}
-        else:
-            live = []
-            for key in records.dirty:
-                rec = records.get(key)
-                if rec is not None and rec.state != STATE_TOMBSTONE:
-                    live.append((key, rec))
-                elif key in self._rows:
-                    self._remove(self._rows[key])
-        self._write(live)
-        records.stale = False
+        """Bring the rows of the ids `records` noted since the last sync up
+        to date, in the order first noted: write each live record, and drop
+        the row of each id that is gone or a tombstone. A fresh index
+        synced with a new map holds its live records in the map's order."""
+        live = []
+        for key in records.dirty:
+            rec = records.get(key)
+            if rec is not None and rec.state != STATE_TOMBSTONE:
+                live.append((key, rec))
+            elif key in self._rows:
+                self._remove(self._rows[key])
+        self.write(live)
         records.dirty.clear()
 
     def _resize(self, capacity: int, dim: int) -> None:
@@ -276,7 +253,7 @@ class EmbeddingIndex:
         codes = self._codes[column]
         return codes.setdefault(value, len(codes))
 
-    def _write(self, items: list[tuple[str, EpisodicRecord]]) -> None:
+    def write(self, items: list[tuple[str, EpisodicRecord]]) -> None:
         """Write each (key, record) into its row, appending rows for new
         keys."""
         if not items:
@@ -396,7 +373,6 @@ class MemoryStore:
         self.embedder = embedder or HashEmbedder(self.config.embed_dimension,
                                                  self.config.embed_seed)
         self.records = {}
-        self._index = EmbeddingIndex()
         self.graph = KnowledgeGraph()
         self.quarantine: dict[str, QuarantineEntry] = {}
         self.admitted_ids: set[str] = set()
@@ -415,7 +391,10 @@ class MemoryStore:
 
     @records.setter
     def records(self, mapping: dict[str, EpisodicRecord]) -> None:
+        # a new map notes every id it holds, and the first scan writes them
+        # into the fresh index beside it
         self._records = RecordMap(mapping)
+        self._index = EmbeddingIndex()
 
     def embedding_index(self) -> EmbeddingIndex:
         """The embedding index, brought up to date with `records`."""

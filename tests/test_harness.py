@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +135,42 @@ def test_report_formats():
     with pytest.raises(ValueError):
         harness.report(metrics, fmt="xml")
 
+
+REPLAY = """
+import json
+from engram.codec import encode
+from engram.harness import StreamSpec, generate_stream, stream_run
+from engram.retrieval import hybrid_retrieve
+from engram.store import MemoryStore
+
+store = MemoryStore()
+metrics = stream_run(generate_stream(StreamSpec(sessions=6, events_per_session=30), seed=3),
+                     store=store)
+print(json.dumps({
+    "fingerprints": [c.state_fingerprint for c in metrics.checkpoints],
+    "hits": [encode(hybrid_retrieve(store, q, 5).hits)
+             for q in ("Kestrel deploy", "Meridian", "status check")],
+    "rows": store.embedding_index().keys,
+}))
+"""
+
+
+def test_replay_does_not_depend_on_the_hash_seed():
+    """One stream replayed under two `PYTHONHASHSEED`s ends at the same
+    checkpoint fingerprints, answers probe queries with the same hits, and
+    holds its embedding index rows in the same order."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    procs = [subprocess.Popen([sys.executable, "-c", REPLAY], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+             for seed in ("0", "1")]
+    runs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        runs.append(json.loads(out))
+    first, second = runs
+    assert len(first["fingerprints"]) == 6 and len(first["rows"]) > 0
+    assert all(len(hits) == 5 for hits in first["hits"])
+    assert first == second

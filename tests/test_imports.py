@@ -1,6 +1,7 @@
 """Every imported name in `src/` and `tests/` is used, every parameter of a
-function in `src/` is read, and `src/` builds its changed values with
-`model.evolve`, never with `dataclasses.replace`.
+function in `src/` is read, `src/` builds its changed values with
+`model.evolve`, never with `dataclasses.replace`, and no module in `src/`
+but `store.py` names `RecordMap`, whose writes only the store makes.
 
 Stdlib stand-ins for a linter's unused-import and unused-argument rules. A
 name counts as used when the module reads it anywhere (a quoted annotation
@@ -96,6 +97,20 @@ def dataclasses_replace_uses(source: str) -> list[int]:
     return sorted(lines)
 
 
+def name_uses(source: str, name: str) -> list[int]:
+    """The lines that import, read or write `name`, bare or as an
+    attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines.extend(node.lineno for alias in node.names
+                         if alias.name.split(".")[-1] == name)
+        elif ((isinstance(node, ast.Name) and node.id == name)
+              or (isinstance(node, ast.Attribute) and node.attr == name)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -124,6 +139,12 @@ def test_the_check_sees_what_it_should():
         "def f(x, s):\n"
         "    return dataclasses.replace(x), s.replace('a', 'b'), rebuild(x)\n")
     assert dataclasses_replace_uses(source) == [2, 4]
+    source = (
+        "from .store import MemoryStore, RecordMap as RM\n"
+        "from . import store\n"
+        "def f(records):\n"
+        "    return RM(records), store.RecordMap, 'RecordMap'\n")
+    assert name_uses(source, "RecordMap") == [1, 4]
 
 
 def test_no_unused_parameters_in_src():
@@ -135,4 +156,12 @@ def test_no_unused_parameters_in_src():
 def test_src_builds_values_with_evolve():
     found = {str(path.relative_to(ROOT)): dataclasses_replace_uses(path.read_text(encoding="utf-8"))
              for path in SOURCES if path.is_relative_to(ROOT / "src")}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_only_the_store_names_its_record_map():
+    found = {str(path.relative_to(ROOT)): name_uses(path.read_text(encoding="utf-8"),
+                                                    "RecordMap")
+             for path in SOURCES if path.is_relative_to(ROOT / "src")
+             and path.name != "store.py"}
     assert {path: lines for path, lines in found.items() if lines} == {}

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -91,33 +92,49 @@ def full_sums(records):
 
 
 def test_record_map_totals_follow_every_writer(embedder):
+    """`[]=`, `del` and `pop` keep the totals equal to the full sums; every
+    other dict mutator raises `TypeError` and changes nothing; copies and
+    pickles keep the totals."""
     def rec(eid, n, state=STATE_RETAINED):
         return replace(make_record(embedder, eid=eid, content="x" * n), state=state)
 
     m = RecordMap({"a": rec("a", 8), "t": rec("t", 0, STATE_TOMBSTONE)})
+    assert list(m.dirty) == ["a", "t"]
     steps = [
         lambda: m.__setitem__("b", rec("b", 12)),
         lambda: m.__setitem__("a", rec("a", 0, STATE_TOMBSTONE)),
         lambda: m.__setitem__("t", rec("t", 20)),
+        lambda: m.__setitem__("c", rec("c", 5)),
         lambda: m.__delitem__("b"),
         lambda: m.pop("t"),
         lambda: m.pop("missing", None),
-        lambda: m.setdefault("c", rec("c", 5)),
-        lambda: m.setdefault("c", rec("c", 40)),
-        lambda: m.update({"d": rec("d", 7)}, e=rec("e", 9)),
-        lambda: m.__ior__({"d": rec("d", 1)}),
-        lambda: m.popitem(),
     ]
     assert (m.live, m.tokens) == full_sums(m) == (1, 2)
     for step in steps:
         step()
         assert (m.live, m.tokens) == full_sums(m)
-    for twin in (copy.copy(m), copy.deepcopy(m), RecordMap(m)):
-        assert (twin.live, twin.tokens) == full_sums(m)
-    m.clear()
-    assert (m.live, m.tokens) == (0, 0)
+    assert (m.live, m.tokens) == (1, estimate_tokens("x" * 5))
+    assert list(m.dirty) == ["a", "t", "b", "c"]
     with pytest.raises(KeyError):
         m.pop("missing")
+    with pytest.raises(KeyError):
+        del m["missing"]
+    refused = [
+        lambda: m.popitem(),
+        lambda: m.setdefault("d", rec("d", 5)),
+        lambda: m.update({"d": rec("d", 7)}, e=rec("e", 9)),
+        lambda: m.__ior__({"a": rec("a", 1)}),
+        lambda: m.clear(),
+    ]
+    before = dict(m), list(m.dirty), m.live, m.tokens
+    for mutate in refused:
+        with pytest.raises(TypeError):
+            mutate()
+        assert (dict(m), list(m.dirty), m.live, m.tokens) == before
+    for twin in (copy.copy(m), copy.deepcopy(m), RecordMap(m),
+                 pickle.loads(pickle.dumps(m))):
+        assert type(twin) is RecordMap and twin.keys() == m.keys()
+        assert (twin.live, twin.tokens) == full_sums(twin) == full_sums(m)
 
 
 def test_snapshot_roundtrip_byte_identical(store, tmp_path):
