@@ -8,13 +8,16 @@ any stage failure the store is restored to its pre-batch state. A batch
 takes the pending records encoded at or before its `now`; a record encoded
 later stays pending, uncounted, until a sleep whose `now` reaches it.
 
-Dedup runs `exact_dedup`, then `near_dedup`, over a pool: the batch, the
-stored retained and promoted records that step 2's `MemoryStore.near` found
-near it, and the stored holders of a batch content. A pending record is
-removed when it duplicates a stored record or an earlier batch survivor. A
-record that is not pending always survives, even when reconsolidation or
-degradation has made two stored records equal, so `removed_existing` is 0
-by construction. Only the changed survivors are written.
+A batch is read from the store's pending ids, not from a walk over every
+record. Dedup runs `exact_dedup`, then `near_dedup`, over a pool: the batch,
+the stored retained and promoted records that step 2's `MemoryStore.near`
+found near it, and the stored holders of a batch content, which
+`MemoryStore.holders` looks up per content rather than by a walk. A
+pending record is removed when it duplicates a stored record or an earlier
+batch survivor. A record that is not pending always survives, even when
+reconsolidation or degradation has made two stored records equal;
+`removed_existing` counts the pool's stored records that are gone after
+dedup, and reads 0. Only the changed survivors are written.
 
 Each rule has one implementation. `absorb` is the merge of a duplicate into
 its survivor, for `exact_dedup` and `near_dedup` alike. Scoring's frequency
@@ -360,8 +363,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
             store.readmit(event)
         # a record encoded after `now` is not yet in this batch: it stays
         # pending for a later sleep
-        pending = [r for r in store.records.values()
-                   if r.state == STATE_PENDING and r.encoded_at <= now]
+        pending = [r for r in store.pending_records() if r.encoded_at <= now]
         fresh_events = [r.event for r in pending
                         if r.id not in store.admitted_ids]
         report.input_count = len(fresh_events) + len(readmitted)
@@ -418,14 +420,11 @@ def run_consolidation(store: MemoryStore, now: datetime,
         # records step 2 found near it and the stored holders of a
         # batch content (a degraded record keeps its old embedding, so
         # it may be no near candidate); a stored record is never
-        # removed, so `removed_existing` stays 0
+        # removed, and `removed_existing` counts any that is gone after
         batch_ids = {r.id for r in batch}
-        contents = {r.content for r in batch}
         stored = {o.id for candidates in near for o in candidates
                   if o.id not in batch_ids}
-        stored.update(k for k, r in store.records.items()
-                      if r.state in (STATE_RETAINED, STATE_PROMOTED)
-                      and r.content in contents)
+        stored |= store.holders({r.content for r in batch})
         survivors, exact_removed = exact_dedup(
             batch + [store.records[k] for k in stored])
         survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
@@ -436,6 +435,7 @@ def run_consolidation(store: MemoryStore, now: datetime,
         for rec in survivors:
             if rec is not store.records[rec.id]:
                 store.replace(rec)
+        report.removed_existing = sum(k not in store.records for k in stored)
         batch_survivors = [r for r in survivors if r.state == STATE_PENDING]
 
         # 5. aggressive mode: cluster surviving batch and merge

@@ -5,7 +5,10 @@ Batch lifecycle jobs run in `MemoryStore.transaction()`: they hold the
 store's writer lock, so they see a consistent state, and a job that raises
 leaves the store as it found it. Records, graph nodes, semantic memories
 and quarantine entries are immutable values, replaced by id, so the
-transaction's checkpoint copies the containers and shares the values.
+transaction's checkpoint copies the containers and shares the values. The
+record map's copy keeps its order, and with it the pending records' arrival
+order. The admitted ids only grow: the checkpoint takes a savepoint in
+their log instead of a copy, and a rollback drops the ids added after it.
 
 The embedding index is derived state: a float32 matrix of the live
 (non-tombstone) records with parallel arrays of their filter fields. It is
@@ -26,9 +29,11 @@ non-zero entries; version 1, with dense float lists, is still read.
 
 The record map has one write path. Item assignment, `del` and `pop` report
 each write to one hook, `RecordMap._note`, which marks the id for the index
-and keeps the live (non-tombstone) record count and their token total, so
-`active_count` and `active_tokens` are O(1). The other dict mutators raise
-`TypeError`.
+and keeps the live (non-tombstone) record count and their token total, the
+pending ids in arrival order, and each retained or promoted content's
+holders. So `active_count`, `active_tokens`, `pending_records` and `holders`
+cost what they return, not a walk over every record. The other dict
+mutators raise `TypeError`.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ from .graph import KnowledgeGraph, extract_entities
 from .model import (
     LEGAL_MOVES,
     STATE_PENDING,
+    STATE_PROMOTED,
+    STATE_RETAINED,
     STATE_TOMBSTONE,
     TIER_HOT,
     EpisodicRecord,
@@ -88,20 +95,28 @@ class QuarantineEntry:
     expires_at: datetime
 
 
+_HOLDING = (STATE_RETAINED, STATE_PROMOTED)
+
+
 class RecordMap(dict):
     """The store's id -> record dict. Its three writers, `[]=`, `del` and
     `pop`, report each write to `_note`, which keeps the derived state:
     `dirty`, the ids written since the embedding index last read them, in
-    the order first written; `live`, the count of non-tombstone records; and
-    `tokens`, their `estimate_tokens` total. A new map notes every id it
-    holds. The other dict mutators raise `TypeError`; reads are the dict's
-    own."""
+    the order first written; `live`, the count of non-tombstone records;
+    `tokens`, their `estimate_tokens` total; `pending`, the ids of the
+    pending records in the map's own order, which is their arrival order;
+    and `holders`, each content of a retained or promoted record -> the ids
+    of the retained and promoted records that hold it. A new map notes
+    every id it holds. The other dict mutators raise `TypeError`; reads are
+    the dict's own."""
 
-    __slots__ = ("dirty", "live", "tokens")
+    __slots__ = ("dirty", "live", "tokens", "pending", "holders")
 
     def __init__(self, mapping=()):
         super().__init__(mapping)
         self.dirty: dict[str, None] = {}
+        self.pending: dict[str, None] = {}
+        self.holders: dict[str, list[str]] = {}
         self.live = self.tokens = 0
         for key, record in self.items():
             self._note(key, None, record)
@@ -110,10 +125,37 @@ class RecordMap(dict):
               new: Optional[EpisodicRecord]) -> None:
         """Account for the record at `key` going from `old` to `new` (None:
         absent)."""
-        for record, sign in ((new, 1), (old, -1)):
-            if record is not None and record.state != STATE_TOMBSTONE:
-                self.live += sign
-                self.tokens += sign * estimate_tokens(record.content)
+        holders = self.holders
+        for record, sign in ((old, -1), (new, 1)):
+            if record is None:
+                continue
+            state = record.state
+            if state == STATE_TOMBSTONE:
+                continue
+            content = record.content
+            self.live += sign
+            self.tokens += sign * estimate_tokens(content)
+            if state in _HOLDING:
+                ids = holders.get(content)
+                if sign < 0:
+                    ids.remove(key)
+                    if not ids:
+                        del holders[content]
+                elif ids is None:
+                    holders[content] = [key]
+                else:
+                    ids.append(key)
+        was = old is not None and old.state == STATE_PENDING
+        if was != (new is not None and new.state == STATE_PENDING):
+            if was:
+                del self.pending[key]
+            elif old is None:
+                self.pending[key] = None  # the map appends a new key too
+            else:
+                # back into pending, against the lattice: the id keeps its
+                # place in the map, so it takes that place among the pending
+                self.pending = {k: None for k in self
+                                if k == key or k in self.pending}
         self.dirty[key] = None
 
     def __setitem__(self, key, value):
@@ -136,6 +178,58 @@ class RecordMap(dict):
 
     def __reduce__(self):
         return type(self), (dict(self),)
+
+
+class AdmittedIds(set):
+    """The ids temporal validation admitted. An admitted id never comes back
+    (`DuplicateId`), so the set only grows: `add` is its one writer, and the
+    other set mutators raise `TypeError`.
+
+    While a savepoint is open, `add` also appends to `log`. A savepoint is
+    the log's length; `rollback` drops the ids added after it. Savepoints
+    nest: `release` keeps the log for the enclosing one, and releasing or
+    rolling back the outermost closes the log, emptying it."""
+
+    __slots__ = ("log", "depth")
+
+    def __init__(self, ids=()):
+        super().__init__(ids)
+        self.log: list[str] = []
+        self.depth = 0
+
+    def add(self, key: str) -> None:
+        if key not in self:
+            set.add(self, key)
+            if self.depth:
+                self.log.append(key)
+
+    def savepoint(self) -> int:
+        self.depth += 1
+        return len(self.log)
+
+    def release(self) -> None:
+        """Close the newest savepoint and keep the ids added since."""
+        self.depth -= 1
+        if not self.depth:
+            self.log.clear()
+
+    def rollback(self, savepoint: int) -> None:
+        """Close the newest savepoint, `savepoint`, and drop the ids added
+        since."""
+        for key in self.log[savepoint:]:
+            set.discard(self, key)
+        del self.log[savepoint:]
+        self.release()
+
+    def _refuse(self, *_args, **_kwargs):
+        raise TypeError(f"{type(self).__name__} grows only through add")
+
+    remove = discard = pop = clear = update = _refuse
+    intersection_update = difference_update = symmetric_difference_update = _refuse
+    __ior__ = __iand__ = __isub__ = __ixor__ = _refuse
+
+    def __reduce__(self):
+        return type(self), (list(self),)
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -375,7 +469,7 @@ class MemoryStore:
         self.records = {}
         self.graph = KnowledgeGraph()
         self.quarantine: dict[str, QuarantineEntry] = {}
-        self.admitted_ids: set[str] = set()
+        self.admitted_ids = AdmittedIds()
         self.watermark: Optional[datetime] = None
         # running sum of scored embeddings backing the surprise prior
         self.centroid_sum: Optional[np.ndarray] = None
@@ -484,6 +578,17 @@ class MemoryStore:
 
     def active_tokens(self) -> int:
         return self.records.tokens
+
+    def pending_records(self) -> list[EpisodicRecord]:
+        """The pending records, in arrival order."""
+        records = self.records
+        return [records[k] for k in records.pending]
+
+    def holders(self, contents: Iterable[str]) -> set[str]:
+        """The ids of the retained and promoted records whose content is
+        one of `contents`."""
+        held = self.records.holders
+        return {k for content in contents for k in held.get(content, ())}
 
     def centroid(self) -> Optional[np.ndarray]:
         if self.centroid_count == 0:
@@ -594,7 +699,7 @@ class MemoryStore:
             for qd in d["quarantine"]:
                 entry = decode(QuarantineEntry, qd)
                 store.quarantine[entry.event.id] = entry
-            store.admitted_ids = set(d["admitted_ids"])
+            store.admitted_ids = AdmittedIds(d["admitted_ids"])
             store.watermark = decode(Optional[datetime], d["watermark"])
             store.centroid_sum = decode(Optional[np.ndarray], d["centroid_sum"])
             store.centroid_count = d["centroid_count"]
@@ -614,13 +719,15 @@ class MemoryStore:
 
     def _checkpoint(self) -> dict[str, Any]:
         """The store's state for `_restore`. Stored values are immutable, so
-        copying the containers that hold them is enough. The embedding index
-        is derived: `_restore` leaves it to be rebuilt."""
+        copying the containers that hold them is enough; the admitted ids
+        only grow, so a savepoint in their log stands for them, and it stays
+        open until `_restore` or the transaction's commit closes it. The
+        embedding index is derived: `_restore` leaves it to be rebuilt."""
         return {
             "records": dict(self.records),
             "graph": self.graph.copy(),
             "quarantine": dict(self.quarantine),
-            "admitted_ids": set(self.admitted_ids),
+            "admitted_ids": self.admitted_ids.savepoint(),
             "watermark": self.watermark,
             "centroid_sum": None if self.centroid_sum is None else self.centroid_sum.copy(),
             "centroid_count": self.centroid_count,
@@ -631,13 +738,16 @@ class MemoryStore:
 
     def _restore(self, chk: dict[str, Any]) -> None:
         for name, value in chk.items():
-            setattr(self, name, value)
+            if name != "admitted_ids":
+                setattr(self, name, value)
+        self.admitted_ids.rollback(chk["admitted_ids"])
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator[None]:
         """Run a lifecycle job's body under the writer lock. When the body
         raises an `Exception`, the store is restored to its state at entry
-        and the error is re-raised."""
+        and the error is re-raised. Transactions nest: an inner commit keeps
+        the ids it admitted in the enclosing transaction's log."""
         with self.lock:
             chk = self._checkpoint()
             try:
@@ -645,3 +755,7 @@ class MemoryStore:
             except Exception:
                 self._restore(chk)
                 raise
+            except BaseException:
+                self.admitted_ids.release()
+                raise
+            self.admitted_ids.release()

@@ -6,9 +6,10 @@ over the whole store, forget priorities from `forgetting.interference`
 store write per step, the episodic scan over every record, the graph walk
 that scans every co-occurrence edge per visited entity, hybrid retrieval
 with one priming weight per reached memory, clustering with every pair
-average recomputed, the v1 rendering of a snapshot, and a snapshot with its
-tombstones in the existence-metadata form. Oracle and engine share the
-pinned pairwise rules (`absorb`, `survivor_order`, `interference`); they
+average recomputed, a record map's pending ids and content holders by a
+walk over every record, the v1 rendering of a snapshot, and a snapshot
+with its tombstones in the existence-metadata form. Oracle and engine share
+the pinned pairwise rules (`absorb`, `survivor_order`, `interference`); they
 differ in how candidates are found and sums are kept. The oracles are slow
 on purpose, and they live here, not in `src/`."""
 
@@ -54,6 +55,23 @@ def live_records(store):
     """Every stored record that is not a tombstone, in `store.records`
     order."""
     return [r for r in store.records.values() if r.state != STATE_TOMBSTONE]
+
+
+def derived_by_walk(records):
+    """A record map's pending ids, in its order, and its content -> sorted
+    holder ids of the retained and promoted records, each by a walk over
+    every record; the engine's `pending` and `holders` must equal them."""
+    pending = [k for k, r in records.items() if r.state == STATE_PENDING]
+    holders: dict[str, list[str]] = {}
+    for k, r in records.items():
+        if r.state in (STATE_RETAINED, STATE_PROMOTED):
+            holders.setdefault(r.content, []).append(k)
+    return pending, {c: sorted(ids) for c, ids in holders.items()}
+
+
+def derived_kept(records):
+    """The engine's counterpart of `derived_by_walk(records)`."""
+    return list(records.pending), {c: sorted(ids) for c, ids in records.holders.items()}
 
 
 def whole_store_dedup(store, batch, threshold):

@@ -505,6 +505,7 @@ def test_dedup_finds_a_degraded_stored_record_by_its_content(store):
     assert float(np.dot(copy.embedding, stored.embedding)) < store.config.near_dedup_threshold
     report = run_consolidation(store, T0 + hours(3))
     assert report.exact_dups_removed == 1 and report.near_dups_removed == 0
+    assert report.removed_existing == 0
     assert "copy" not in store.records
     assert store.records["orig"].source_ids == ("orig", "copy")
     assert store.records["orig"].access_count == stored.access_count + 1

@@ -57,7 +57,13 @@ from engram.scoring import frequency_factor
 from engram.store import MemoryStore, dot_error_bound
 
 from conftest import T0, hours, make_event, minutes
-from oracles import hybrid_reference, live_records, scan_oracle
+from oracles import (
+    derived_by_walk,
+    derived_kept,
+    hybrid_reference,
+    live_records,
+    scan_oracle,
+)
 
 VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
 SESSIONS = ["s0", "s1", "s2"]
@@ -132,8 +138,9 @@ class Injected(RuntimeError):
 
 words = st.lists(st.sampled_from(VOCAB), max_size=4).map(" ".join)
 # days before a forgetting run: often none, so that records are still inside
-# their TTL and a budget walk has live records to degrade
-sleep_gap = st.one_of(st.just(0), st.integers(0, 40))
+# their TTL and a budget walk has live records to degrade; sometimes 31, past
+# the 720 h warm TTL, so that retained and promoted records expire
+sleep_gap = st.one_of(st.just(0), st.integers(0, 40), st.just(31))
 
 
 def ranking_key(ranked):
@@ -166,9 +173,11 @@ class IndexMachine(RuleBasedStateMachine):
     `hybrid_retrieve` equals `hybrid_reference`; after every step, the
     graph's `adjacent` map is the one rebuilt from `co_occurs`,
     `snapshot_json` equals the canonical dump of `state_dict`, the
-    running live count and token total equal their full sums, every id
-    once promoted is still stored, promoted or a tombstone, every id's
-    state moved along `LEGAL_MOVES`, and every tombstone is in the form
+    running live count and token total equal their full sums, the pending
+    ids (in order) and the content holders equal a walk over every record,
+    the admitted ids' log is closed, every id once promoted is still
+    stored, promoted or a tombstone, every id's state moved along
+    `LEGAL_MOVES`, and every tombstone is in the form
     `forgetting.tombstone` builds. A forgetting run meets its budget
     whenever the records it may not touch fit in it, and a sleep at a past
     `now` leaves alone what was encoded after it."""
@@ -410,6 +419,12 @@ class IndexMachine(RuleBasedStateMachine):
         assert self.store.active_count() == len(live)
         assert self.store.active_tokens() == sum(estimate_tokens(r.content)
                                                  for r in live)
+
+    @invariant()
+    def kept_maps_are_the_full_walk(self):
+        assert derived_kept(self.store.records) == derived_by_walk(self.store.records)
+        admitted = self.store.admitted_ids
+        assert admitted.depth == 0 and admitted.log == []
 
     @invariant()
     def adjacency_is_the_edge_map(self):

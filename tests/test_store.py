@@ -16,9 +16,10 @@ from engram.model import (
     STATE_TOMBSTONE,
     estimate_tokens,
 )
-from engram.store import MemoryStore, RecordMap
+from engram.store import AdmittedIds, MemoryStore, RecordMap
 
 from conftest import T0, hours, make_event, make_record, minutes
+from oracles import derived_by_walk, derived_kept
 
 
 def test_ingest_rejects_duplicate_id(store):
@@ -135,6 +136,74 @@ def test_record_map_totals_follow_every_writer(embedder):
                  pickle.loads(pickle.dumps(m))):
         assert type(twin) is RecordMap and twin.keys() == m.keys()
         assert (twin.live, twin.tokens) == full_sums(twin) == full_sums(m)
+
+
+def test_record_map_keeps_pending_ids_and_holders_through_every_writer(embedder):
+    """`[]=`, `del` and `pop` keep the pending ids, in the map's order, and
+    the content holders equal a walk over every record, also when an id
+    moves back into pending against the lattice."""
+    def rec(eid, content, state):
+        return replace(make_record(embedder, eid=eid, content=content), state=state)
+
+    m = RecordMap({"p1": rec("p1", "a", STATE_PENDING), "r1": rec("r1", "x", STATE_RETAINED),
+                   "t": rec("t", "", STATE_TOMBSTONE), "p2": rec("p2", "b", STATE_PENDING),
+                   "r2": rec("r2", "x", STATE_PROMOTED)})
+    assert derived_kept(m) == derived_by_walk(m) == (["p1", "p2"], {"x": ["r1", "r2"]})
+    steps = [
+        lambda: m.__setitem__("p3", rec("p3", "c", STATE_PENDING)),
+        lambda: m.__setitem__("p1", rec("p1", "y", STATE_RETAINED)),
+        lambda: m.__setitem__("r1", rec("r1", "", STATE_TOMBSTONE)),
+        lambda: m.__setitem__("r2", rec("r2", "z", STATE_RETAINED)),
+        lambda: m.__setitem__("r1", rec("r1", "d", STATE_PENDING)),
+        lambda: m.__setitem__("p3", rec("p3", "c", STATE_PENDING)),
+        lambda: m.__delitem__("p2"),
+        lambda: m.pop("r2"),
+        lambda: m.__setitem__("t", rec("t", "y", STATE_PROMOTED)),
+    ]
+    for step in steps:
+        step()
+        assert derived_kept(m) == derived_by_walk(m)
+    assert derived_kept(m) == (["r1", "p3"], {"y": ["p1", "t"]})
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert derived_kept(twin) == derived_kept(m)
+
+
+def test_admitted_ids_only_grow_and_roll_back_to_a_savepoint():
+    """`add` is the one writer; a rollback drops the ids added after its
+    savepoint, and an inner release keeps them for the enclosing one."""
+    ids = AdmittedIds(["a"])
+    refused = [
+        lambda: ids.remove("a"), lambda: ids.discard("a"), ids.pop, ids.clear,
+        lambda: ids.update({"b"}), lambda: ids.intersection_update(set()),
+        lambda: ids.difference_update({"a"}), lambda: ids.symmetric_difference_update({"a"}),
+        lambda: ids.__ior__({"b"}), lambda: ids.__iand__(set()),
+        lambda: ids.__isub__({"a"}), lambda: ids.__ixor__({"a"}),
+    ]
+    for mutate in refused:
+        with pytest.raises(TypeError):
+            mutate()
+        assert ids == {"a"}
+    ids.add("b")  # no savepoint open: nothing is logged
+    outer = ids.savepoint()
+    ids.add("c")
+    ids.savepoint()
+    ids.add("d")
+    ids.add("a")  # already admitted: not logged again
+    ids.release()
+    assert ids.log == ["c", "d"] and ids.depth == 1
+    inner = ids.savepoint()
+    ids.add("e")
+    ids.rollback(inner)
+    assert ids == {"a", "b", "c", "d"} and ids.log == ["c", "d"]
+    ids.rollback(outer)
+    assert ids == {"a", "b"} and ids.log == [] and ids.depth == 0
+    ids.savepoint()
+    ids.add("f")
+    for twin in (copy.copy(ids), copy.deepcopy(ids), pickle.loads(pickle.dumps(ids))):
+        assert type(twin) is AdmittedIds and twin == ids
+        assert twin.log == [] and twin.depth == 0
+    ids.release()
+    assert ids == {"a", "b", "f"} and ids.log == [] and ids.depth == 0
 
 
 def test_snapshot_roundtrip_byte_identical(store, tmp_path):

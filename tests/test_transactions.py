@@ -112,6 +112,47 @@ def test_a_failed_transaction_restores_the_store_and_reraises():
     assert run_consolidation(store, now).accounting_holds()
 
 
+def test_an_inner_commit_keeps_the_outer_transactions_log():
+    """An outer transaction wraps two sleeps, each its own transaction; the
+    first commits before the outer one raises. The rollback drops the ids
+    both sleeps admitted and puts the pending records back in their order."""
+    store, now = grown_store(StoreConfig())
+    pending = [r.id for r in store.pending_records()]
+    # the first sleep takes about half of the pending records
+    middle = sorted(store.records[k].encoded_at for k in pending)[len(pending) // 2]
+    admitted, before = set(store.admitted_ids), store.snapshot_json()
+    with pytest.raises(Injected, match="after both sleeps"):
+        with store.transaction():
+            first = run_consolidation(store, middle)
+            assert store.admitted_ids.depth == 1 and store.admitted_ids.log
+            second = run_consolidation(store, now)
+            assert first.input_count and second.input_count
+            assert not store.pending_records()
+            raise Injected("after both sleeps")
+    assert [r.id for r in store.pending_records()] == pending
+    assert set(store.admitted_ids) == admitted
+    assert store.admitted_ids.depth == 0 and store.admitted_ids.log == []
+    assert store.snapshot_json() == before
+
+
+@pytest.mark.parametrize("mode", [MODE_DEDUP, MODE_AGGRESSIVE, MODE_NONE])
+def test_a_sleep_walks_no_whole_record_map(mode, monkeypatch):
+    """A sleep reads its batch from the pending ids and its stored holders
+    from the content map: neither `values` nor `items` of the record map is
+    called."""
+    store, now = grown_store(StoreConfig(cluster_distance=0.8))
+
+    def walk(_records):
+        raise AssertionError("a sleep walked the whole record map")
+
+    for name in ("values", "items"):
+        monkeypatch.setattr(type(store.records), name, walk)
+    report = run_consolidation(store, now, mode=mode)
+    monkeypatch.undo()
+    assert report.input_count and report.accounting_holds()
+    assert not store.pending_records()
+
+
 class DepthLock:
     """A stand-in for the store's writer lock that tracks how deeply it is
     held."""
