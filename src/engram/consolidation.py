@@ -378,96 +378,84 @@ def run_consolidation(store: MemoryStore, now: datetime,
         batch.extend(store.records[e.id] for e in readmitted)
         batch.sort(key=lambda r: (r.event.timestamp, r.id))
 
-        if mode == MODE_NONE:
-            # keep-everything baseline: admit and retain, nothing else
-            for rec in batch:
-                store.replace(evolve(rec, state=STATE_RETAINED,
-                                     tier=TIER_WARM,
-                                     ttl_expires_at=warm_ttl))
-            report.retained = len(batch)
-            report.store_size_after = store.active_count()
-            report.tokens_after = store.active_tokens()
-            return report
-
-        # 2. scoring (running-centroid surprise prior, single writer);
-        # the frequency factor counts the stored retained and promoted
-        # records and the batch records before each record; step 4
-        # dedups against the same candidates
-        near = store.near(batch, config.near_dedup_threshold,
-                          (STATE_RETAINED, STATE_PROMOTED))
-        for rec, candidates in zip(batch, near):
-            earlier = [o for o in candidates
-                       if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
-            composite, breakdown = score_record(
-                rec, now, earlier, store.centroid(), store.graph, config)
-            rec = evolve(rec, importance=composite, score_breakdown=breakdown)
-            store.replace(rec)
-            store.add_to_centroid(rec.embedding)
-        batch = [store.records[r.id] for r in batch]
-
-        # 3. classification (before dedup, per pipeline order)
-        bucket: dict[str, str] = {}
-        if batch:
-            cls = classify(batch, config.promote_fraction, config.prune_fraction)
-            for r in cls.promote:
-                bucket[r.id] = "promote"
-            for r in cls.retain:
-                bucket[r.id] = "retain"
-            for r in cls.prune:
-                bucket[r.id] = "prune"
-
-        # 4. dedup: the batch, with the stored retained and promoted
-        # records step 2 found near it and the stored holders of a
-        # batch content (a degraded record keeps its old embedding, so
-        # it may be no near candidate); a stored record is never
-        # removed, and `removed_existing` counts any that is gone after
-        batch_ids = {r.id for r in batch}
-        stored = {o.id for candidates in near for o in candidates
-                  if o.id not in batch_ids}
-        stored |= store.holders({r.content for r in batch})
-        survivors, exact_removed = exact_dedup(
-            batch + [store.records[k] for k in stored])
-        survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
-        report.exact_dups_removed = len(exact_removed)
-        report.near_dups_removed = len(near_removed)
-        for rec in exact_removed + near_removed:
-            store.records.pop(rec.id)
-        for rec in survivors:
-            if rec is not store.records[rec.id]:
-                store.replace(rec)
-        report.removed_existing = sum(k not in store.records for k in stored)
-        batch_survivors = [r for r in survivors if r.state == STATE_PENDING]
-
-        # 5. aggressive mode: cluster surviving batch and merge
+        # the keep-everything baseline skips steps 2 to 5: its whole batch
+        # goes to step 6, unclassified, and is retained
+        batch_survivors = batch
+        promote_ids: set[str] = set()
+        prune_ids: set[str] = set()
         merged_member_ids: set[str] = set()
         gist_drafts: list[GistDraft] = []
-        if mode == MODE_AGGRESSIVE and batch_survivors:
-            groups = cluster(batch_survivors, config.cluster_distance)
-            report.clusters_formed = sum(1 for g in groups if len(g) > 1)
-            for group in groups:
-                if len(group) > 1:
-                    gist_drafts.append(make_gist(group, config))
-                    merged_member_ids.update(r.id for r in group)
+        if mode != MODE_NONE:
+            # 2. scoring (running-centroid surprise prior, single writer);
+            # the frequency factor counts the stored retained and promoted
+            # records and the batch records before each record; step 4
+            # dedups against the same candidates
+            near = store.near(batch, config.near_dedup_threshold,
+                              (STATE_RETAINED, STATE_PROMOTED))
+            for rec, candidates in zip(batch, near):
+                earlier = [o for o in candidates
+                           if (o.encoded_at, o.id) < (rec.encoded_at, rec.id)]
+                composite, breakdown = score_record(
+                    rec, now, earlier, store.centroid(), store.graph, config)
+                rec = evolve(rec, importance=composite, score_breakdown=breakdown)
+                store.replace(rec)
+                store.add_to_centroid(rec.embedding)
+            batch = [store.records[r.id] for r in batch]
+
+            # 3. classification (before dedup, per pipeline order); the
+            # rest of the batch is retained
+            if batch:
+                cls = classify(batch, config.promote_fraction, config.prune_fraction)
+                promote_ids = {r.id for r in cls.promote}
+                prune_ids = {r.id for r in cls.prune}
+
+            # 4. dedup: the batch, with the stored retained and promoted
+            # records step 2 found near it and the stored holders of a
+            # batch content (a degraded record keeps its old embedding, so
+            # it may be no near candidate); a stored record is never
+            # removed, and `removed_existing` counts any that is gone after
+            batch_ids = {r.id for r in batch}
+            stored = {o.id for candidates in near for o in candidates
+                      if o.id not in batch_ids}
+            stored |= store.holders({r.content for r in batch})
+            survivors, exact_removed = exact_dedup(
+                batch + [store.records[k] for k in stored])
+            survivors, near_removed = near_dedup(survivors, config.near_dedup_threshold)
+            report.exact_dups_removed = len(exact_removed)
+            report.near_dups_removed = len(near_removed)
+            for rec in exact_removed + near_removed:
+                store.records.pop(rec.id)
+            for rec in survivors:
+                if rec is not store.records[rec.id]:
+                    store.replace(rec)
+            report.removed_existing = sum(k not in store.records for k in stored)
+            batch_survivors = [r for r in survivors if r.state == STATE_PENDING]
+
+            # 5. aggressive mode: cluster surviving batch and merge
+            if mode == MODE_AGGRESSIVE and batch_survivors:
+                groups = cluster(batch_survivors, config.cluster_distance)
+                report.clusters_formed = sum(1 for g in groups if len(g) > 1)
+                for group in groups:
+                    if len(group) > 1:
+                        gist_drafts.append(make_gist(group, config))
+                        merged_member_ids.update(r.id for r in group)
 
         # 6. apply classification / gists / promotion
         for rec in batch_survivors:
             if rec.id in merged_member_ids:
                 continue
-            b = bucket.get(rec.id, "retain")
-            if b == "promote":
+            promoted = rec.id in promote_ids
+            moved = evolve(rec, state=STATE_PROMOTED if promoted else STATE_RETAINED,
+                           tier=TIER_WARM, ttl_expires_at=warm_ttl)
+            if promoted:
                 gist_drafts.append(make_gist([rec], config))
-                store.replace(evolve(rec, state=STATE_PROMOTED,
-                                     tier=TIER_WARM, ttl_expires_at=warm_ttl))
                 report.promoted += 1
-            elif b == "prune":
-                pruned = evolve(rec, state=STATE_RETAINED, tier=TIER_WARM,
-                                ttl_expires_at=warm_ttl)
-                store.replace(forgetting.degrade(pruned))
+            elif rec.id in prune_ids:
+                moved = forgetting.degrade(moved)  # warm, then one step down
                 report.pruned += 1
             else:
-                store.replace(evolve(rec, state=STATE_RETAINED,
-                                     tier=TIER_WARM, ttl_expires_at=warm_ttl))
                 report.retained += 1
+            store.replace(moved)
         # merged cluster members fold into their gist: counted promoted,
         # episodic copies become tombstones
         for rec_id in sorted(merged_member_ids):

@@ -18,12 +18,12 @@ picks from the store's embedding index, so the formula has one
 implementation. `interference` sums with `math.fsum`, so a priority does
 not depend on the order of the candidates.
 
-The budget walk takes each ranked record down the ladder on its content
-alone: `_ladder_content`, which `degrade` also uses, gives each step's text,
-and the walk keeps the token total from those texts. The store receives
-only the record the walk ends at, a `tombstone` at L5 or else one
-`with_content` of the content and fidelity, so each walked record is built
-and written once, however many steps it took.
+Each move down the ladder is written once. `_step` takes a content one
+level down, L0 to L5, and `_settle` builds the record a walk ends at: a
+`tombstone` at L5, else one `with_content` of the content and fidelity.
+`degrade` is one step, settled. The budget walk takes each ranked record
+down by `_step` on its content alone, keeps the token total from the steps,
+and writes only the record it ends at, however many steps it took.
 """
 
 from __future__ import annotations
@@ -173,42 +173,46 @@ def tombstone(record: EpisodicRecord) -> EpisodicRecord:
                                fidelity=FidelityLevel.L5, state=STATE_TOMBSTONE)
 
 
-def _ladder_content(record: EpisodicRecord, content: str,
-                    fidelity: FidelityLevel) -> str:
-    """The content one level below `fidelity`, for `fidelity` L0 to L3, of
-    `record` when its content at `fidelity` is `content`. L1/L2 keep a
-    prefix sized by the level's retained token fraction; L3 keeps the first
-    sentence plus entity names; L4 keeps only the event kind and entity
-    names. The kind and the entities do not change along the ladder, so
-    they are read from `record`."""
+def _step(record: EpisodicRecord, content: str,
+          fidelity: FidelityLevel) -> tuple[str, FidelityLevel]:
+    """The content and fidelity one level below `fidelity`, of `record` when
+    its content at `fidelity` is `content`. L1/L2 keep a prefix sized by the
+    level's retained token fraction; L3 keeps the first sentence plus entity
+    names; L4 keeps only the event kind and entity names; L5 keeps nothing.
+    The kind and the entities do not change along the ladder, so they are
+    read from `record`."""
+    if fidelity >= FidelityLevel.L5:
+        raise AlreadyTombstone(record.id)
     nxt = fidelity.next_level()
     entity_part = ", ".join(record.entities)
     if nxt in (FidelityLevel.L1, FidelityLevel.L2):
         frac = nxt.retained_fraction / fidelity.retained_fraction
         target_tokens = int(estimate_tokens(content) * frac)
-        return content[:target_tokens * 4]
+        return content[:target_tokens * 4], nxt
     if nxt == FidelityLevel.L3:
         m = _SENTENCE_END_RE.search(content)
         first = content[:m.start() + 1] if m else content
-        return (first + (" " + entity_part if entity_part else "")).strip()
-    return record.event.kind + (": " + entity_part if entity_part else "")
+        return (first + (" " + entity_part if entity_part else "")).strip(), nxt
+    if nxt == FidelityLevel.L4:
+        return record.event.kind + (": " + entity_part if entity_part else ""), nxt
+    return "", nxt
+
+
+def _settle(record: EpisodicRecord, content: str,
+            fidelity: FidelityLevel) -> EpisodicRecord:
+    """`record` at the end of a walk down the ladder: `tombstone(record)` at
+    L5, else `record` with `content` at `fidelity`."""
+    if fidelity == FidelityLevel.L5:
+        return tombstone(record)
+    return record.with_content(content, fidelity=fidelity)
 
 
 def degrade(record: EpisodicRecord) -> EpisodicRecord:
-    """Advance a record exactly one fidelity level.
-
-    L1 to L4 take the content `_ladder_content` gives; L5 is
+    """Advance a record exactly one fidelity level (`_step`). L5 is
     `tombstone(record)`, which keeps only existence metadata: the id, the
     event's timestamp, session, actor, kind, metadata and causes, the
-    record's times, tier, importance, access count and `source_ids`.
-    """
-    if record.fidelity >= FidelityLevel.L5:
-        raise AlreadyTombstone(record.id)
-    nxt = record.fidelity.next_level()
-    if nxt == FidelityLevel.L5:
-        return tombstone(record)
-    return record.with_content(_ladder_content(record, record.content, record.fidelity),
-                               fidelity=nxt)
+    record's times, tier, importance, access count and `source_ids`."""
+    return _settle(record, *_step(record, record.content, record.fidelity))
 
 
 def degradation_due(record: EpisodicRecord, now: datetime,
@@ -231,12 +235,12 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int, now: datetime,
 
     The top candidate is walked down the ladder, one level per step, until
     the tokens fit or it is a tombstone, before moving on (its priority
-    does not change as it degrades). Each step is `degrade`'s, taken on the
-    content text (`_ladder_content`) with the token total kept from it; the
-    record the walk ends at is written once. Promoted and labile records
-    are never touched; the loop is bounded by ladder depth times store
-    size. `ranked` is `rank_forget_candidates(store, now)` when the caller
-    already holds it."""
+    does not change as it degrades). Each step is `degrade`'s, `_step`
+    taken on the content text, and the token total is kept from the steps;
+    the record the walk ends at (`_settle`) is written once. Promoted and
+    labile records are never touched; the loop is bounded by ladder depth
+    times store size. `ranked` is `rank_forget_candidates(store, now)` when
+    the caller already holds it."""
     if budget_tokens <= 0:
         raise ValueError("budget must be positive")
     report = ForgettingReport()
@@ -250,22 +254,14 @@ def forget_to_budget(store: MemoryStore, budget_tokens: int, now: datetime,
             current = store.records[rec.id]
             content, fidelity = current.content, current.fidelity
             while tokens > budget_tokens and fidelity < FidelityLevel.L5:
+                stepped, fidelity = _step(current, content, fidelity)
+                tokens += estimate_tokens(stepped) - estimate_tokens(content)
+                content = stepped
                 report.budget_steps += 1
-                if fidelity == FidelityLevel.L4:
-                    # the walk ends here; the tombstone is written below
-                    fidelity = FidelityLevel.L5
+            if fidelity != current.fidelity:
+                store.replace(_settle(current, content, fidelity))
+                if fidelity == FidelityLevel.L5:
                     report.budget_tombstoned += 1
-                else:
-                    stepped = _ladder_content(current, content, fidelity)
-                    tokens += estimate_tokens(stepped) - estimate_tokens(content)
-                    content, fidelity = stepped, fidelity.next_level()
-            if fidelity == current.fidelity:
-                continue
-            if fidelity == FidelityLevel.L5:
-                store.replace(tombstone(current))
-            else:
-                store.replace(current.with_content(content, fidelity=fidelity))
-            tokens = store.active_tokens()
     report.tokens_after = store.active_tokens()
     report.active_after = store.active_count()
     return report

@@ -18,7 +18,7 @@ from typing import Any, Optional, Sequence
 from .codec import encode
 from .consolidation import MODE_DEDUP, MODE_NONE, run_consolidation
 from .forgetting import run_forgetting
-from .model import FidelityLevel, MemoryEvent, StoreConfig, STATE_TOMBSTONE
+from .model import FidelityLevel, MemoryEvent, StoreConfig, STATE_TOMBSTONE, evolve
 from .store import MemoryStore
 
 log = logging.getLogger("engram.harness")
@@ -171,17 +171,11 @@ def generate_stream(spec: StreamSpec, seed: int = 0) -> StreamManifest:
         for v, idx in enumerate(picks):
             ev = events[idx]
             if v % 2 == 0:
-                events[idx] = MemoryEvent(
-                    id=ev.id, timestamp=spec.start_time - timedelta(hours=1 + v),
-                    session_id=ev.session_id, actor=ev.actor, kind=ev.kind,
-                    content=ev.content, metadata=ev.metadata, causes=ev.causes)
+                events[idx] = evolve(
+                    ev, timestamp=spec.start_time - timedelta(hours=1 + v))
                 truth[ev.id].planted_violation = "out_of_order"
             else:
-                events[idx] = MemoryEvent(
-                    id=ev.id, timestamp=ev.timestamp, session_id=ev.session_id,
-                    actor=ev.actor, kind=ev.kind, content=ev.content,
-                    metadata=ev.metadata,
-                    causes=ev.causes + (f"missing-{ev.id}",))
+                events[idx] = evolve(ev, causes=ev.causes + (f"missing-{ev.id}",))
                 truth[ev.id].planted_violation = "causal_inversion"
 
     return StreamManifest(events=events, ground_truth=truth)

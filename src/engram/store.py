@@ -7,8 +7,9 @@ leaves the store as it found it. Records, graph nodes, semantic memories
 and quarantine entries are immutable values, replaced by id, so the
 transaction's checkpoint copies the containers and shares the values. The
 record map's copy keeps its order, and with it the pending records' arrival
-order. The admitted ids only grow: the checkpoint takes a savepoint in
-their log instead of a copy, and a rollback drops the ids added after it.
+order. The admitted ids only grow, and keep the order they were added
+in: the checkpoint takes that order's length instead of a copy, and a
+rollback cuts the order back to it, dropping the ids added since.
 
 The embedding index is derived state: a float32 matrix of the live
 (non-tombstone) records with parallel arrays of their filter fields. It is
@@ -185,41 +186,28 @@ class AdmittedIds(set):
     (`DuplicateId`), so the set only grows: `add` is its one writer, and the
     other set mutators raise `TypeError`.
 
-    While a savepoint is open, `add` also appends to `log`. A savepoint is
-    the log's length; `rollback` drops the ids added after it. Savepoints
-    nest: `release` keeps the log for the enclosing one, and releasing or
-    rolling back the outermost closes the log, emptying it."""
+    `order` lists the ids in the order given and added, and only grows but
+    for `rollback`. A savepoint is its length, and `rollback` drops the ids
+    added after one. So savepoints nest without bookkeeping: a rollback to
+    an outer savepoint also drops the ids added after any inner one."""
 
-    __slots__ = ("log", "depth")
+    __slots__ = ("order",)
 
     def __init__(self, ids=()):
-        super().__init__(ids)
-        self.log: list[str] = []
-        self.depth = 0
+        order = list(ids)
+        super().__init__(order)
+        self.order = order
 
     def add(self, key: str) -> None:
         if key not in self:
             set.add(self, key)
-            if self.depth:
-                self.log.append(key)
-
-    def savepoint(self) -> int:
-        self.depth += 1
-        return len(self.log)
-
-    def release(self) -> None:
-        """Close the newest savepoint and keep the ids added since."""
-        self.depth -= 1
-        if not self.depth:
-            self.log.clear()
+            self.order.append(key)
 
     def rollback(self, savepoint: int) -> None:
-        """Close the newest savepoint, `savepoint`, and drop the ids added
-        since."""
-        for key in self.log[savepoint:]:
+        """Drop the ids added after `savepoint`, a length of `order`."""
+        for key in self.order[savepoint:]:
             set.discard(self, key)
-        del self.log[savepoint:]
-        self.release()
+        del self.order[savepoint:]
 
     def _refuse(self, *_args, **_kwargs):
         raise TypeError(f"{type(self).__name__} grows only through add")
@@ -229,7 +217,7 @@ class AdmittedIds(set):
     __ior__ = __iand__ = __isub__ = __ixor__ = _refuse
 
     def __reduce__(self):
-        return type(self), (list(self),)
+        return type(self), (self.order,)
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -720,14 +708,13 @@ class MemoryStore:
     def _checkpoint(self) -> dict[str, Any]:
         """The store's state for `_restore`. Stored values are immutable, so
         copying the containers that hold them is enough; the admitted ids
-        only grow, so a savepoint in their log stands for them, and it stays
-        open until `_restore` or the transaction's commit closes it. The
+        only grow, so the length of their `order` stands for them. The
         embedding index is derived: `_restore` leaves it to be rebuilt."""
         return {
             "records": dict(self.records),
             "graph": self.graph.copy(),
             "quarantine": dict(self.quarantine),
-            "admitted_ids": self.admitted_ids.savepoint(),
+            "admitted_ids": len(self.admitted_ids.order),
             "watermark": self.watermark,
             "centroid_sum": None if self.centroid_sum is None else self.centroid_sum.copy(),
             "centroid_count": self.centroid_count,
@@ -746,8 +733,8 @@ class MemoryStore:
     def transaction(self) -> Iterator[None]:
         """Run a lifecycle job's body under the writer lock. When the body
         raises an `Exception`, the store is restored to its state at entry
-        and the error is re-raised. Transactions nest: an inner commit keeps
-        the ids it admitted in the enclosing transaction's log."""
+        and the error is re-raised. Transactions nest: an enclosing
+        transaction's rollback also drops what an inner one committed."""
         with self.lock:
             chk = self._checkpoint()
             try:
@@ -755,7 +742,3 @@ class MemoryStore:
             except Exception:
                 self._restore(chk)
                 raise
-            except BaseException:
-                self.admitted_ids.release()
-                raise
-            self.admitted_ids.release()

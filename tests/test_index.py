@@ -14,6 +14,8 @@ as it was."""
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,7 @@ from engram import forgetting
 from engram.codec import encode
 from engram.consolidation import MODES, run_consolidation
 from engram.embedding import HashEmbedder
-from engram.errors import AlreadyTombstone
+from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.forgetting import rank_forget_candidates, run_forgetting, tombstone
 from engram.model import (
     LEGAL_MOVES,
@@ -175,12 +177,15 @@ class IndexMachine(RuleBasedStateMachine):
     `snapshot_json` equals the canonical dump of `state_dict`, the
     running live count and token total equal their full sums, the pending
     ids (in order) and the content holders equal a walk over every record,
-    the admitted ids' log is closed, every id once promoted is still
-    stored, promoted or a tombstone, every id's state moved along
-    `LEGAL_MOVES`, and every tombstone is in the form
+    the admitted ids' order lists each of them once, every id once
+    promoted is still stored, promoted or a tombstone, every id's state
+    moved along `LEGAL_MOVES`, and every tombstone is in the form
     `forgetting.tombstone` builds. A forgetting run meets its budget
-    whenever the records it may not touch fit in it, and a sleep at a past
-    `now` leaves alone what was encoded after it."""
+    whenever the records it may not touch fit in it, a sleep at a past
+    `now` leaves alone what was encoded after it, a sleep inside an outer
+    transaction that raises leaves the snapshot as it was, a lapsed lability
+    window changes nothing, and a reload through a file or in memory gives
+    back the same snapshot."""
 
     @initialize()
     def start(self):
@@ -242,6 +247,18 @@ class IndexMachine(RuleBasedStateMachine):
             self.store.ingest(make_event(f"e{self.serial}", ts=self.clock,
                                          session=session, content=content))
 
+    @precondition(lambda self: any(r.state in KEPT for r in self.store.records.values()))
+    @rule(data=st.data(), session=st.sampled_from(SESSIONS))
+    def ingest_copy(self, data, session):
+        # the content of a stored retained or promoted record, degraded ones
+        # included: step 4 absorbs the copy, and the stored record stays
+        kept = sorted(k for k, r in self.store.records.items() if r.state in KEPT)
+        source = self.store.records[data.draw(st.sampled_from(kept))]
+        self.clock += minutes(1)
+        self.serial += 1
+        self.store.ingest(make_event(f"e{self.serial}", ts=self.clock, session=session,
+                                     content=source.content))
+
     @rule(mode=st.sampled_from(MODES), pending=st.booleans())
     def consolidate(self, mode, pending):
         if pending:
@@ -283,11 +300,21 @@ class IndexMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: live_records(self.store))
     @rule(data=st.data(), content=words,
-          confidence=st.floats(0.0, 1.0, allow_nan=False))
-    def relearn(self, data, content, confidence):
+          confidence=st.floats(0.0, 1.0, allow_nan=False),
+          lapse=st.one_of(st.none(), st.just(0), st.integers(1, 120)))
+    def relearn(self, data, content, confidence, lapse):
         rid = data.draw(st.sampled_from(self.live_ids()))
         handle = open_lability(self.store, rid, self.clock)
-        reconsolidate(self.store, handle, content, confidence, self.clock)
+        if lapse is None:
+            reconsolidate(self.store, handle, content, confidence, self.clock)
+            return
+        # `lapse` minutes after the window closed, often at its very end:
+        # too late, and a no-op
+        self.clock = handle.expires_at + minutes(lapse)
+        before = self.store.snapshot_json()
+        with pytest.raises(LabilityExpired):
+            reconsolidate(self.store, handle, content, confidence, self.clock)
+        assert self.store.snapshot_json() == before
 
     @rule(back=st.integers(1, 6), mode=st.sampled_from(MODES),
           budget=st.one_of(st.none(), st.integers(1, 80)))
@@ -304,6 +331,26 @@ class IndexMachine(RuleBasedStateMachine):
         later = [r for r in store.records.values() if r.encoded_at > now]
         run_forgetting(store, now, budget=budget)
         assert all(store.records[r.id] is r for r in later)
+
+    @rule(mode=st.sampled_from(MODES), budget=st.one_of(st.none(), st.integers(1, 80)),
+          days=sleep_gap, commit=st.booleans())
+    def sleep_in_a_transaction(self, mode, budget, days, commit):
+        # a sleep, consolidation then forgetting, each its own transaction
+        # inside an outer one that commits or raises; a raise undoes both
+        # jobs, the ids their commits admitted included
+        store = self.store
+        self.clock += hours(24 * days)
+        before = store.snapshot_json()
+        admitted, order = set(store.admitted_ids), list(store.admitted_ids.order)
+        try:
+            with store.transaction():
+                assert run_consolidation(store, self.clock, mode=mode).accounting_holds()
+                run_forgetting(store, self.clock, budget=budget)
+                if not commit:
+                    raise Injected("after the sleep")
+        except Injected:
+            assert store.snapshot_json() == before
+            assert store.admitted_ids == admitted and store.admitted_ids.order == order
 
     @precondition(lambda self: self.store.records)
     @rule(data=st.data(), outcome=st.sampled_from(["success", "failure"]))
@@ -381,9 +428,17 @@ class IndexMachine(RuleBasedStateMachine):
         finally:
             undo()
 
-    @rule()
-    def reload(self):
-        self.store = MemoryStore.from_state_dict(json.loads(self.store.snapshot_json()))
+    @rule(through_file=st.booleans())
+    def reload(self, through_file):
+        text = self.store.snapshot_json()
+        if through_file:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "store.json")
+                self.store.save_snapshot(path)
+                self.store = MemoryStore.load_snapshot(path)
+        else:
+            self.store = MemoryStore.from_state_dict(json.loads(text))
+        assert self.store.snapshot_json() == text
 
     @rule(query=words, k=st.integers(1, 6), back=st.integers(0, 6),
           tier=st.sampled_from([None, TIER_HOT, TIER_WARM, "cold"]),
@@ -424,7 +479,7 @@ class IndexMachine(RuleBasedStateMachine):
     def kept_maps_are_the_full_walk(self):
         assert derived_kept(self.store.records) == derived_by_walk(self.store.records)
         admitted = self.store.admitted_ids
-        assert admitted.depth == 0 and admitted.log == []
+        assert len(admitted.order) == len(admitted) and set(admitted.order) == admitted
 
     @invariant()
     def adjacency_is_the_edge_map(self):

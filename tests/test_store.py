@@ -169,8 +169,10 @@ def test_record_map_keeps_pending_ids_and_holders_through_every_writer(embedder)
 
 
 def test_admitted_ids_only_grow_and_roll_back_to_a_savepoint():
-    """`add` is the one writer; a rollback drops the ids added after its
-    savepoint, and an inner release keeps them for the enclosing one."""
+    """`add` is the one writer and `order` lists the ids in the order
+    added; a savepoint is the order's length, a rollback drops the ids
+    added after it, and a rollback to an outer savepoint also drops those
+    added after an inner one."""
     ids = AdmittedIds(["a"])
     refused = [
         lambda: ids.remove("a"), lambda: ids.discard("a"), ids.pop, ids.clear,
@@ -182,28 +184,24 @@ def test_admitted_ids_only_grow_and_roll_back_to_a_savepoint():
     for mutate in refused:
         with pytest.raises(TypeError):
             mutate()
-        assert ids == {"a"}
-    ids.add("b")  # no savepoint open: nothing is logged
-    outer = ids.savepoint()
+        assert ids == {"a"} and ids.order == ["a"]
+    ids.add("b")
+    outer = len(ids.order)
     ids.add("c")
-    ids.savepoint()
+    inner = len(ids.order)
     ids.add("d")
-    ids.add("a")  # already admitted: not logged again
-    ids.release()
-    assert ids.log == ["c", "d"] and ids.depth == 1
-    inner = ids.savepoint()
-    ids.add("e")
+    ids.add("a")  # already admitted: not added again
+    assert ids.order == ["a", "b", "c", "d"]
     ids.rollback(inner)
-    assert ids == {"a", "b", "c", "d"} and ids.log == ["c", "d"]
+    assert ids == {"a", "b", "c"} and ids.order == ["a", "b", "c"]
+    ids.add("e")  # an inner savepoint that commits needs no step
     ids.rollback(outer)
-    assert ids == {"a", "b"} and ids.log == [] and ids.depth == 0
-    ids.savepoint()
+    assert ids == {"a", "b"} and ids.order == ["a", "b"]
     ids.add("f")
     for twin in (copy.copy(ids), copy.deepcopy(ids), pickle.loads(pickle.dumps(ids))):
         assert type(twin) is AdmittedIds and twin == ids
-        assert twin.log == [] and twin.depth == 0
-    ids.release()
-    assert ids == {"a", "b", "f"} and ids.log == [] and ids.depth == 0
+        assert twin.order == ["a", "b", "f"] and twin.order is not ids.order
+    assert AdmittedIds(iter(["x", "y"])).order == ["x", "y"]
 
 
 def test_snapshot_roundtrip_byte_identical(store, tmp_path):

@@ -121,17 +121,21 @@ def test_an_inner_commit_keeps_the_outer_transactions_log():
     # the first sleep takes about half of the pending records
     middle = sorted(store.records[k].encoded_at for k in pending)[len(pending) // 2]
     admitted, before = set(store.admitted_ids), store.snapshot_json()
+    order = list(store.admitted_ids.order)
     with pytest.raises(Injected, match="after both sleeps"):
         with store.transaction():
             first = run_consolidation(store, middle)
-            assert store.admitted_ids.depth == 1 and store.admitted_ids.log
+            # the first sleep's commit keeps the ids it admitted in `order`,
+            # after the outer transaction's savepoint
+            assert store.admitted_ids.order[:len(order)] == order
+            assert len(store.admitted_ids.order) > len(order)
             second = run_consolidation(store, now)
             assert first.input_count and second.input_count
             assert not store.pending_records()
             raise Injected("after both sleeps")
     assert [r.id for r in store.pending_records()] == pending
     assert set(store.admitted_ids) == admitted
-    assert store.admitted_ids.depth == 0 and store.admitted_ids.log == []
+    assert store.admitted_ids.order == order
     assert store.snapshot_json() == before
 
 
