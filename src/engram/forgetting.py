@@ -133,8 +133,8 @@ def rank_forget_candidates(store: MemoryStore, now: datetime
     config = store.config
     with store.lock:
         index = store.embedding_index()
-        rows = index.select(now)
-        rows = rows[index.in_states((STATE_PENDING, STATE_RETAINED))[rows]]
+        rows = np.flatnonzero(index.visible(now)
+                              & index.in_states((STATE_PENDING, STATE_RETAINED)))
         keys = [index.keys[row] for row in rows.tolist()]
         eligible = [store.records[k] for k in keys if not store.is_labile(k, now)]
         near = store.near(eligible, config.interference_threshold)

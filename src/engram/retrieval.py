@@ -28,7 +28,7 @@ from .model import (
     evolve,
     hours_between,
 )
-from .store import MemoryStore
+from .store import EmbeddingIndex, MemoryStore
 
 log = logging.getLogger("engram.retrieval")
 
@@ -70,6 +70,51 @@ def _rank_key(hit: Hit):
             -hit.timestamp.timestamp(), hit.memory_id)
 
 
+def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
+              groups: list[np.ndarray], k: int, now: datetime,
+              importance_filter: Optional[float] = None) -> list[list[Hit]]:
+    """For each of `groups`, disjoint arrays of embedding-index rows: the
+    top-k of its rows whose decayed importance passes the filter, by
+    `_rank_key` on the float64 `np.dot(qvec, embedding)`. One float32
+    product picks every group's candidates; only the candidates are
+    rescored, and only the top k of each become `Hit`s."""
+    if importance_filter is None:
+        importance_filter = store.config.importance_filter
+    lam = store.config.lambda_decay
+    records, keys = store.records, index.keys
+    importance = index.column("importance")
+    passing = []
+    for rows in groups:
+        # a non-negative importance decays to a non-negative value, which a
+        # filter <= 0 always passes; every other row is decided exactly
+        undecided = (np.flatnonzero(~(importance[rows] >= 0.0))
+                     if importance_filter <= 0.0 else range(len(rows)))
+        dropped = []
+        for i in undecided:
+            rec = records[keys[rows[i]]]
+            if decayed_importance(rec.importance, rec.encoded_at, now,
+                                  lam) < importance_filter:
+                dropped.append(i)
+        passing.append(np.delete(rows, dropped) if dropped else rows)
+    out = []
+    for rows in index.top_candidates(qvec, passing, k):
+        ranked = []
+        for row in rows.tolist():
+            rec = records[keys[row]]
+            sim = float(np.dot(qvec, rec.embedding))
+            event = rec.event
+            # `_rank_key` of the hit this record would make; ids are unique,
+            # so the sort never compares past the id
+            ranked.append((-sim, _TIER_PRIORITY[rec.tier], -event.timestamp.timestamp(),
+                           event.id, sim, rec))
+        ranked.sort()
+        out.append([Hit(memory_id=rid, tier=rec.tier, base_sim=sim, final_score=sim,
+                        timestamp=rec.event.timestamp, content=rec.content,
+                        source_ids=rec.source_ids)
+                    for _s, _p, _t, rid, sim, rec in ranked[:k]])
+    return out
+
+
 def _episodic_scan(store: MemoryStore, qvec: np.ndarray, k: int,
                    now: datetime,
                    time_range: Optional[tuple[datetime, datetime]] = None,
@@ -79,41 +124,12 @@ def _episodic_scan(store: MemoryStore, qvec: np.ndarray, k: int,
     """Top-k of the visible records passing the filters, by `_rank_key` on
     the float64 `np.dot(qvec, embedding)`. The store's embedding index
     applies the filters as array masks and picks candidates with one float32
-    product; only the candidates are rescored and become `Hit`s."""
-    if importance_filter is None:
-        importance_filter = store.config.importance_filter
-    lam = store.config.lambda_decay
+    product; only the candidates are rescored."""
     with store.lock:
         index = store.embedding_index()
-        rows = index.select(now, tier=tier, session_id=session_id,
-                            time_range=time_range)
-        # a non-negative importance decays to a non-negative value, which a
-        # filter <= 0 always passes; every other row is decided exactly
-        dropped = (np.ones(len(rows), dtype=bool) if not importance_filter <= 0.0
-                   else ~(index.column("importance")[rows] >= 0.0))
-        records, keys = store.records, index.keys
-        for i in np.flatnonzero(dropped):
-            rec = records[keys[rows[i]]]
-            dropped[i] = decayed_importance(rec.importance, rec.encoded_at, now,
-                                            lam) < importance_filter
-        hits: list[Hit] = []
-        for row in index.top_candidates(qvec, rows[~dropped], k).tolist():
-            rec = records[keys[row]]
-            sim = float(np.dot(qvec, rec.embedding))
-            hits.append(Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim,
-                            final_score=sim, timestamp=rec.event.timestamp,
-                            content=rec.content, source_ids=rec.source_ids))
-    hits.sort(key=_rank_key)
-    return hits[:k]
-
-
-def _memory_hit(mem: SemanticMemory, qvec: np.ndarray,
-                hop_distance: Optional[int] = None) -> Hit:
-    sim = float(np.dot(qvec, mem.embedding))
-    return Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
-               final_score=sim, timestamp=mem.created_at, content=mem.gist,
-               source_ids=tuple(sorted(mem.source_ids)),
-               hop_distance=hop_distance)
+        rows = index.where(index.visible(now, time_range), tier=tier,
+                           session_id=session_id)
+        return _top_hits(store, index, qvec, [rows], k, now, importance_filter)[0]
 
 
 def episodic_search(store: MemoryStore, query: str, k: int,
@@ -140,7 +156,13 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     is embedded once. `now` defaults to the store's logical now. A query is
     point-in-time: records encoded and memories created after `now` are not
     visible to it. Everything after the embedding runs under the store's
-    lock, so no writer changes the store mid-query."""
+    lock, so no writer changes the store mid-query.
+
+    The episodic tiers take one pass: one selection of the visible rows,
+    split by tier code (the hot tier also by session), and one float32
+    product and bound for both. Silent memories are read once per distinct
+    (priming weight, entity name), and only the returned graph hits get
+    their source ids sorted."""
     config = store.config
     if k is None:
         k = config.retrieval_k
@@ -150,22 +172,26 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     with store.lock:
         if now is None:
             now = store.logical_now() or datetime.now(timezone.utc)
+        index = store.embedding_index()
+        visible = index.visible(now)
         # each record has one tier, so the hot and warm hits are disjoint
-        episodic_hits = (_episodic_scan(store, qvec, k, now, tier=TIER_HOT,
-                                        session_id=session_id)
-                         + _episodic_scan(store, qvec, k, now, tier=TIER_WARM))
+        hot, warm = _top_hits(store, index, qvec,
+                              [index.where(visible, tier=TIER_HOT,
+                                           session_id=session_id),
+                               index.where(visible, tier=TIER_WARM)], k, now)
+        episodic_hits = hot + warm
 
         # graph pathway seeded by entities of the strongest episodic hits
         seed_entities: dict[str, None] = {}
         for hit in episodic_hits[:k]:
             for name in store.records[hit.memory_id].entities:
                 seed_entities.setdefault(name, None)
-        graph_hits: list[Hit] = []
-        silent_by_entity: dict[str, float] = {}
+        matured: list[tuple[SemanticMemory, int]] = []
         # a priming weight depends only on created_at, and the memories of
-        # one sleep share theirs: weigh each created_at once per query
+        # one sleep share theirs and mostly their entities: weigh each
+        # created_at once, and gather each weight's entity names in a set
         weights: dict[datetime, float] = {}
-        folded: dict[str, str] = {}
+        silent: dict[float, set[str]] = {}
         if seed_entities:
             for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
                 created = mem.created_at
@@ -175,15 +201,16 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
                 if weight is None:
                     weight = weights[created] = mem.priming_weight(now, config)
                 if weight == 0.0:  # matured: surfaces as a hit of its own
-                    graph_hits.append(_memory_hit(mem, qvec, hops))
+                    matured.append((mem, hops))
                 else:
-                    # silent memories prime episodic results sharing an entity
-                    for name in mem.entities:
-                        key = folded.get(name)
-                        if key is None:
-                            key = folded[name] = name.casefold()
-                        if weight > silent_by_entity.get(key, 0.0):
-                            silent_by_entity[key] = weight
+                    silent.setdefault(weight, set()).update(mem.entities)
+        # silent memories prime episodic results sharing an entity
+        silent_by_entity: dict[str, float] = {}
+        for weight, names in silent.items():
+            for name in names:
+                key = name.casefold()
+                if weight > silent_by_entity.get(key, 0.0):
+                    silent_by_entity[key] = weight
 
         # merge + dedupe: an episodic copy beats its own semantic gist
         covered_sources: set[str] = set()
@@ -191,11 +218,16 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
             covered_sources.update(hit.source_ids)
             covered_sources.add(hit.memory_id)
         merged = list(episodic_hits)
-        for hit in graph_hits:
-            if any(src in covered_sources for src in hit.source_ids):
+        for mem, hops in matured:
+            if not covered_sources.isdisjoint(mem.source_ids):
                 continue
-            merged.append(hit)
-            covered_sources.update(hit.source_ids)
+            sim = float(np.dot(qvec, mem.embedding))
+            # the source-id set is sorted below, for the returned hits only
+            merged.append(Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
+                              final_score=sim, timestamp=mem.created_at,
+                              content=mem.gist, source_ids=mem.source_ids,
+                              hop_distance=hops))
+            covered_sources.update(mem.source_ids)
 
         for hit in merged:
             age_h = max(hours_between(hit.timestamp, now), 0.0)
@@ -210,7 +242,11 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
             hit.final_score = hit.base_sim * hit.recency_boost * hit.priming_boost
 
     merged.sort(key=_rank_key)
-    return RetrievalResult(query=query, k=k, as_of=now, hits=merged[:k])
+    hits = merged[:k]
+    for hit in hits:
+        if hit.tier == TIER_GRAPH:
+            hit.source_ids = tuple(sorted(hit.source_ids))
+    return RetrievalResult(query=query, k=k, as_of=now, hits=hits)
 
 
 def open_lability(store: MemoryStore, memory_id: str,

@@ -5,7 +5,8 @@ over the whole store, forget priorities from `forgetting.interference`
 (criterion 3) over every live record, the budget walk one `degrade` and one
 store write per step, the episodic scan over every record, the graph walk
 that scans every co-occurrence edge per visited entity, hybrid retrieval
-with one priming weight per reached memory, clustering with every pair
+with two full episodic scans, one priming weight per reached memory and a
+sorted `Hit` per matured memory, clustering with every pair
 average recomputed, a record map's pending ids and content holders by a
 walk over every record, the v1 rendering of a snapshot, and a snapshot
 with its tombstones in the existence-metadata form. Oracle and engine share
@@ -30,6 +31,7 @@ from engram.forgetting import (
     interference,
     rank_forget_candidates,
 )
+from engram.graph import SemanticMemory
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
@@ -45,8 +47,6 @@ from engram.retrieval import (
     TIER_GRAPH,
     Hit,
     RetrievalResult,
-    _episodic_scan,
-    _memory_hit,
     _rank_key,
 )
 
@@ -232,8 +232,19 @@ def traverse_by_edge_scan(graph, seed_entities: Iterable[str], max_hops: int = 2
     return sorted(results.values(), key=lambda mi: (mi[1], mi[0].id))
 
 
-# The earlier `hybrid_retrieve`, word for word but for its walk: it calls
-# `traverse_by_edge_scan` and takes one `priming_weight` per reached memory.
+# The earlier `retrieval._memory_hit`, word for word.
+def _memory_hit(mem: SemanticMemory, qvec: np.ndarray,
+                hop_distance: Optional[int] = None) -> Hit:
+    sim = float(np.dot(qvec, mem.embedding))
+    return Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
+               final_score=sim, timestamp=mem.created_at, content=mem.gist,
+               source_ids=tuple(sorted(mem.source_ids)),
+               hop_distance=hop_distance)
+
+
+# The earlier `hybrid_retrieve`, word for word but for its walk and its
+# scans: it calls `traverse_by_edge_scan`, takes one `priming_weight` per
+# reached memory, and scans each episodic tier with `scan_oracle`.
 def hybrid_reference(store, query: str, k: Optional[int] = None,
                      now: Optional[datetime] = None,
                      session_id: Optional[str] = None) -> RetrievalResult:
@@ -247,9 +258,9 @@ def hybrid_reference(store, query: str, k: Optional[int] = None,
         if now is None:
             now = store.logical_now() or datetime.now(timezone.utc)
         # each record has one tier, so the hot and warm hits are disjoint
-        episodic_hits = (_episodic_scan(store, qvec, k, now, tier=TIER_HOT,
-                                        session_id=session_id)
-                         + _episodic_scan(store, qvec, k, now, tier=TIER_WARM))
+        episodic_hits = (scan_oracle(store, qvec, k, now, tier=TIER_HOT,
+                                     session_id=session_id)
+                         + scan_oracle(store, qvec, k, now, tier=TIER_WARM))
 
         # graph pathway seeded by entities of the strongest episodic hits
         seed_entities: dict[str, None] = {}

@@ -56,7 +56,7 @@ from engram.retrieval import (
     reinforce,
 )
 from engram.scoring import frequency_factor
-from engram.store import MemoryStore, dot_error_bound
+from engram.store import EmbeddingIndex, MemoryStore, dot_error_bound
 
 from conftest import T0, hours, make_event, minutes
 from oracles import (
@@ -464,9 +464,22 @@ class IndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def index_holds_live_rows_only(self):
+        """The index has one row per live record, and each row holds its
+        record: the float32 column of its embedding, its importance and
+        its tier."""
         index = self.store.embedding_index()
         assert len(index) == self.store.active_count()
         assert sorted(index.keys) == self.live_ids()
+        assert [index.row(key) for key in index.keys] == list(range(len(index)))
+        records = [self.store.records[key] for key in index.keys]
+        if records:
+            embeddings = np.array([r.embedding for r in records], dtype=np.float32)
+            assert np.array_equal(index._matrix[:, :len(index)], embeddings.T)
+            assert index.column("importance").tolist() == [r.importance for r in records]
+            every = np.ones(len(index), dtype=bool)
+            for tier in (TIER_HOT, TIER_WARM):
+                assert index.where(every, tier=tier).tolist() == \
+                    [row for row, r in enumerate(records) if r.tier == tier]
 
     @invariant()
     def totals_are_the_full_sums(self):
@@ -671,22 +684,90 @@ def test_near_holds_every_record_that_reaches_the_threshold(contents, states, pi
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1.0, 1e-20, 1e-42, 1e-300, 1e15]),
-       sparse=st.booleans())
-def test_dot_error_bound_holds(d, seed, scale, sparse):
+       sparse=st.booleans(), sparse_query=st.booleans())
+def test_dot_error_bound_holds(d, seed, scale, sparse, sparse_query):
     """|float32 product - float64 dot| stays within the bound, for dense and
     sparse vectors, and at scales whose entries or products fall below the
-    float32 normal range."""
+    float32 normal range: for the dense product, and for each of the
+    embedding index's. A query with non-zero entries in under a quarter of
+    the dimensions takes the product over those dimensions only; a denser
+    one takes the whole mat-vec, or gathers the columns of two rows."""
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(d)
-    rows = rng.standard_normal((7, d)) * scale
+    if sparse_query:
+        q[rng.random(d) < 0.8] = 0.0
+    rows = rng.standard_normal((40, d)) * scale
     rows[0] = q * scale  # the largest possible score for this norm
     if sparse:
-        rows[rng.random((7, d)) < 0.8] = 0.0
+        rows[rng.random((40, d)) < 0.8] = 0.0
     s32 = (rows.astype(np.float32) @ q.astype(np.float32)).astype(np.float64)
-    for s, row in zip(s32, rows):
-        s64 = float(np.dot(q, row))
-        bound = dot_error_bound(d, float(np.linalg.norm(q)), float(np.linalg.norm(row)))
-        assert abs(s - s64) <= bound
+    s64 = np.array([float(np.dot(q, row)) for row in rows])
+    bound = np.array([dot_error_bound(d, float(np.linalg.norm(q)), float(np.linalg.norm(row)))
+                      for row in rows])
+    assert (abs(s32 - s64) <= bound).all()
+    index = EmbeddingIndex()
+    index.write([(f"r{i}", EpisodicRecord(event=make_event(f"r{i}"), embedding=row))
+                 for i, row in enumerate(rows)])
+    for picked in (np.arange(len(rows)), np.array([5, 0])):
+        by_index = index.scores(q, picked).astype(np.float64)
+        assert (abs(by_index - s64[picked]) <= bound[picked]).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(size=st.integers(1, 30), data=st.data())
+def test_removals_in_one_sync_leave_the_rows_of_one_by_one_removals(size, data):
+    """Rows dropped in one sync move the last row into each hole in turn,
+    as syncing after each removal does, and every row keeps its record's
+    embedding and fields."""
+    stores = [MemoryStore(), MemoryStore()]
+    for i in range(size):
+        vec = np.zeros(16)
+        vec[i % 16], vec[(3 * i + 1) % 16] = 1.0 + i, -0.5
+        for store in stores:
+            event = make_event(f"r{i:02d}", ts=T0 + minutes(i))
+            store.records[event.id] = EpisodicRecord(event=event, embedding=vec)
+            store.embedding_index()
+    gone = data.draw(st.lists(st.sampled_from(sorted(stores[0].records)), unique=True))
+    batched, stepped = stores
+    for key in gone:
+        del batched.records[key]
+        del stepped.records[key]
+        stepped.embedding_index()
+    index, reference = batched.embedding_index(), stepped.embedding_index()
+    assert index.keys == reference.keys
+    assert np.array_equal(index._matrix[:, :len(index)], reference._matrix[:, :len(index)])
+    for name in ("encoded", "timestamp", "importance", "norm", "tier", "session", "state"):
+        assert index.column(name).tolist() == reference.column(name).tolist()
+    for row, key in enumerate(index.keys):
+        assert index.row(key) == row
+        assert np.array_equal(index._matrix[:, row],
+                              batched.records[key].embedding.astype(np.float32))
+
+
+def test_scan_cuts_at_the_kth_score_inside_a_tie_group():
+    """2,400 rows over six distinct scores, 400 rows each: for k inside a tie
+    group and at either edge of one, the candidates are exactly the rows
+    that score at least the k-th highest (the scores lie far apart next to
+    the float32 margin), and the scan equals its definition, ties broken by
+    timestamp and id."""
+    store = MemoryStore()
+    for i in range(2400):
+        vec = np.zeros(256)
+        vec[0], vec[7], vec[1 + i % 5] = 0.1 * (i % 3), 0.2 * (i % 2), 0.5
+        event = make_event(f"r{i:04d}", ts=T0 + minutes(i % 7), content=f"row {i}")
+        store.records[event.id] = EpisodicRecord(event=event, embedding=vec)
+    qvec = np.zeros(256)
+    qvec[0], qvec[7] = 0.8, 0.6
+    index = store.embedding_index()
+    rows = np.flatnonzero(index.visible(T0 + hours(1)))
+    scores = index.scores(qvec, rows)
+    assert len(np.unique(scores)) == 6
+    for k in (1, 10, 399, 400, 401, 1000, 1999):
+        kth = np.sort(scores)[len(rows) - k]
+        assert index.top_candidates(qvec, [rows], k)[0].tolist() == \
+            rows[scores >= kth].tolist()
+        got = _episodic_scan(store, qvec, k, T0 + hours(1))
+        assert bits(got) == bits(scan_oracle(store, qvec, k, T0 + hours(1)))
 
 
 def test_index_is_derived_and_rebuilt_after_a_load():

@@ -1,24 +1,38 @@
 """Hybrid retrieval against its reference: the walk over the adjacency map
 and the per-query priming weights must give exactly the hits of the walk
 that scanned every co-occurrence edge and weighed every reached memory on
-its own. Stores come from ingest and `dedup`/`aggressive` sleeps spread
-over weeks, so that graph memories are silent, mature, or created after
-the query's `now`; some are reconsolidated before the queries. Every `Hit`
-field, floats included, must be equal. The budget comes from the loaded
-Hypothesis profile (see conftest.py)."""
+its own, and the one episodic pass the hits of one full scan per tier.
+Stores come from ingest and `dedup`/`aggressive` sleeps spread over weeks,
+so that graph memories are silent, mature, or created after the query's
+`now`; some are reconsolidated before the queries, and records ingested
+after the last sleep stay in the hot tier. Their embeddings are the sparse
+`HashEmbedder` vectors or dense Gaussian ones, which take the embedding
+index's other product. Every `Hit` field, floats included, must be equal,
+and so must each tier's episodic scan and its definition. The budget comes
+from the loaded Hypothesis profile (see conftest.py)."""
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, run_consolidation
-from engram.model import StoreConfig
-from engram.retrieval import TIER_GRAPH, hybrid_retrieve, open_lability, reconsolidate
+from engram.embedding import normalize
+from engram.model import TIER_HOT, TIER_WARM, StoreConfig
+from engram.retrieval import (
+    TIER_GRAPH,
+    _episodic_scan,
+    hybrid_retrieve,
+    open_lability,
+    reconsolidate,
+)
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, minutes
-from oracles import hybrid_reference
+from oracles import hybrid_reference, scan_oracle
 
 NAMES = ["Alice", "Bob", "Carol", "Kestrel", "Orion", "@dana", "#42"]
 PLAIN = ["deploy", "release", "notes", "shipped", "alpha", "beta"]
@@ -43,12 +57,24 @@ queries = st.lists(st.tuples(contents, st.integers(1, 30),
                    min_size=1, max_size=4)
 
 
-def build_store(sessions, relearned, maturation):
+class GaussianEmbedder:
+    """A dense stand-in for a remote embedder: a unit Gaussian vector
+    seeded by the text's sha256, so that no entry of a query is zero."""
+
+    dimension = 24
+
+    def embed(self, text: str) -> np.ndarray:
+        seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
+        return normalize(np.random.default_rng(seed).standard_normal(self.dimension))
+
+
+def build_store(sessions, relearned, maturation, embedder=None, pending=()):
     """A store fed `sessions`, each consolidated 20 minutes after its last
-    event, with the `relearned` graph memories reconsolidated at the end.
+    event, with the `relearned` graph memories reconsolidated at the end
+    and the `pending` contents ingested after it, into the hot tier.
     Returns the store and the time of each sleep."""
     store = MemoryStore(StoreConfig(cluster_distance=0.8,
-                                    maturation_enabled=maturation))
+                                    maturation_enabled=maturation), embedder)
     clock, serial, slept = T0, 0, []
     for texts, mode, gap in sessions:
         clock += hours(gap)
@@ -64,6 +90,11 @@ def build_store(sessions, relearned, maturation):
         if memory_ids:
             handle = open_lability(store, memory_ids[pick % len(memory_ids)], clock)
             reconsolidate(store, handle, text, confidence, clock)
+    for text in pending:
+        clock += minutes(1)
+        serial += 1
+        store.ingest(make_event(f"e{serial}", ts=clock, session=f"s{serial % 2}",
+                                content=text))
     return store, slept
 
 
@@ -71,17 +102,24 @@ def assert_matches_reference(store, query, k, now, session):
     got = hybrid_retrieve(store, query, k, now, session_id=session)
     want = hybrid_reference(store, query, k, now, session_id=session)
     assert got == want
+    qvec = store.embedder.embed(query)
+    for tier, in_session in ((TIER_HOT, session), (TIER_WARM, None), (None, None)):
+        assert _episodic_scan(store, qvec, k, got.as_of, tier=tier, session_id=in_session) \
+            == scan_oracle(store, qvec, k, got.as_of, tier=tier, session_id=in_session)
     return got
 
 
-@given(sessions=sleeps, relearned=relearns, asked=queries, maturation=st.booleans())
+@given(sessions=sleeps, relearned=relearns, asked=queries, maturation=st.booleans(),
+       dense=st.booleans(), pending=st.lists(contents, max_size=4))
 @example(sessions=[(["Alice deploy Kestrel", "Alice Kestrel release"], MODE_AGGRESSIVE, 0),
                    (["Bob Orion notes", "Alice Orion shipped"], MODE_AGGRESSIVE, 200)],
          relearned=[(1, "Alice Orion moved", 0.9)],
          asked=[("Alice Kestrel", 6, (1, 0), None), ("Orion", 4, (1, -1), "s1")],
-         maturation=True)
-def test_hybrid_retrieve_equals_the_reference(sessions, relearned, asked, maturation):
-    store, slept = build_store(sessions, relearned, maturation)
+         maturation=True, dense=False, pending=[])
+def test_hybrid_retrieve_equals_the_reference(sessions, relearned, asked, maturation,
+                                              dense, pending):
+    store, slept = build_store(sessions, relearned, maturation,
+                               GaussianEmbedder() if dense else None, pending)
     for query, k, when, session in asked:
         now = None if when is None else slept[when[0] % len(slept)] + hours(when[1])
         assert_matches_reference(store, query, k, now, session)
@@ -107,3 +145,21 @@ def test_reference_scenario_reaches_every_graph_branch():
     assert [(h.memory_id, h.tier, h.hop_distance) for h in hits] == \
         [("e6", "warm", None), ("e7", "warm", None), ("sem-000000", TIER_GRAPH, 1)]
     assert hits[0].priming_boost > 1.0
+
+
+def test_memories_of_one_sleep_each_prime_their_own_entities():
+    """Two silent memories from one sleep share a priming weight but not an
+    entity: each primes the episodic hit that names its own entity."""
+    store, slept = build_store(
+        [(["Kestrel launch window opens", "Kestrel fuel check done",
+           "Orion crew roster ready", "Orion cargo list final"], MODE_AGGRESSIVE, 0),
+         (["Kestrel status", "Orion status"], MODE_DEDUP, 1)],
+        [], maturation=True)
+    now = slept[-1] - minutes(20)  # the last event
+    first, second = (store.graph.memories[m] for m in ("sem-000000", "sem-000001"))
+    assert (first.entities, second.entities) == (("Kestrel",), ("Orion",))
+    assert first.created_at == second.created_at
+    assert first.priming_weight(now, store.config) > 0.0
+    hits = assert_matches_reference(store, "Kestrel Orion status", 4, now, None).hits
+    assert sorted(h.memory_id for h in hits) == ["e5", "e6"]
+    assert all(h.priming_boost > 1.0 for h in hits)
