@@ -43,6 +43,28 @@ def normalize(values) -> np.ndarray:
     return v / n
 
 
+def column_scores(matrix: np.ndarray, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float32 products of `qvec` with the columns `rows` of `matrix`, a
+    dimension-major float32 matrix of embeddings, one column each.
+
+    When the query has non-zero entries in under a quarter of the
+    dimensions (a `HashEmbedder` query has one per distinct token), the
+    product reads only the matrix rows of those dimensions. A denser query
+    takes the whole mat-vec, or gathers the columns of `rows` when they are
+    under 1/16 of the columns: a gathered column reads each dimension from
+    its own cache line. Both cut-offs lie below where the two ways cost the
+    same, measured with one BLAS thread at 6,200 columns of 256
+    dimensions."""
+    dim, n = matrix.shape
+    q32 = qvec.astype(np.float32)
+    nz = np.flatnonzero(q32)
+    if 4 * len(nz) < dim:
+        return (q32[nz] @ matrix[nz])[rows]
+    if 16 * len(rows) < n:
+        return q32 @ matrix[:, rows]
+    return (q32 @ matrix)[rows]
+
+
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 

@@ -4,6 +4,10 @@ Semantic memories attach to entities; entities co-occur when they share a
 memory. A promoted memory starts "silent" and its retrievability grows along
 a sigmoid of its age; below the 0.5 threshold it can only prime episodic
 results, never surface directly.
+
+A sleep's memories share their `created_at`, so they are silent or mature
+together: the graph's query state groups them by it, and a query weighs
+each group once instead of each memory.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .codec import decode
+from .embedding import column_scores
 from .errors import NegativeElapsed
 from .model import StoreConfig, evolve, hours_between
 
@@ -74,6 +79,16 @@ def activation(created_at: datetime, now: datetime, t_half: float, k: float) -> 
     return 1.0 / (1.0 + math.exp(-(t - t_half) / k))
 
 
+def priming_weight(created_at: datetime, now: datetime, config: StoreConfig) -> float:
+    """The activation of a memory created at `created_at`, usable as a
+    priming bonus while it is silent; zero once it surfaces directly, and
+    always when maturation is off."""
+    if not config.maturation_enabled:
+        return 0.0
+    a = activation(created_at, now, config.maturation_half_life_h, config.maturation_slope)
+    return 0.0 if a >= RETRIEVAL_THRESHOLD else a
+
+
 @dataclass(frozen=True)
 class EntityNode:
     name: str
@@ -107,10 +122,99 @@ class SemanticMemory:
                           config.maturation_half_life_h, config.maturation_slope)
 
     def priming_weight(self, now: datetime, config: StoreConfig) -> float:
-        """Activation value usable as a priming bonus while silent; zero once
-        the memory surfaces directly."""
-        a = self.activation(now, config)
-        return 0.0 if a >= RETRIEVAL_THRESHOLD else a
+        """`priming_weight` of this memory's `created_at`."""
+        return priming_weight(self.created_at, now, config)
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.setflags(write=False)
+
+
+def _norm(embedding: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(embedding, embedding)))
+
+
+@dataclass
+class SleepGroup:
+    """The memories of one `created_at`, as one sleep makes them: their ids,
+    the case-folded union of their entity names, and their columns in the
+    query state's matrix."""
+    ids: set[str]
+    keys: set[str]
+    rows: np.ndarray
+
+
+class QueryState:
+    """What a query reads of the graph's memories, derived from them.
+
+    `groups` maps each `created_at` to its `SleepGroup`. `by_source` maps a
+    source id to the ids of the memories holding it, and `shared` holds the
+    ids of the memories that share a source id with another memory. The
+    float32 `matrix` is dimension-major, one column per memory in the order
+    added (`ids[row]`, `rows[id]`), with the float64 norm of each embedding
+    in `norms`, so that one product scores any set of memories."""
+
+    def __init__(self, memories: Iterable[SemanticMemory]):
+        self.ids: list[str] = []
+        self.rows: dict[str, int] = {}
+        self.groups: dict[datetime, SleepGroup] = {}
+        self.by_source: dict[str, set[str]] = {}
+        self.shared: set[str] = set()
+        self.matrix = np.zeros((0, 0), dtype=np.float32)
+        self.norms = np.zeros(0)
+        self.add(list(memories))
+
+    def _resize(self, size: int, dim: int) -> None:
+        # headroom, so that a sleep's few new memories do not reallocate
+        n, capacity = len(self.ids), size + size // 8 + 16
+        matrix = np.zeros((dim, capacity), dtype=np.float32)
+        norms = np.zeros(capacity)
+        if n:
+            matrix[:, :n] = self.matrix[:, :n]
+            norms[:n] = self.norms[:n]
+        self.matrix, self.norms = matrix, norms
+
+    def add(self, mems: list[SemanticMemory]) -> None:
+        """Give memories the next columns, in order, and enter each in its
+        group and in the source map: one matrix write and one row array
+        per group for the whole batch, so that a sleep's memories cost one
+        pass."""
+        if not mems:
+            return
+        n, dim = len(self.ids), len(mems[0].embedding)
+        if n + len(mems) > self.matrix.shape[1] or dim != self.matrix.shape[0]:
+            self._resize(n + len(mems), dim)
+        self.matrix[:, n:n + len(mems)] = np.array([mem.embedding for mem in mems]).T
+        self.norms[n:n + len(mems)] = [_norm(mem.embedding) for mem in mems]
+        added: dict[datetime, list[int]] = {}
+        for row, mem in enumerate(mems, start=n):
+            self.ids.append(mem.id)
+            self.rows[mem.id] = row
+            group = self.groups.get(mem.created_at)
+            if group is None:
+                group = self.groups[mem.created_at] = SleepGroup(set(), set(), _NO_ROWS)
+            group.ids.add(mem.id)
+            group.keys.update(map(str.casefold, mem.entities))
+            added.setdefault(mem.created_at, []).append(row)
+            for src in mem.source_ids:
+                holders = self.by_source.setdefault(src, set())
+                if holders:
+                    self.shared.add(mem.id)
+                    self.shared.update(holders)
+                holders.add(mem.id)
+        for created, rows in added.items():
+            group = self.groups[created]
+            group.rows = np.concatenate([group.rows, np.array(rows, dtype=np.intp)])
+
+    def set_embedding(self, mem: SemanticMemory) -> None:
+        """Write a new embedding of a memory into its column."""
+        row = self.rows[mem.id]
+        self.matrix[:, row] = mem.embedding
+        self.norms[row] = _norm(mem.embedding)
+
+    def scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The float32 products of `qvec` with the embeddings of `rows`."""
+        return column_scores(self.matrix[:, :len(self.ids)], qvec, rows)
 
 
 class KnowledgeGraph:
@@ -130,6 +234,17 @@ class KnowledgeGraph:
     `insert_memory` beside `co_occurs` and rebuilt by `from_dict`, so the
     snapshot never holds it. A walk reads an entity's neighbours from its
     own row, not from a scan of every edge.
+
+    `query_state()` is derived state too: the memories grouped by
+    `created_at`, a source id -> memory ids map and an embedding matrix
+    (`QueryState`). It is built from `memories` on first use and kept
+    current: `replace_memory` writes a new embedding into it, and
+    `insert_memory` notes the new id, which the next `query_state()` call
+    adds with the rest of its sleep in one batch. It is never persisted,
+    and `copy` leaves it behind, so a loaded or rolled-back graph builds it
+    anew. `replace_memory` refuses a memory whose `created_at`, `entities`
+    or `source_ids` differ from the stored one's, since the groups and the
+    source maps key on them.
     """
 
     def __init__(self):
@@ -141,6 +256,8 @@ class KnowledgeGraph:
         self._by_source_set: dict[frozenset[str], str] = {}
         self._next_memory_seq = 0
         self._importance_stale = False
+        self._query: Optional[QueryState] = None
+        self._unqueried: list[str] = []  # ids inserted since the query state read them
 
     # -- entities ---------------------------------------------------------
 
@@ -205,6 +322,8 @@ class KnowledgeGraph:
                              entities=names)
         self.memories[mem_id] = mem
         self._by_source_set[source_ids] = mem_id
+        if self._query is not None:
+            self._unqueried.append(mem_id)
         keys = []
         for name in names:
             self.touch_entity(name, created_at)
@@ -226,11 +345,35 @@ class KnowledgeGraph:
         self.adjacent.setdefault(b, {})[a] = weight
 
     def replace_memory(self, mem: SemanticMemory) -> None:
+        """Store a new value of a stored memory: its access count, gist or
+        embedding may change, nothing else. Raises `ValueError` for an
+        unknown id or a changed `created_at`, `entities` or `source_ids`."""
+        old = self.memories.get(mem.id)
+        if old is None:
+            raise ValueError(f"no memory {mem.id!r}")
+        if (mem.created_at, mem.entities, mem.source_ids) != \
+                (old.created_at, old.entities, old.source_ids):
+            raise ValueError(f"memory {mem.id!r} may change its access count, "
+                             "gist and embedding only")
         self.memories[mem.id] = mem
+        if self._query is not None and mem.id in self._query.rows \
+                and mem.embedding is not old.embedding:
+            self._query.set_embedding(mem)
+
+    def query_state(self) -> QueryState:
+        """The memories as a query reads them: built on first use, and
+        handed the memories inserted since the last read in one batch."""
+        if self._query is None:
+            self._query = QueryState(self.memories.values())
+            self._unqueried = []
+        elif self._unqueried:
+            self._query.add([self.memories[m] for m in self._unqueried])
+            self._unqueried = []
+        return self._query
 
     def copy(self) -> "KnowledgeGraph":
         """A graph that shares this one's immutable nodes and memories but
-        none of its containers."""
+        none of its containers. Its query state is built on first use."""
         g = KnowledgeGraph()
         g.entities = dict(self.entities)
         g.memories = dict(self.memories)
@@ -250,45 +393,42 @@ class KnowledgeGraph:
         return sorted(self.adjacent.get(key, {}).items(),
                       key=lambda kw: (-kw[1], kw[0]))
 
-    def traverse(self, seed_entities: Iterable[str], max_hops: int = 2
-                 ) -> list[tuple[SemanticMemory, int]]:
-        """Breadth-first walk over the entity graph collecting attached
-        memories; each memory is returned once at its minimal hop distance,
-        the depth at which the walk first reaches it. Unknown seeds
-        contribute nothing.
+    def walk(self, seed_entities: Iterable[str], max_hops: int = 2
+             ) -> list[set[str]]:
+        """Breadth-first walk over the entity graph: the ids of the memories
+        it first reaches at each depth, up to `max_hops`. Depth 0 holds the
+        memories of the seeds; unknown seeds contribute nothing.
 
-        Each level visits its entities in order (seeds as given, then each
-        entity's `neighbors`), and the result is sorted once by (hops,
-        memory id). The walk costs one `neighbors` row sort per entity
-        expanded and O(1) per reached memory, not a scan of every edge."""
+        Each level is the union of its entities' memory sets, and the next
+        level's entities the union of their adjacency rows, less the
+        entities visited: set operations, so the walk takes no order and
+        reads no memory."""
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        visited: set[str] = set()
-        frontier: list[str] = []
-        for name in seed_entities:
-            key = self._key(name)
-            if key in self.entities and key not in visited:
-                visited.add(key)
-                frontier.append(key)
-        hops: dict[str, int] = {}
-        depth = 0
+        frontier = {key for key in map(self._key, seed_entities) if key in self.entities}
+        visited = set(frontier)
+        levels: list[set[str]] = []
+        seen: set[str] = set()
         while frontier:
-            for key in frontier:
-                for mem_id in self.entity_memories.get(key, ()):
-                    hops.setdefault(mem_id, depth)
-            if depth >= max_hops:
+            level = set().union(*[self.entity_memories.get(key, ()) for key in frontier])
+            level -= seen
+            seen |= level
+            levels.append(level)
+            if len(levels) > max_hops:
                 break
-            depth += 1
-            nxt: list[str] = []
-            for key in frontier:
-                for nkey, _w in self.neighbors(key):
-                    if nkey not in visited:
-                        visited.add(nkey)
-                        nxt.append(nkey)
-            frontier = nxt
+            frontier = set().union(*[self.adjacent.get(key, ()) for key in frontier])
+            frontier -= visited
+            visited |= frontier
+        return levels
+
+    def traverse(self, seed_entities: Iterable[str], max_hops: int = 2
+                 ) -> list[tuple[SemanticMemory, int]]:
+        """The memories `walk` reaches, each once at its minimal hop
+        distance, sorted by (hops, memory id)."""
         memories = self.memories
-        return [(memories[mem_id], d)
-                for d, mem_id in sorted((d, m) for m, d in hops.items())]
+        return [(memories[mem_id], depth)
+                for depth, level in enumerate(self.walk(seed_entities, max_hops))
+                for mem_id in sorted(level)]
 
     # -- serialization ----------------------------------------------------
 

@@ -5,6 +5,12 @@ Ranking: final = base_sim * (1 + beta * exp(-lambda_r * age_h)) * priming.
 Exact score ties break by tier priority (hot > warm > graph), then newer
 timestamp, then id. A semantic gist is dropped from results whenever one of
 its source episodic records is already present.
+
+The episodic tiers are one product over the store's embedding index. The
+graph pathway takes one priming weight and one recency boost per sleep its
+walk reaches, scores the matured memories in one product over the graph's
+query state, and rescores only those that can make the top k; past the
+walk's sets of reached ids, its cost follows the sleeps, not the memories.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .embedding import normalize
 from .errors import AlreadyTombstone, LabilityExpired
-from .graph import SemanticMemory
+from .graph import SemanticMemory, priming_weight
 from .model import (
     STATE_TOMBSTONE,
     TIER_HOT,
@@ -28,7 +34,7 @@ from .model import (
     evolve,
     hours_between,
 )
-from .store import EmbeddingIndex, MemoryStore
+from .store import EmbeddingIndex, MemoryStore, dot_error_bound
 
 log = logging.getLogger("engram.retrieval")
 
@@ -160,9 +166,9 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
 
     The episodic tiers take one pass: one selection of the visible rows,
     split by tier code (the hot tier also by session), and one float32
-    product and bound for both. Silent memories are read once per distinct
-    (priming weight, entity name), and only the returned graph hits get
-    their source ids sorted."""
+    product and bound for both. The graph pathway (`_graph_pathway`) weighs
+    each sleep's memories once, as a group, and makes hits of its k best
+    candidates only."""
     config = store.config
     if k is None:
         k = config.retrieval_k
@@ -186,54 +192,18 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
         for hit in episodic_hits[:k]:
             for name in store.records[hit.memory_id].entities:
                 seed_entities.setdefault(name, None)
-        matured: list[tuple[SemanticMemory, int]] = []
-        # a priming weight depends only on created_at, and the memories of
-        # one sleep share theirs and mostly their entities: weigh each
-        # created_at once, and gather each weight's entity names in a set
-        weights: dict[datetime, float] = {}
-        silent: dict[float, set[str]] = {}
-        if seed_entities:
-            for mem, hops in store.graph.traverse(seed_entities, config.max_hops):
-                created = mem.created_at
-                if created > now:
-                    continue
-                weight = weights.get(created)
-                if weight is None:
-                    weight = weights[created] = mem.priming_weight(now, config)
-                if weight == 0.0:  # matured: surfaces as a hit of its own
-                    matured.append((mem, hops))
-                else:
-                    silent.setdefault(weight, set()).update(mem.entities)
-        # silent memories prime episodic results sharing an entity
-        silent_by_entity: dict[str, float] = {}
-        for weight, names in silent.items():
-            for name in names:
-                key = name.casefold()
-                if weight > silent_by_entity.get(key, 0.0):
-                    silent_by_entity[key] = weight
-
         # merge + dedupe: an episodic copy beats its own semantic gist
         covered_sources: set[str] = set()
         for hit in episodic_hits:
             covered_sources.update(hit.source_ids)
             covered_sources.add(hit.memory_id)
-        merged = list(episodic_hits)
-        for mem, hops in matured:
-            if not covered_sources.isdisjoint(mem.source_ids):
-                continue
-            sim = float(np.dot(qvec, mem.embedding))
-            # the source-id set is sorted below, for the returned hits only
-            merged.append(Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
-                              final_score=sim, timestamp=mem.created_at,
-                              content=mem.gist, source_ids=mem.source_ids,
-                              hop_distance=hops))
-            covered_sources.update(mem.source_ids)
+        graph_hits, silent_by_entity = _graph_pathway(
+            store, qvec, seed_entities, covered_sources, k, now)
 
-        for hit in merged:
-            age_h = max(hours_between(hit.timestamp, now), 0.0)
-            hit.recency_boost = 1.0 + config.recency_boost_beta * math.exp(
-                -config.recency_boost_lambda * age_h)
-            if hit.tier != TIER_GRAPH and silent_by_entity:
+        # silent memories prime episodic results sharing an entity
+        for hit in episodic_hits:
+            hit.recency_boost = _recency_boost(hit.timestamp, now, config)
+            if silent_by_entity:
                 best = max((silent_by_entity.get(n.casefold(), 0.0)
                             for n in store.records[hit.memory_id].entities),
                            default=0.0)
@@ -241,12 +211,108 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
                     hit.priming_boost = 1.0 + config.priming_gamma * best
             hit.final_score = hit.base_sim * hit.recency_boost * hit.priming_boost
 
+    merged = episodic_hits + graph_hits
     merged.sort(key=_rank_key)
-    hits = merged[:k]
-    for hit in hits:
-        if hit.tier == TIER_GRAPH:
-            hit.source_ids = tuple(sorted(hit.source_ids))
-    return RetrievalResult(query=query, k=k, as_of=now, hits=hits)
+    return RetrievalResult(query=query, k=k, as_of=now, hits=merged[:k])
+
+
+def _recency_boost(timestamp: datetime, now: datetime, config) -> float:
+    age_h = max(hours_between(timestamp, now), 0.0)
+    return 1.0 + config.recency_boost_beta * math.exp(-config.recency_boost_lambda * age_h)
+
+
+def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str, None],
+                   covered: set[str], k: int, now: datetime
+                   ) -> tuple[list[Hit], dict[str, float]]:
+    """The graph hits a query can return, and the priming weight of each
+    case-folded entity name, from the memories the walk from
+    `seed_entities` reaches that were created by `now`. `covered` holds the
+    episodic hits' ids and source ids; a matured memory sharing one with it,
+    or with a memory taken before it in (hops, id) order, is skipped, and
+    the sources of each memory taken join it.
+
+    The work follows the sleeps: each reached group of one `created_at`
+    takes one priming weight. A silent group primes with its name union
+    when the walk reached all of it, and with its reached members' names
+    otherwise; a matured group's members take one recency boost. Only the
+    memories that share a source id with another memory are checked in
+    order; the others are skipped by a lookup of each covered id. One
+    float32 product scores every matured candidate, `dot_error_bound` keeps
+    each one whose final score may be among the k best, and only those are
+    rescored with the float64 `np.dot`. Graph hits share a tier, so the k
+    best of them by `_rank_key` are the only ones that can make the top k:
+    only those become `Hit`s."""
+    graph, config = store.graph, store.config
+    if not seed_entities:
+        return [], {}
+    levels = graph.walk(seed_entities, config.max_hops)
+    reached = set().union(*levels)
+    if not reached:
+        return [], {}
+    state = graph.query_state()
+    silent: dict[str, float] = {}
+    matured = np.zeros(len(state.ids), dtype=bool)  # by row: a candidate hit
+    boost = np.zeros(len(state.ids))  # by row: a candidate's recency boost
+    for created, group in state.groups.items():
+        if created > now:
+            continue
+        whole = group.ids <= reached
+        if not whole:
+            members = group.ids & reached
+            if not members:
+                continue
+        weight = priming_weight(created, now, config)
+        if weight == 0.0:  # matured: surfaces as hits of its own
+            rows = group.rows if whole else [state.rows[m] for m in members]
+            matured[rows] = True
+            boost[rows] = _recency_boost(created, now, config)
+            continue
+        keys = group.keys if whole else {name.casefold() for m in members
+                                         for name in graph.memories[m].entities}
+        for key in keys:
+            if weight > silent.get(key, 0.0):
+                silent[key] = weight
+
+    skipped = [m for src in covered for m in state.by_source.get(src, ())]
+    contested = state.shared & reached
+    for _d, mem_id in sorted((d, m) for d, level in enumerate(levels)
+                             for m in contested & level if matured[state.rows[m]]):
+        sources = graph.memories[mem_id].source_ids
+        if covered.isdisjoint(sources):
+            covered.update(sources)
+        else:
+            skipped.append(mem_id)
+    if skipped:
+        matured[[state.rows[m] for m in skipped]] = False
+
+    rows = np.flatnonzero(matured)
+    if len(rows) > k:
+        s = state.scores(qvec, rows).astype(np.float64)
+        r = boost[rows]
+        bound = dot_error_bound(state.matrix.shape[0], math.sqrt(float(np.dot(qvec, qvec))),
+                                float(state.norms[rows].max()))
+        # |final - s * r| is within `width`, the products' rounding included
+        approx = s * r
+        width = np.abs(r) * (bound + 2.0 ** -48 * (np.abs(s) + bound))
+        floor = float(np.sort(approx - width)[len(rows) - k])
+        if math.isfinite(floor):
+            rows = rows[~(approx + width < floor)]
+    ranked = []
+    for row in rows.tolist():
+        mem = graph.memories[state.ids[row]]
+        sim = float(np.dot(qvec, mem.embedding))
+        recency = float(boost[row])
+        final = sim * recency
+        # `_rank_key` of the hit this memory would make, past its tier; ids
+        # are unique, so the sort never compares past the id
+        ranked.append((-final, -mem.created_at.timestamp(), mem.id, final, sim, recency, mem))
+    ranked.sort()
+    hits = [Hit(memory_id=mem_id, tier=TIER_GRAPH, base_sim=sim, recency_boost=recency,
+                final_score=final, timestamp=mem.created_at, content=mem.gist,
+                source_ids=tuple(sorted(mem.source_ids)),
+                hop_distance=next(d for d, level in enumerate(levels) if mem_id in level))
+            for _f, _t, mem_id, final, sim, recency, mem in ranked[:k]]
+    return hits, silent
 
 
 def open_lability(store: MemoryStore, memory_id: str,

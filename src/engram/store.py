@@ -55,7 +55,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .codec import decode, encode, field_keys, write
-from .embedding import HashEmbedder, normalize
+from .embedding import HashEmbedder, column_scores, normalize
 from .errors import (
     DuplicateId,
     EmbeddingFailure,
@@ -434,24 +434,9 @@ class EmbeddingIndex:
         return np.isin(self.column("state"), codes)
 
     def scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The float32 products of `qvec` with the embeddings of `rows`.
-
-        When the query has non-zero entries in under a quarter of the
-        dimensions (a `HashEmbedder` query has one per distinct token), the
-        product reads only the matrix rows of those dimensions. A denser
-        query takes the whole mat-vec, or gathers the columns of `rows` when
-        they are under 1/16 of the records: a gathered column reads each
-        dimension from its own cache line. Both cut-offs lie below where
-        the two ways cost the same, measured with one BLAS thread at 6,200
-        records of 256 dimensions."""
-        n, dim = len(self.keys), self._matrix.shape[0]
-        q32 = qvec.astype(np.float32)
-        nz = np.flatnonzero(q32)
-        if 4 * len(nz) < dim:
-            return (q32[nz] @ self._matrix[nz, :n])[rows]
-        if 16 * len(rows) < n:
-            return q32 @ self._matrix[:, rows]
-        return (q32 @ self._matrix[:, :n])[rows]
+        """The float32 products of `qvec` with the embeddings of `rows`, by
+        `column_scores`."""
+        return column_scores(self._matrix[:, :len(self.keys)], qvec, rows)
 
     def top_candidates(self, qvec: np.ndarray, groups: Sequence[np.ndarray],
                        k: int) -> list[np.ndarray]:
@@ -651,10 +636,11 @@ class MemoryStore:
 
     def logical_now(self) -> Optional[datetime]:
         """Latest timestamp the store has observed: the ingest watermark or
-        any later encoding/promotion time set by lifecycle jobs."""
+        any later encoding/promotion time set by lifecycle jobs. The graph's
+        newest memory time is the latest key of its query state's groups."""
         candidates = [self.watermark] if self.watermark is not None else []
         candidates.extend(r.encoded_at for r in self.records.values())
-        candidates.extend(m.created_at for m in self.graph.memories.values())
+        candidates.extend(self.graph.query_state().groups)
         return max(candidates) if candidates else None
 
     def next_batch_id(self) -> str:

@@ -6,7 +6,8 @@ over the whole store, forget priorities from `forgetting.interference`
 store write per step, the episodic scan over every record, the graph walk
 that scans every co-occurrence edge per visited entity, hybrid retrieval
 with two full episodic scans, one priming weight per reached memory and a
-sorted `Hit` per matured memory, clustering with every pair
+sorted `Hit` per matured memory, a graph's query state as plain values
+to hold against a rebuild, clustering with every pair
 average recomputed, a record map's pending ids and content holders by a
 walk over every record, the v1 rendering of a snapshot, and a snapshot
 with its tombstones in the existence-metadata form. Oracle and engine share
@@ -232,6 +233,16 @@ def traverse_by_edge_scan(graph, seed_entities: Iterable[str], max_hops: int = 2
     return sorted(results.values(), key=lambda mi: (mi[1], mi[0].id))
 
 
+def query_state_view(state):
+    """A graph's `QueryState` as plain values, equal for two states that
+    hold the same memories in the same columns."""
+    n = len(state.ids)
+    return (state.ids, state.rows,
+            {created: (g.ids, g.keys, g.rows.tolist()) for created, g in state.groups.items()},
+            state.by_source, state.shared,
+            state.matrix[:, :n].tobytes(), state.norms[:n].tobytes())
+
+
 # The earlier `retrieval._memory_hit`, word for word.
 def _memory_hit(mem: SemanticMemory, qvec: np.ndarray,
                 hop_distance: Optional[int] = None) -> Hit:
@@ -243,8 +254,9 @@ def _memory_hit(mem: SemanticMemory, qvec: np.ndarray,
 
 
 # The earlier `hybrid_retrieve`, word for word but for its walk and its
-# scans: it calls `traverse_by_edge_scan`, takes one `priming_weight` per
-# reached memory, and scans each episodic tier with `scan_oracle`.
+# scans: it calls `traverse_by_edge_scan`, takes one priming weight per
+# reached memory from its activation, makes a `Hit` of every matured memory
+# it reaches, and scans each episodic tier with `scan_oracle`.
 def hybrid_reference(store, query: str, k: Optional[int] = None,
                      now: Optional[datetime] = None,
                      session_id: Optional[str] = None) -> RetrievalResult:
@@ -274,7 +286,8 @@ def hybrid_reference(store, query: str, k: Optional[int] = None,
                                                    config.max_hops):
                 if mem.created_at > now:
                     continue
-                weight = mem.priming_weight(now, config)
+                activation = mem.activation(now, config)
+                weight = 0.0 if activation >= 0.5 else activation
                 if weight == 0.0:  # matured: surfaces as a hit of its own
                     graph_hits.append(_memory_hit(mem, qvec, hops))
                 else:

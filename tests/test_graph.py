@@ -10,14 +10,15 @@ from engram.errors import NegativeElapsed
 from engram.graph import (
     EntityNode,
     KnowledgeGraph,
+    QueryState,
     SemanticMemory,
     activation,
     extract_entities,
 )
-from engram.model import StoreConfig
+from engram.model import StoreConfig, evolve
 
 from conftest import T0, hours, roundtrip
-from oracles import neighbors_by_edge_scan, traverse_by_edge_scan
+from oracles import neighbors_by_edge_scan, query_state_view, traverse_by_edge_scan
 
 EMB = HashEmbedder(256, 0)
 
@@ -224,3 +225,60 @@ def test_traverse_equals_the_edge_scan(memories, seeds, max_hops):
     assert got == [(m.id, hops) for m, hops in traverse_by_edge_scan(g, seeds, max_hops)]
     for key in g.entities:
         assert g.neighbors(key) == neighbors_by_edge_scan(g, key)
+
+
+# -- query state --------------------------------------------------------------
+
+def test_walk_levels_are_the_traversal_by_hops():
+    g = _tri_graph()
+    levels = g.walk(["A"], max_hops=2)
+    by_id = {m.id: m.gist for m in g.memories.values()}
+    # C, two hops away, adds no memory the walk has not met
+    assert [{by_id[m] for m in level} for level in levels] == [{"ab", "a"}, {"bc"}, set()]
+    assert g.walk(["Nobody"]) == []
+
+
+def test_query_state_follows_inserts_and_replacements():
+    """The query state a graph keeps current equals one built from its
+    memories, after inserts that open a new sleep group or join one and a
+    replaced embedding; a copy and a loaded graph build their own."""
+    g = _tri_graph()
+    state = g.query_state()
+    assert list(state.groups) == [T0]
+    g.insert_memory("ca", EMB.embed("ca"), frozenset({"s1", "s9"}), ("C", "A"), T0)
+    g.insert_memory("d", EMB.embed("d"), frozenset({"s8"}), ("D",), T0 + hours(5))
+    mem = g.memories["sem-000000"]
+    g.replace_memory(evolve(mem, gist="ab2", embedding=EMB.embed("ab2"), access_count=3))
+    assert g.query_state() is state
+    assert query_state_view(state) == query_state_view(QueryState(g.memories.values()))
+    assert state.groups[T0].keys == {"a", "b", "c"}
+    assert state.by_source["s1"] == {"sem-000000", "sem-000003"}
+    assert state.shared == {"sem-000000", "sem-000003"}
+    assert g.copy()._query is None
+    again = KnowledgeGraph.from_dict(json.loads(json.dumps(encode(g.snapshot_state()))))
+    assert query_state_view(again.query_state()) == query_state_view(state)
+
+
+def test_a_first_memory_sets_the_dimension_of_an_empty_query_state():
+    g = KnowledgeGraph()
+    assert g.query_state().groups == {}
+    mem = g.insert_memory("a", EMB.embed("a"), frozenset({"s1"}), ("A",), T0)
+    assert g.query_state().matrix.shape[0] == 256
+    assert query_state_view(g.query_state()) == query_state_view(QueryState([mem]))
+
+
+@pytest.mark.parametrize("change", [
+    dict(created_at=T0 + hours(2)),
+    dict(entities=("A", "C")),
+    dict(source_ids=frozenset({"s1", "s2"})),
+])
+def test_replace_memory_refuses_what_the_query_state_keys_on(change):
+    g = _tri_graph()
+    state = query_state_view(g.query_state())
+    mem = g.memories["sem-000000"]
+    with pytest.raises(ValueError):
+        g.replace_memory(evolve(mem, **change))
+    with pytest.raises(ValueError):
+        g.replace_memory(evolve(mem, id="sem-999999"))
+    assert g.memories["sem-000000"] is mem
+    assert query_state_view(g.query_state()) == state

@@ -5,7 +5,8 @@ its candidates equals `frequency_factor` over the whole pool; and the
 snapshot text spliced from memoized values must equal the encoding of the
 whole state, under any sequence of operations; the float32 margin must
 bound the float32 error; hybrid retrieval must equal its reference, and
-the graph's adjacency map must hold exactly the co-occurrence edges. Along
+the graph's adjacency map must hold exactly the co-occurrence edges, and
+its query state must equal one built from its memories. Along
 the way the lifecycle invariants hold: each record's state moves one way
 along the lattice, dedup never removes a stored record, a promoted record
 only ever becomes a tombstone, and a failed sleep job leaves the snapshot
@@ -36,6 +37,7 @@ from engram.consolidation import MODES, run_consolidation
 from engram.embedding import HashEmbedder
 from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.forgetting import rank_forget_candidates, run_forgetting, tombstone
+from engram.graph import QueryState
 from engram.model import (
     LEGAL_MOVES,
     STATE_PENDING,
@@ -64,6 +66,7 @@ from oracles import (
     derived_kept,
     hybrid_reference,
     live_records,
+    query_state_view,
     scan_oracle,
 )
 
@@ -173,9 +176,10 @@ class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
     drawn query, the index-backed scan equals `scan_oracle` and
     `hybrid_retrieve` equals `hybrid_reference`; after every step, the
-    graph's `adjacent` map is the one rebuilt from `co_occurs`,
-    `snapshot_json` equals the canonical dump of `state_dict`, the
-    running live count and token total equal their full sums, the pending
+    graph's `adjacent` map is the one rebuilt from `co_occurs` and its
+    query state the one built from `memories`, `snapshot_json` equals the
+    canonical dump of `state_dict`, the running live count and token total
+    equal their full sums, the pending
     ids (in order) and the content holders equal a walk over every record,
     the admitted ids' order lists each of them once, every id once
     promoted is still stored, promoted or a tombstone, every id's state
@@ -298,12 +302,14 @@ class IndexMachine(RuleBasedStateMachine):
             assert report.tokens_after <= budget
             assert report.tokens_after == store.active_tokens()
 
-    @precondition(lambda self: live_records(self.store))
+    @precondition(lambda self: live_records(self.store) or self.store.graph.memories)
     @rule(data=st.data(), content=words,
           confidence=st.floats(0.0, 1.0, allow_nan=False),
           lapse=st.one_of(st.none(), st.just(0), st.integers(1, 120)))
     def relearn(self, data, content, confidence, lapse):
-        rid = data.draw(st.sampled_from(self.live_ids()))
+        # a live record or a graph memory, whose new embedding the graph's
+        # query state must take
+        rid = data.draw(st.sampled_from(self.live_ids() + sorted(self.store.graph.memories)))
         handle = open_lability(self.store, rid, self.clock)
         if lapse is None:
             reconsolidate(self.store, handle, content, confidence, self.clock)
@@ -493,6 +499,16 @@ class IndexMachine(RuleBasedStateMachine):
         assert derived_kept(self.store.records) == derived_by_walk(self.store.records)
         admitted = self.store.admitted_ids
         assert len(admitted.order) == len(admitted) and set(admitted.order) == admitted
+
+    @invariant()
+    def query_state_is_a_rebuild(self):
+        """The query state the graph keeps current through inserts,
+        replacements, rollbacks and reloads equals one built from its
+        memories. Reading it here builds it when missing, so that every
+        later step keeps it current."""
+        graph = self.store.graph
+        assert query_state_view(graph.query_state()) == \
+            query_state_view(QueryState(graph.memories.values()))
 
     @invariant()
     def adjacency_is_the_edge_map(self):

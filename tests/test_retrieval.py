@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from engram import retrieval
 from engram.consolidation import run_consolidation
 from engram.embedding import HashEmbedder
 from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.forgetting import apply_ttl
-from engram.graph import SemanticMemory
 from engram.model import (
     STATE_RETAINED,
     STATE_TOMBSTONE,
@@ -32,6 +32,7 @@ from engram.retrieval import (
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, minutes
+from oracles import hybrid_reference
 
 EMB = HashEmbedder(256, 0)
 
@@ -147,13 +148,57 @@ def test_hybrid_weighs_each_created_at_once(store, monkeypatch):
                                   frozenset({f"s{i}"}), ("Kestrel", f"Part{i}"),
                                   T0 + hours(i % 2))
     calls = []
-    weigh = SemanticMemory.priming_weight
-    monkeypatch.setattr(SemanticMemory, "priming_weight",
-                        lambda mem, now, config: calls.append(mem.id) or
-                        weigh(mem, now, config))
+    weigh = retrieval.priming_weight
+    monkeypatch.setattr(retrieval, "priming_weight",
+                        lambda created, now, config: calls.append(created) or
+                        weigh(created, now, config))
     result = hybrid_retrieve(store, "Kestrel incident", now=T0 + hours(2))
     assert len(calls) == 2
     assert result.hits[0].priming_boost > 1.0
+
+
+class ReadLog(dict):
+    """A memory map that logs each id read from it."""
+
+    def __init__(self, mapping):
+        super().__init__(mapping)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_a_wholly_reached_silent_sleep_is_weighed_as_one_group(store):
+    """A query's work follows the sleeps, not the memories: 200 silent
+    memories of one sleep, every one reached from the seed, prime through
+    their group's name union, and the query reads none of them by id."""
+    store.ingest(make_event("ep", ts=T0, content="Kestrel incident report"))
+    for i in range(200):
+        store.graph.insert_memory(f"Kestrel part {i}", EMB.embed(f"Kestrel part {i}"),
+                                  frozenset({f"s{i}"}), ("Kestrel", f"Part{i}"), T0)
+    now = T0 + hours(1)
+    want = hybrid_reference(store, "Kestrel incident", now=now)
+    store.graph.memories = ReadLog(store.graph.memories)
+    got = hybrid_retrieve(store, "Kestrel incident", now=now)
+    assert store.graph.memories.read == []
+    assert got == want
+    assert [h.memory_id for h in got.hits] == ["ep"] and got.hits[0].priming_boost > 1.0
+
+
+def test_logical_now_reads_the_newest_memory_time(store):
+    store.ingest(make_event("a", ts=T0, content="alpha topic"))
+    assert store.logical_now() == T0
+    store.graph.insert_memory("alpha summary", EMB.embed("alpha summary"),
+                              frozenset({"a"}), ("Alpha",), T0 + hours(3))
+    assert store.logical_now() == T0 + hours(3)
+    store.graph.insert_memory("beta summary", EMB.embed("beta summary"),
+                              frozenset({"b"}), ("Beta",), T0 + hours(1))
+    assert store.logical_now() == T0 + hours(3)
 
 
 def test_source_id_dedupe_episodic_beats_gist(store):
@@ -235,7 +280,7 @@ def test_hybrid_holds_the_store_lock_through_graph_traversal(store):
     store.graph.insert_memory("Kestrel postmortem summary",
                               EMB.embed("Kestrel postmortem summary"),
                               frozenset({"other"}), ("Kestrel",), T0)
-    traverse, taken = store.graph.traverse, []
+    walk, taken = store.graph.walk, []
 
     def probe():
         if store.lock.acquire(blocking=False):
@@ -244,14 +289,14 @@ def test_hybrid_holds_the_store_lock_through_graph_traversal(store):
         else:
             taken.append(False)
 
-    def probed_traverse(*args, **kwargs):
+    def probed_walk(*args, **kwargs):
         thread = threading.Thread(target=probe)
         thread.start()
         thread.join(10)
         assert not thread.is_alive()
-        return traverse(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    store.graph.traverse = probed_traverse
+    store.graph.walk = probed_walk
     result = hybrid_retrieve(store, "Kestrel incident", now=T0 + hours(1))
     assert [h.memory_id for h in result.hits] == ["ep"]
     assert taken == [False]

@@ -1,15 +1,20 @@
 """Hybrid retrieval against its reference: the walk over the adjacency map
-and the per-query priming weights must give exactly the hits of the walk
-that scanned every co-occurrence edge and weighed every reached memory on
-its own, and the one episodic pass the hits of one full scan per tier.
-Stores come from ingest and `dedup`/`aggressive` sleeps spread over weeks,
-so that graph memories are silent, mature, or created after the query's
-`now`; some are reconsolidated before the queries, and records ingested
-after the last sleep stay in the hot tier. Their embeddings are the sparse
-`HashEmbedder` vectors or dense Gaussian ones, which take the embedding
-index's other product. Every `Hit` field, floats included, must be equal,
-and so must each tier's episodic scan and its definition. The budget comes
-from the loaded Hypothesis profile (see conftest.py)."""
+and the graph pathway that weighs each sleep's memories as a group must
+give exactly the hits of the walk that scanned every co-occurrence edge
+and weighed every reached memory on its own, and the one episodic pass the
+hits of one full scan per tier. Stores come from ingest and
+`dedup`/`aggressive` sleeps spread over weeks, so that graph memories are
+silent, mature, or created after the query's `now`; some are
+reconsolidated before the queries, and records ingested after the last
+sleep stay in the hot tier. Their embeddings are the sparse `HashEmbedder`
+vectors or dense Gaussian ones, which take the embedding index's other
+product. Other stores get their graph memories inserted one by one, so
+that a walk reaches a sleep's memories only in part, matured memories
+share source ids with each other and with episodic hits, and more matured
+memories than k tie at the k-th score. Every `Hit` field, floats
+included, must be equal, and so must each tier's episodic scan and its
+definition. The budget comes from the loaded Hypothesis profile (see
+conftest.py)."""
 
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from hypothesis import strategies as st
 
 from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, run_consolidation
 from engram.embedding import normalize
-from engram.model import TIER_HOT, TIER_WARM, StoreConfig
+from engram.model import TIER_HOT, TIER_WARM, StoreConfig, evolve
 from engram.retrieval import (
     TIER_GRAPH,
     _episodic_scan,
@@ -163,3 +168,106 @@ def test_memories_of_one_sleep_each_prime_their_own_entities():
     hits = assert_matches_reference(store, "Kestrel Orion status", 4, now, None).hits
     assert sorted(h.memory_id for h in hits) == ["e5", "e6"]
     assert all(h.priming_boost > 1.0 for h in hits)
+
+
+# Graphs built memory by memory. A memory names one step of a path of
+# entities or one of a second component, so a walk from one seed reaches a
+# sleep's memories only in part when they lie in the other component or
+# more than `max_hops` steps along the path. Source ids come from a small
+# pool holding the records' ids, so memories share them with each other
+# and with episodic hits. Gists come from a few texts, so several matured
+# memories of one sleep score the same, and a small k cuts inside a tie.
+PATH = ["Alice", "Bob", "Carol", "Dana", "Eve"]
+STEPS = [tuple(PATH[i:i + 2]) for i in range(len(PATH) - 1)] + \
+    [("Alice",), ("Eve",), ("Orion",), ("Orion", "Kestrel")]
+GISTS = ["deploy notes", "release notes", "alpha deploy", "beta shipped notes"]
+SOURCES = ["e1", "e2", "e3", "x1", "x2", "x3"]
+NOW = T0 + hours(500)
+# (gist, entities, source ids, hours before NOW): 0 and 60 are silent, 200
+# and 400 matured, -5 after NOW
+memories = st.lists(st.tuples(st.sampled_from(GISTS), st.sampled_from(STEPS),
+                              st.frozensets(st.sampled_from(SOURCES), min_size=1,
+                                            max_size=2),
+                              st.sampled_from([0, 60, 200, 400, -5])),
+                    max_size=14)
+records = st.lists(st.tuples(st.lists(st.sampled_from(PATH + ["Orion"] + PLAIN),
+                                      min_size=1, max_size=4).map(" ".join),
+                             st.booleans()),
+                   min_size=1, max_size=3)
+
+
+def graph_store(contents, mems, maturation=True):
+    """A store with a record `e{i}` per (content, warm) pair, encoded a
+    minute apart from T0 and moved to the warm tier when `warm`, and the
+    graph memories (gist, entities, source ids, hours before NOW) inserted
+    straight into its graph."""
+    store = MemoryStore(StoreConfig(maturation_enabled=maturation))
+    for i, (text, warm) in enumerate(contents, start=1):
+        rec = store.ingest(make_event(f"e{i}", ts=T0 + minutes(i), content=text))
+        if warm:
+            store.records[rec.id] = evolve(rec, tier=TIER_WARM)
+    for gist, names, sources, age in mems:
+        store.graph.insert_memory(gist, store.embedder.embed(gist), sources, names,
+                                  NOW - hours(age))
+    return store
+
+
+@given(contents=records, mems=memories, maturation=st.booleans(),
+       asked=st.lists(st.tuples(st.sampled_from(GISTS + PATH + ["Orion notes"]),
+                                st.integers(1, 5)), min_size=1, max_size=3))
+@example(contents=[("Alice deploy", False), ("Eve deploy notes", True)],
+         mems=[("deploy notes", ("Alice", "Bob"), frozenset({"x1"}), 60),
+               ("release notes", ("Eve",), frozenset({"x2"}), 60),
+               ("deploy notes", ("Bob",), frozenset({"x1", "x3"}), 200),
+               ("deploy notes", ("Alice",), frozenset({"e2"}), 200),
+               ("deploy notes", ("Alice",), frozenset({"x2"}), 400),
+               ("deploy notes", ("Alice",), frozenset({"x3"}), 400)],
+         maturation=True, asked=[("deploy notes", 2)])
+def test_graph_pathway_equals_the_reference(contents, mems, maturation, asked):
+    store = graph_store(contents, mems, maturation)
+    for query, k in asked:
+        assert_matches_reference(store, query, k, NOW, None)
+
+
+def test_a_partly_reached_sleep_primes_with_its_reached_members_only():
+    """Two silent memories of one sleep: the walk from Alice reaches the
+    one naming Alice and Bob, not the one naming Eve in another component.
+    The warm hit naming Eve is not a seed at k = 2, and no reached memory
+    primes it."""
+    store = graph_store(
+        [("Alice deploy release", False), ("Alice notes", False),
+         ("Eve deploy release", True)],
+        [("Alice Bob summary", ("Alice", "Bob"), frozenset({"x1"}), 60),
+         ("Eve summary", ("Eve",), frozenset({"x2"}), 60)])
+    hits = assert_matches_reference(store, "deploy release", 2, NOW, None).hits
+    assert [(h.memory_id, h.priming_boost > 1.0) for h in hits] == \
+        [("e1", True), ("e3", False)]
+
+
+def test_a_gist_sharing_a_source_with_one_taken_before_it_is_skipped():
+    """Three matured memories reached at hop 0: the first is taken, the
+    second shares its source x1 and is skipped, and the third shares a
+    source with the episodic hit e1 and is skipped too."""
+    store = graph_store(
+        [("Alice", False)],
+        [("deploy notes", ("Alice",), frozenset({"x1"}), 400),
+         ("deploy notes", ("Alice",), frozenset({"x1", "x2"}), 400),
+         ("deploy notes", ("Alice",), frozenset({"e1", "x3"}), 400)])
+    hits = assert_matches_reference(store, "deploy notes", 5, NOW, None).hits
+    assert [h.memory_id for h in hits] == ["sem-000000", "e1"]
+
+
+def test_graph_hits_tied_at_the_kth_score_are_cut_by_the_rank_key():
+    """Four matured memories of one sleep with one gist tie on the final
+    score, below a later memory with the same gist and a larger recency
+    boost. At k = 2 the cut falls inside the tie and keeps the one the
+    merged ranking puts first, the lowest id; at k = 3 it keeps two."""
+    store = graph_store(
+        [("Alice", False)],
+        [("deploy notes", ("Alice",), frozenset({f"x{i}"}), 400) for i in range(4)]
+        + [("deploy notes", ("Alice",), frozenset({"x9"}), 200)])
+    hits = assert_matches_reference(store, "deploy notes", 2, NOW, None).hits
+    assert [h.memory_id for h in hits] == ["sem-000004", "sem-000000"]
+    hits = assert_matches_reference(store, "deploy notes", 3, NOW, None).hits
+    assert [h.memory_id for h in hits] == ["sem-000004", "sem-000000", "sem-000001"]
+    assert hits[0].final_score > hits[1].final_score == hits[2].final_score
