@@ -37,6 +37,7 @@ import numpy as np
 
 from . import forgetting
 from .codec import encode
+from .embedding import row_dots
 from .graph import KnowledgeGraph, SemanticMemory
 from .model import (
     STATE_PENDING,
@@ -210,15 +211,14 @@ def _pair_distances(emb: np.ndarray) -> np.ndarray:
     """Cosine distances `1 - e_i . e_j` of the rows of `emb` in the upper
     triangle (i < j) of an n x n matrix, +inf elsewhere.
 
-    Each (1, d) @ (d, 1) product in a row goes to the same ddot that
-    `np.dot` of two 1-D arrays calls, so every entry equals
+    Each row is one `row_dots` product, so every entry equals
     `1.0 - float(np.dot(emb[i], emb[j]))` bit for bit; `emb @ emb.T` and
     a matrix-vector product per row sum in other orders.
     """
     n = len(emb)
     out = np.full((n, n), np.inf)
     for i in range(n - 1):
-        out[i, i + 1:] = 1.0 - (emb[i + 1:, None, :] @ emb[i][:, None])[:, 0, 0]
+        out[i, i + 1:] = 1.0 - row_dots(emb[i + 1:], emb[i])
     return out
 
 

@@ -57,12 +57,63 @@ def column_scores(matrix: np.ndarray, qvec: np.ndarray, rows: np.ndarray) -> np.
     dimensions."""
     dim, n = matrix.shape
     q32 = qvec.astype(np.float32)
-    nz = np.flatnonzero(q32)
+    nz = q32.nonzero()[0]
     if 4 * len(nz) < dim:
         return (q32[nz] @ matrix[nz])[rows]
     if 16 * len(rows) < n:
         return q32 @ matrix[:, rows]
     return (q32 @ matrix)[rows]
+
+
+def row_dots(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """`np.dot(row, vec)` of each row of the 2-D float64 array `rows`, bit
+    for bit, in one stacked product.
+
+    Each (1, d) @ (d,) product of the stack goes to the same ddot that
+    `np.dot` of two 1-D arrays calls; `rows @ vec`, a mat-vec, sums in
+    another order. `np.dot` multiplies two 1-element arrays as scalars,
+    so at d = 1 so does this."""
+    if rows.shape[1] == 1:
+        return rows[:, 0] * vec[0]
+    return (rows[:, None, :] @ vec)[:, 0]
+
+
+def to_float32(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 rounding of the 2-D float64 array `rows`, and a mask
+    over its rows: True where a non-zero entry rounds to zero. Such an
+    entry is a dimension that the float32 row hides from
+    `shares_support`."""
+    rows32 = rows.astype(np.float32)
+    return rows32, ((rows32 == 0) & (rows != 0)).any(axis=1)
+
+
+def shares_support(matrix: np.ndarray, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A mask over `rows`, columns of the dimension-major float32 `matrix`:
+    False where the column holds a zero in every non-zero dimension of the
+    float64 `qvec`. If the embedding's float64 entries there are zero too,
+    its `np.dot` with `qvec` is exactly +0.0, without a product: from
+    d = 2 on, the ddot adds only signed zeros to numpy's +0.0 start.
+
+    A float64 entry that rounds to zero in `matrix` hides a shared
+    dimension, so the caller marks True the columns `to_float32` found
+    one in. At d = 1 `np.dot` multiplies as scalars, and a -0.0 product
+    keeps its sign, so every column is True."""
+    if matrix.shape[0] < 2:
+        return np.ones(len(rows), dtype=bool)
+    return matrix[qvec.nonzero()[0][:, None], rows].any(axis=0)
+
+
+def exact_dots(vectors: list[np.ndarray], rows: np.ndarray, shared: np.ndarray,
+               qvec: np.ndarray) -> np.ndarray:
+    """`np.dot(qvec, vectors[row])` for each of `rows`, bit for bit: +0.0
+    where `shared` is False (`shares_support`), without reading the
+    vector, and one `row_dots` product over the others."""
+    dots = np.zeros(len(rows))
+    rest = shared.nonzero()[0]
+    if len(rest):
+        dots[rest] = row_dots(np.array([vectors[row] for row in rows[rest].tolist()],
+                                       dtype=np.float64), qvec)
+    return dots
 
 
 def tokenize(text: str) -> list[str]:

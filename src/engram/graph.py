@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .codec import decode
-from .embedding import column_scores
+from .embedding import column_scores, exact_dots, shares_support, to_float32
 from .errors import NegativeElapsed
 from .model import StoreConfig, evolve, hours_between
 
@@ -152,27 +152,38 @@ class QueryState:
     ids of the memories that share a source id with another memory. The
     float32 `matrix` is dimension-major, one column per memory in the order
     added (`ids[row]`, `rows[id]`), with the float64 norm of each embedding
-    in `norms`, so that one product scores any set of memories."""
+    in `norms`, so that one product scores any set of memories. By column,
+    `vectors` holds each memory's embedding array, `stamps` its
+    `created_at.timestamp()`, and `lossy` whether a non-zero entry of its
+    embedding rounds to zero in the matrix (kept from the first such
+    column on), so that a query scores and ranks memories exactly without
+    reading them."""
 
     def __init__(self, memories: Iterable[SemanticMemory]):
         self.ids: list[str] = []
+        self.vectors: list[np.ndarray] = []  # by column: the memory's embedding
         self.rows: dict[str, int] = {}
         self.groups: dict[datetime, SleepGroup] = {}
         self.by_source: dict[str, set[str]] = {}
         self.shared: set[str] = set()
         self.matrix = np.zeros((0, 0), dtype=np.float32)
         self.norms = np.zeros(0)
+        self.stamps = np.zeros(0)
+        self.lossy = np.zeros(0, dtype=bool)
+        self.any_lossy = False  # whether a lossy column was ever written
         self.add(list(memories))
 
     def _resize(self, size: int, dim: int) -> None:
         # headroom, so that a sleep's few new memories do not reallocate
         n, capacity = len(self.ids), size + size // 8 + 16
         matrix = np.zeros((dim, capacity), dtype=np.float32)
-        norms = np.zeros(capacity)
         if n:
             matrix[:, :n] = self.matrix[:, :n]
-            norms[:n] = self.norms[:n]
-        self.matrix, self.norms = matrix, norms
+        self.matrix = matrix
+        for name in ("norms", "stamps", "lossy"):
+            column = np.zeros(capacity, dtype=getattr(self, name).dtype)
+            column[:n] = getattr(self, name)[:n]
+            setattr(self, name, column)
 
     def add(self, mems: list[SemanticMemory]) -> None:
         """Give memories the next columns, in order, and enter each in its
@@ -184,11 +195,16 @@ class QueryState:
         n, dim = len(self.ids), len(mems[0].embedding)
         if n + len(mems) > self.matrix.shape[1] or dim != self.matrix.shape[0]:
             self._resize(n + len(mems), dim)
-        self.matrix[:, n:n + len(mems)] = np.array([mem.embedding for mem in mems]).T
-        self.norms[n:n + len(mems)] = [_norm(mem.embedding) for mem in mems]
+        cols = slice(n, n + len(mems))
+        part32, lossy = to_float32(np.array([mem.embedding for mem in mems]))
+        self.matrix[:, cols] = part32.T
+        self._note_lossy(cols, lossy)
+        self.norms[cols] = [_norm(mem.embedding) for mem in mems]
+        self.stamps[cols] = [mem.created_at.timestamp() for mem in mems]
         added: dict[datetime, list[int]] = {}
         for row, mem in enumerate(mems, start=n):
             self.ids.append(mem.id)
+            self.vectors.append(mem.embedding)
             self.rows[mem.id] = row
             group = self.groups.get(mem.created_at)
             if group is None:
@@ -209,12 +225,31 @@ class QueryState:
     def set_embedding(self, mem: SemanticMemory) -> None:
         """Write a new embedding of a memory into its column."""
         row = self.rows[mem.id]
-        self.matrix[:, row] = mem.embedding
+        self.vectors[row] = mem.embedding
+        part32, lossy = to_float32(mem.embedding[None, :])
+        self.matrix[:, row] = part32[0]
+        self._note_lossy([row], lossy)
         self.norms[row] = _norm(mem.embedding)
+
+    def _note_lossy(self, cols, lossy: np.ndarray) -> None:
+        # the mask is kept from the first lossy column on
+        if self.any_lossy or lossy.any():
+            self.lossy[cols] = lossy
+            self.any_lossy = True
 
     def scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The float32 products of `qvec` with the embeddings of `rows`."""
         return column_scores(self.matrix[:, :len(self.ids)], qvec, rows)
+
+    def exact_scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The float64 `np.dot(qvec, embedding)` of each of `rows`, bit for
+        bit (`embedding.exact_dots`): a memory that shares no non-zero
+        dimension with `qvec` scores +0.0 without a product, and one
+        stacked product over the others' embeddings scores the rest."""
+        shared = shares_support(self.matrix, qvec, rows)
+        if self.any_lossy:
+            shared |= self.lossy[rows]
+        return exact_dots(self.vectors, rows, shared, qvec)
 
 
 class KnowledgeGraph:

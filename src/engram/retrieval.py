@@ -8,9 +8,14 @@ its source episodic records is already present.
 
 The episodic tiers are one product over the store's embedding index. The
 graph pathway takes one priming weight and one recency boost per sleep its
-walk reaches, scores the matured memories in one product over the graph's
-query state, and rescores only those that can make the top k; past the
-walk's sets of reached ids, its cost follows the sleeps, not the memories.
+walk reaches, and scores the matured memories in one product over the
+graph's query state; past the walk's sets of reached ids, its cost follows
+the sleeps, not the memories. Both rank the candidates that can make the
+top k as arrays: a candidate that shares no non-zero dimension with the
+query scores +0.0 without a product, one stacked product scores the rest
+exactly as `np.dot` does, and one lexsort over the index's or query
+state's columns picks the k winners. Only the winners read their records
+or memories and become `Hit`s.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -76,14 +81,44 @@ def _rank_key(hit: Hit):
             -hit.timestamp.timestamp(), hit.memory_id)
 
 
+def _winners(n: int, keys: Callable[[], np.ndarray], name: Callable[[int], str],
+             k: int) -> Sequence[int]:
+    """The positions of the k best of `n` candidates, in no set order: the
+    greatest by the rows of the 2-D array `keys()`, compared from the last
+    row back, then the least by `name(i)`. With the rows (event time
+    stamp, negated tier priority, score), that is `_rank_key` order; ids
+    are unique, so the order is total.
+
+    With at most k candidates all of them win, and no key is read. Else
+    one lexsort ranks them by the keys, and names are read only when the
+    ties of the k-th key run past the cut, and then of those ties alone."""
+    if n <= k:
+        return range(n)
+    keys = keys()
+    order = np.lexsort(keys)  # the best last
+    loser, last = keys[:, order[n - k - 1:n - k + 1]].T.tolist()
+    if loser != last:
+        return order[n - k:].tolist()
+    tied = (keys == keys[:, order[n - k], None]).all(axis=0)
+    ahead = [i for i in order[n - k:].tolist() if not tied[i]]
+    return ahead + sorted(tied.nonzero()[0].tolist(), key=name)[:k - len(ahead)]
+
+
 def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
               groups: list[np.ndarray], k: int, now: datetime,
               importance_filter: Optional[float] = None) -> list[list[Hit]]:
     """For each of `groups`, disjoint arrays of embedding-index rows: the
     top-k of its rows whose decayed importance passes the filter, by
-    `_rank_key` on the float64 `np.dot(qvec, embedding)`. One float32
-    product picks every group's candidates; only the candidates are
-    rescored, and only the top k of each become `Hit`s."""
+    `_rank_key` on the float64 `np.dot(qvec, embedding)`.
+
+    One float32 product picks every group's candidates
+    (`EmbeddingIndex.top_candidates`), and one ranking step settles them
+    as arrays (`EmbeddingIndex.exact_scores`): a candidate that shares no
+    non-zero dimension with the query scores +0.0 without a product, and
+    one stacked product over the embeddings the index holds rescores the
+    rest. `_winners` then takes each group's k best by score, tier
+    priority, event time and id from the index's columns. Only the
+    winners read their records and become `Hit`s."""
     if importance_filter is None:
         importance_filter = store.config.importance_filter
     lam = store.config.lambda_decay
@@ -93,8 +128,12 @@ def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
     for rows in groups:
         # a non-negative importance decays to a non-negative value, which a
         # filter <= 0 always passes; every other row is decided exactly
-        undecided = (np.flatnonzero(~(importance[rows] >= 0.0))
-                     if importance_filter <= 0.0 else range(len(rows)))
+        if importance_filter > 0.0:
+            undecided = range(len(rows))
+        elif not len(rows) or importance[rows].min() >= 0.0:
+            undecided = ()
+        else:
+            undecided = (~(importance[rows] >= 0.0)).nonzero()[0]
         dropped = []
         for i in undecided:
             rec = records[keys[rows[i]]]
@@ -102,22 +141,28 @@ def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
                                   lam) < importance_filter:
                 dropped.append(i)
         passing.append(np.delete(rows, dropped) if dropped else rows)
-    out = []
-    for rows in index.top_candidates(qvec, passing, k):
+    candidates = index.top_candidates(qvec, passing, k)
+    rows = np.concatenate(candidates)
+    at = rows.tolist()
+    sims = index.exact_scores(qvec, rows)
+    stamp = index.column("stamp")
+    out, lo = [], 0
+    for group in candidates:
+        hi = lo + len(group)
         ranked = []
-        for row in rows.tolist():
+        for i in _winners(hi - lo, lambda: index.rank_keys(rows[lo:hi], sims[lo:hi]),
+                          lambda i: keys[at[lo + i]], k):
+            row = at[lo + i]
             rec = records[keys[row]]
-            sim = float(np.dot(qvec, rec.embedding))
-            event = rec.event
-            # `_rank_key` of the hit this record would make; ids are unique,
-            # so the sort never compares past the id
-            ranked.append((-sim, _TIER_PRIORITY[rec.tier], -event.timestamp.timestamp(),
-                           event.id, sim, rec))
+            sim = float(sims[lo + i])
+            # `_rank_key` of the hit, its time stamp read off the index
+            ranked.append(((-sim, _TIER_PRIORITY[rec.tier], -float(stamp[row]), rec.id),
+                           Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim, final_score=sim,
+                               timestamp=rec.event.timestamp, content=rec.content,
+                               source_ids=rec.source_ids)))
         ranked.sort()
-        out.append([Hit(memory_id=rid, tier=rec.tier, base_sim=sim, final_score=sim,
-                        timestamp=rec.event.timestamp, content=rec.content,
-                        source_ids=rec.source_ids)
-                    for _s, _p, _t, rid, sim, rec in ranked[:k]])
+        out.append([hit for _key, hit in ranked])
+        lo = hi
     return out
 
 
@@ -164,11 +209,13 @@ def hybrid_retrieve(store: MemoryStore, query: str, k: Optional[int] = None,
     visible to it. Everything after the embedding runs under the store's
     lock, so no writer changes the store mid-query.
 
-    The episodic tiers take one pass: one selection of the visible rows,
-    split by tier code (the hot tier also by session), and one float32
-    product and bound for both. The graph pathway (`_graph_pathway`) weighs
-    each sleep's memories once, as a group, and makes hits of its k best
-    candidates only."""
+    The episodic tiers take one pass (`_top_hits`): one selection of the
+    visible rows, split by tier code (the hot tier also by session), one
+    float32 product and bound for both, and one ranking step that makes
+    hits of each tier's k best only. The graph pathway (`_graph_pathway`)
+    weighs each sleep's memories once, as a group, and ranks its matured
+    candidates the same way. `now` defaults to `logical_now`, which the
+    store keeps without a walk over its records."""
     config = store.config
     if k is None:
         k = config.retrieval_k
@@ -237,11 +284,15 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
     otherwise; a matured group's members take one recency boost. Only the
     memories that share a source id with another memory are checked in
     order; the others are skipped by a lookup of each covered id. One
-    float32 product scores every matured candidate, `dot_error_bound` keeps
-    each one whose final score may be among the k best, and only those are
-    rescored with the float64 `np.dot`. Graph hits share a tier, so the k
-    best of them by `_rank_key` are the only ones that can make the top k:
-    only those become `Hit`s."""
+    float32 product scores every matured candidate, and `dot_error_bound`
+    keeps each one whose final score may be among the k best. Those are
+    ranked as arrays: `QueryState.exact_scores` settles a memory that
+    shares no non-zero dimension with the query at +0.0 and scores the rest
+    in one stacked product, the final score is that times the recency
+    boost, and `_winners` takes the k best by final score, creation time
+    and id from the query state's columns. Graph hits share a tier, so
+    those k are the only ones that can make the top k: only they read
+    their memories and become `Hit`s."""
     graph, config = store.graph, store.config
     if not seed_entities:
         return [], {}
@@ -285,7 +336,9 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
     if skipped:
         matured[[state.rows[m] for m in skipped]] = False
 
-    rows = np.flatnonzero(matured)
+    rows = matured.nonzero()[0]
+    if not len(rows):
+        return [], silent
     if len(rows) > k:
         s = state.scores(qvec, rows).astype(np.float64)
         r = boost[rows]
@@ -297,21 +350,25 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
         floor = float(np.sort(approx - width)[len(rows) - k])
         if math.isfinite(floor):
             rows = rows[~(approx + width < floor)]
+    at = rows.tolist()
+    sims = state.exact_scores(qvec, rows)
+    recency = boost[rows]
     ranked = []
-    for row in rows.tolist():
-        mem = graph.memories[state.ids[row]]
-        sim = float(np.dot(qvec, mem.embedding))
-        recency = float(boost[row])
-        final = sim * recency
-        # `_rank_key` of the hit this memory would make, past its tier; ids
-        # are unique, so the sort never compares past the id
-        ranked.append((-final, -mem.created_at.timestamp(), mem.id, final, sim, recency, mem))
+    for i in _winners(len(at), lambda: np.array((state.stamps[rows], sims * recency)),
+                      lambda i: state.ids[at[i]], k):
+        mem = graph.memories[state.ids[at[i]]]
+        sim, boosted = float(sims[i]), float(recency[i])
+        final = sim * boosted
+        # `_rank_key` of the hit past its tier, which graph hits share
+        ranked.append(((-final, -float(state.stamps[at[i]]), mem.id),
+                       Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
+                           recency_boost=boosted, final_score=final,
+                           timestamp=mem.created_at, content=mem.gist,
+                           source_ids=tuple(sorted(mem.source_ids)),
+                           hop_distance=next(d for d, level in enumerate(levels)
+                                             if mem.id in level))))
     ranked.sort()
-    hits = [Hit(memory_id=mem_id, tier=TIER_GRAPH, base_sim=sim, recency_boost=recency,
-                final_score=final, timestamp=mem.created_at, content=mem.gist,
-                source_ids=tuple(sorted(mem.source_ids)),
-                hop_distance=next(d for d, level in enumerate(levels) if mem_id in level))
-            for _f, _t, mem_id, final, sim, recency, mem in ranked[:k]]
+    hits = [hit for _key, hit in ranked]
     return hits, silent
 
 

@@ -16,7 +16,9 @@ column per live (non-tombstone) record, with parallel arrays of their
 filter fields. It is never persisted or checkpointed. The episodic scan
 reads it: a query's product reads only the matrix rows of the query's
 non-zero dimensions, and the k-th highest score is read off a sort, which
-ties cannot slow. `MemoryStore.near` is the one candidate search behind the
+ties cannot slow. The candidates are then scored exactly from the
+embedding arrays the index holds, with no record read, and ranked by the
+index's columns. `MemoryStore.near` is the one candidate search behind the
 frequency factor, near-dedup and interference. `MemoryStore.records` marks
 the ids it writes, and the next scan (or the end of a forgetting run)
 brings just those rows up to date. A store loaded from a snapshot or rolled
@@ -34,10 +36,10 @@ non-zero entries; version 1, with dense float lists, is still read.
 The record map has one write path. Item assignment, `del` and `pop` report
 each write to one hook, `RecordMap._note`, which marks the id for the index
 and keeps the live (non-tombstone) record count and their token total, the
-pending ids in arrival order, and each retained or promoted content's
-holders. So `active_count`, `active_tokens`, `pending_records` and `holders`
-cost what they return, not a walk over every record. The other dict
-mutators raise `TypeError`.
+pending ids in arrival order, each retained or promoted content's
+holders, and the newest encoding time. So `active_count`, `active_tokens`,
+`pending_records`, `holders` and `logical_now` cost what they return, not a
+walk over every record. The other dict mutators raise `TypeError`.
 """
 
 from __future__ import annotations
@@ -55,7 +57,14 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .codec import decode, encode, field_keys, write
-from .embedding import HashEmbedder, column_scores, normalize
+from .embedding import (
+    HashEmbedder,
+    column_scores,
+    exact_dots,
+    normalize,
+    shares_support,
+    to_float32,
+)
 from .errors import (
     DuplicateId,
     EmbeddingFailure,
@@ -70,6 +79,7 @@ from .model import (
     STATE_RETAINED,
     STATE_TOMBSTONE,
     TIER_HOT,
+    TIER_WARM,
     EpisodicRecord,
     FidelityLevel,
     MemoryEvent,
@@ -109,12 +119,13 @@ class RecordMap(dict):
     the order first written; `live`, the count of non-tombstone records;
     `tokens`, their `estimate_tokens` total; `pending`, the ids of the
     pending records in the map's own order, which is their arrival order;
-    and `holders`, each content of a retained or promoted record -> the ids
-    of the retained and promoted records that hold it. A new map notes
+    `holders`, each content of a retained or promoted record -> the ids
+    of the retained and promoted records that hold it; and the newest
+    `encoded_at` of any record, which `newest` reads. A new map notes
     every id it holds. The other dict mutators raise `TypeError`; reads are
     the dict's own."""
 
-    __slots__ = ("dirty", "live", "tokens", "pending", "holders")
+    __slots__ = ("dirty", "live", "tokens", "pending", "holders", "_newest", "_at_newest")
 
     def __init__(self, mapping=()):
         super().__init__(mapping)
@@ -122,6 +133,10 @@ class RecordMap(dict):
         self.pending: dict[str, None] = {}
         self.holders: dict[str, list[str]] = {}
         self.live = self.tokens = 0
+        # no record is encoded after `_newest`, and `_at_newest` are encoded
+        # at it; when none are, the newest is unknown until `newest` walks
+        self._newest: Optional[datetime] = None
+        self._at_newest = 0
         for key, record in self.items():
             self._note(key, None, record)
 
@@ -130,6 +145,16 @@ class RecordMap(dict):
         """Account for the record at `key` going from `old` to `new` (None:
         absent)."""
         holders = self.holders
+        before = None if old is None else old.encoded_at
+        after = None if new is None else new.encoded_at
+        if before is not after:  # a new value of a record shares its time
+            if before is not None and before == self._newest:
+                self._at_newest -= 1
+            if after is not None:
+                if self._newest is None or after > self._newest:
+                    self._newest, self._at_newest = after, 1
+                elif after == self._newest:
+                    self._at_newest += 1
         for record, sign in ((old, -1), (new, 1)):
             if record is None:
                 continue
@@ -161,6 +186,15 @@ class RecordMap(dict):
                 self.pending = {k: None for k in self
                                 if k == key or k in self.pending}
         self.dirty[key] = None
+
+    def newest(self) -> Optional[datetime]:
+        """The newest `encoded_at` of any record, tombstones included; None
+        for an empty map. It walks the records only after every record
+        encoded at the newest time has left the map."""
+        if not self._at_newest:
+            self._newest = max((r.encoded_at for r in self.values()), default=None)
+            self._at_newest = sum(r.encoded_at == self._newest for r in self.values())
+        return self._newest
 
     def __setitem__(self, key, value):
         self._note(key, self.get(key), value)
@@ -272,10 +306,14 @@ _PRODUCT_CELLS = 1 << 18
 
 class EmbeddingIndex:
     """A float32 matrix of the live (non-tombstone) records' embeddings with
-    parallel arrays of what scans filter on: encoding and event times in
-    integer microseconds, importance, the float64 norm of the embedding, and
-    interned codes of tier, session and state. Each record takes one row
-    index: a column of the matrix and a slot of each array.
+    parallel arrays of what scans filter and rank on: encoding and event
+    times in integer microseconds, the event time as `timestamp()` gives
+    it (`stamp`), importance, the float64 norm of the embedding, whether a
+    non-zero entry of the embedding rounds to zero in the matrix (`lossy`,
+    kept from the first such row on), and interned codes of tier, session
+    and state. The tier codes follow the tiers' ranking priority: hot 0,
+    warm 1. Each record takes one row index: a column of the matrix and a
+    slot of each array.
 
     The matrix is dimension-major, shape (dimension, capacity), so that each
     embedding dimension is one contiguous row across the records. A query
@@ -283,24 +321,29 @@ class EmbeddingIndex:
     token, so its product reads just those rows; a dense query reads the
     matrix in one mat-vec. A new record goes in the next free column, and
     removing one moves the last column into its place. The index holds no
-    records, only their keys, so a record the store drops is freed at once.
+    records, only their keys and the embedding arrays its columns hold, so
+    a record the store drops is freed at once.
 
-    The float32 products only choose candidates. Callers rescore those with
-    the float64 `np.dot` of the records themselves, and `dot_error_bound`
-    keeps every record that the float64 score could pick among the
-    candidates, so results are those of a float64 scan. A zero term adds
+    The float32 products only choose candidates. `exact_scores` rescores
+    those in float64, bit for bit as `np.dot` of the records' embeddings,
+    from the embedding arrays the rows hold, and `dot_error_bound` keeps
+    every record that the float64 score could pick among the candidates,
+    so results are those of a float64 scan. A zero term adds
     nothing to a sum, so the bound for `dimension` terms also covers a
     product taken over fewer of them."""
 
-    _COLUMNS = (("encoded", np.int64), ("timestamp", np.int64),
-                ("importance", np.float64), ("norm", np.float64),
+    _COLUMNS = (("encoded", np.int64), ("timestamp", np.int64), ("stamp", np.float64),
+                ("importance", np.float64), ("norm", np.float64), ("lossy", np.bool_),
                 ("tier", np.int32), ("session", np.int32), ("state", np.int32))
     _CODED = ("tier", "session", "state")
 
     def __init__(self) -> None:
         self.keys: list[str] = []  # row -> record key
+        self._vectors: list[np.ndarray] = []  # row -> the embedding its column holds
+        self._any_lossy = False  # whether a lossy row was ever written
         self._rows: dict[str, int] = {}
         self._codes: dict[str, dict[str, int]] = {c: {} for c in self._CODED}
+        self._codes["tier"] = {TIER_HOT: 0, TIER_WARM: 1}
         self._resize(0, 0)
 
     def __len__(self) -> int:
@@ -343,40 +386,75 @@ class EmbeddingIndex:
                 col[:n] = getattr(self, "_" + name)[:n]
             setattr(self, "_" + name, col)
 
-    def _code(self, column: str, value: str) -> int:
-        codes = self._codes[column]
-        return codes.setdefault(value, len(codes))
-
     def write(self, items: list[tuple[str, EpisodicRecord]]) -> None:
         """Write each (key, record) into its row, appending rows for new
-        keys."""
+        keys, a chunk of records at a time.
+
+        A record whose embedding is the array its row already holds (a new
+        state, tier or importance of the same record) keeps its matrix
+        column. Of the others, the rewritten rows go first and the new ones
+        after them: new keys take consecutive rows, so each chunk writes
+        its new rows into the matrix as one slice. Indexed by row, a write
+        reaches every dimension's row once per column, a page apart."""
         if not items:
             return
-        new = [k for k, _r in items if k not in self._rows]
-        n = len(self.keys)
-        size = n + len(new)
+        rows_of, keys, vectors = self._rows, self.keys, self._vectors
+        n = len(keys)
+        rows = [rows_of.get(k, -1) for k, _r in items]
+        fresh = [i for i, row in enumerate(rows) if row < 0]
+        size = n + len(fresh)
         dim = self._matrix.shape[0] if n else len(items[0][1].embedding)
         if size > self._matrix.shape[1] or dim != self._matrix.shape[0]:
             # headroom, so that a trickle of new records does not reallocate
             self._resize(size + size // 8 + 16, dim)
-        for key in new:
-            self._rows[key] = len(self.keys)
-            self.keys.append(key)
-        rows = np.array([self._rows[k] for k, _r in items], dtype=np.intp)
+        for row, i in enumerate(fresh, start=n):
+            rows_of[items[i][0]] = rows[i] = row
+            keys.append(items[i][0])
+            vectors.append(None)
         recs = [r for _k, r in items]
-        step = 256
-        for lo in range(0, len(recs), step):
+        changed = [i for i in range(len(items))
+                   if rows[i] < n and recs[i].embedding is not vectors[rows[i]]]
+        moved = changed + fresh
+        at_all = np.array([rows[i] for i in moved], dtype=np.intp)
+        step = 128
+        for lo in range(0, len(moved), step):
             # np.array copies a list of vectors in one pass; np.stack takes
             # three times as long
-            part = np.array([r.embedding for r in recs[lo:lo + step]])
-            self._matrix[:, rows[lo:lo + step]] = part.T
-            self._norm[rows[lo:lo + step]] = np.sqrt(np.einsum("ij,ij->i", part, part))
-        self._encoded[rows] = [_micros(r.encoded_at) for r in recs]
-        self._timestamp[rows] = [_micros(r.event.timestamp) for r in recs]
+            part = np.array([recs[i].embedding for i in moved[lo:lo + step]])
+            at = at_all[lo:lo + step]
+            part32, lossy = to_float32(part)
+            if self._any_lossy or lossy.any():
+                self._lossy[at] = lossy
+                self._any_lossy = True
+            split = min(max(len(changed) - lo, 0), len(at))  # the chunk's rewritten rows
+            first = n + lo + split - len(changed)  # and the row of its first new one
+            if split:
+                self._matrix[:, at[:split]] = part32[:split].T
+            if split < len(at):
+                self._matrix[:, first:first + len(at) - split] = part32[split:].T
+            self._norm[at] = np.sqrt(np.einsum("ij,ij->i", part, part))
+        for i in moved:
+            vectors[rows[i]] = recs[i].embedding
+        for lo in range(0, len(recs), step):
+            self._write_fields(rows[lo:lo + step], recs[lo:lo + step])
+
+    def _write_fields(self, rows: list[int], recs: list[EpisodicRecord]) -> None:
+        """Write the records' times, importance and codes into their rows,
+        one pass over the records per column."""
+        encoded = [_micros(r.encoded_at) for r in recs]
+        self._encoded[rows] = encoded
+        # a record encoded on its event's arrival holds one datetime for both
+        times = [e if r.event.timestamp is r.encoded_at else _micros(r.event.timestamp)
+                 for e, r in zip(encoded, recs)]
+        self._timestamp[rows] = times
+        # `timestamp()` is this quotient of Python ints, correctly rounded
+        self._stamp[rows] = [t / 10 ** 6 for t in times]
         self._importance[rows] = [r.importance for r in recs]
-        self._tier[rows] = [self._code("tier", r.tier) for r in recs]
-        self._session[rows] = [self._code("session", r.event.session_id) for r in recs]
-        self._state[rows] = [self._code("state", r.state) for r in recs]
+        tiers, sessions, states = (self._codes[c] for c in self._CODED)
+        self._tier[rows] = [tiers.setdefault(r.tier, len(tiers)) for r in recs]
+        self._session[rows] = [sessions.setdefault(r.event.session_id, len(sessions))
+                               for r in recs]
+        self._state[rows] = [states.setdefault(r.state, len(states)) for r in recs]
 
     def _remove(self, keys: list[str]) -> None:
         """Drop the row of each of `keys`, in order, by moving the last row
@@ -390,8 +468,10 @@ class EmbeddingIndex:
             if row != last:
                 source[row] = moved
                 self.keys[row] = self.keys[last]
+                self._vectors[row] = self._vectors[last]
                 self._rows[self.keys[row]] = row
             self.keys.pop()
+            self._vectors.pop()
         if source:
             dst = np.fromiter(source, dtype=np.intp, count=len(source))
             src = np.fromiter(source.values(), dtype=np.intp, count=len(source))
@@ -425,7 +505,7 @@ class EmbeddingIndex:
                 if code is None:
                     return _NO_ROWS
                 mask = mask & (self.column(column) == code)
-        return np.flatnonzero(mask)
+        return mask.nonzero()[0]
 
     def in_states(self, states: Iterable[str]) -> np.ndarray:
         """A mask over the rows: True where the record's state is in
@@ -438,13 +518,37 @@ class EmbeddingIndex:
         `column_scores`."""
         return column_scores(self._matrix[:, :len(self.keys)], qvec, rows)
 
+    def exact_scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The float64 `np.dot(qvec, embedding)` of each of `rows`, bit for
+        bit (`embedding.exact_dots`): a row that shares no non-zero
+        dimension with `qvec` scores +0.0 without a product, and one
+        stacked product over the embeddings the rows hold scores the rest.
+        No record is read."""
+        shared = shares_support(self._matrix, qvec, rows)
+        if self._any_lossy:
+            shared |= self._lossy[rows]
+        return exact_dots(self._vectors, rows, shared, qvec)
+
+    def rank_keys(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """The keys a query ranks `rows` by after their `scores`, as the rows
+        of one array, least significant first: the event time as
+        `timestamp()` gives it, the negated tier code (hot ranks first),
+        and `scores`."""
+        keys = np.empty((3, len(rows)))
+        self._stamp.take(rows, out=keys[0])
+        np.negative(self._tier[rows], out=keys[1])
+        keys[2] = scores
+        return keys
+
     def top_candidates(self, qvec: np.ndarray, groups: Sequence[np.ndarray],
                        k: int) -> list[np.ndarray]:
         """For each of `groups`, disjoint arrays of rows: the rows of the
         group whose float64 score `np.dot(qvec, e)` may be among the group's
         k highest, that is, every row whose score bound reaches the lowest
-        score the group's k-th highest can have. Each row is held to the
-        bound for the widest live row.
+        score the group's k-th highest can have; a group of at most k rows
+        is returned whole. Each row is held to the bound for the widest live
+        row. The caller ranks the candidates: `exact_scores` gives their
+        float64 scores, and `rank_keys` the keys that break score ties.
 
         One float32 product, `scores` over every group's rows, serves them
         all. The k-th score is read off a float32 sort: `np.partition`
@@ -636,10 +740,10 @@ class MemoryStore:
 
     def logical_now(self) -> Optional[datetime]:
         """Latest timestamp the store has observed: the ingest watermark or
-        any later encoding/promotion time set by lifecycle jobs. The graph's
-        newest memory time is the latest key of its query state's groups."""
-        candidates = [self.watermark] if self.watermark is not None else []
-        candidates.extend(r.encoded_at for r in self.records.values())
+        any later encoding/promotion time set by lifecycle jobs. The record
+        map keeps its newest encoding time, and the graph's newest memory
+        time is the latest key of its query state's groups."""
+        candidates = [t for t in (self.watermark, self.records.newest()) if t is not None]
         candidates.extend(self.graph.query_state().groups)
         return max(candidates) if candidates else None
 

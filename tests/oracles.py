@@ -240,7 +240,9 @@ def query_state_view(state):
     return (state.ids, state.rows,
             {created: (g.ids, g.keys, g.rows.tolist()) for created, g in state.groups.items()},
             state.by_source, state.shared,
-            state.matrix[:, :n].tobytes(), state.norms[:n].tobytes())
+            state.matrix[:, :n].tobytes(), state.norms[:n].tobytes(),
+            state.stamps[:n].tobytes(), state.lossy[:n].tobytes(),
+            [v.tobytes() for v in state.vectors])
 
 
 # The earlier `retrieval._memory_hit`, word for word.

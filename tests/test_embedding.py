@@ -14,6 +14,9 @@ from engram.embedding import (
     HashEmbedder,
     RemoteEmbedder,
     normalize,
+    row_dots,
+    shares_support,
+    to_float32,
     tokenize,
 )
 from engram.errors import DimensionMismatch, ProviderUnavailable, ZeroVector
@@ -56,6 +59,61 @@ def test_normalize_is_division_by_the_norm(v, scale):
         else:
             assert normalize(v).tobytes() == (v / norm).tobytes()
             assert normalize(list(v)).tobytes() == (v / norm).tobytes()
+
+
+# entries for the stacked-product tests: zeros of both signs, subnormals,
+# and ordinary values
+_entries = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from([5e-324, -1e-310, 1e-300]),
+                     st.floats(-1e3, 1e3))
+
+
+@given(d=st.integers(1, 300), data=st.data())
+def test_row_dots_equal_per_row_dot(d, data):
+    """Sparse, dense, subnormal and -0.0 entries: each stacked product is
+    `np.dot` of its row with the vector, taken either way round, to the
+    bit."""
+    rows = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), d),
+                                elements=_entries))
+    vec = data.draw(hnp.arrays(np.float64, d, elements=_entries))
+    got = row_dots(rows, vec)
+    for row, value in zip(rows, got):
+        assert value.hex() == float(np.dot(row, vec)).hex() == float(np.dot(vec, row)).hex()
+
+
+@given(d=st.integers(2, 300), data=st.data())
+def test_dot_of_disjoint_supports_is_positive_zero(d, data):
+    """Two vectors that share no non-zero dimension, with zeros of either
+    sign and entries of either sign elsewhere: `np.dot` is +0.0, which is
+    what the ranking settles such a candidate to without a product. At
+    d = 1 `np.dot` multiplies as scalars and keeps a -0.0."""
+    values = data.draw(hnp.arrays(np.float64, d, elements=_entries))
+    mine = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    zeros = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([0.0, -0.0])))
+    x, y = np.where(mine, values, zeros), np.where(mine, zeros, values[::-1])
+    assert float(np.dot(x, y)).hex() == "0x0.0p+0"
+    assert row_dots(x[None, :], y)[0].hex() == "0x0.0p+0"
+    assert float(np.dot(np.array([-0.0]), np.array([1.0]))).hex() == "-0x0.0p+0"
+
+
+def test_a_column_whose_shared_entry_underflows_shares_support():
+    """A float64 entry of 1e-300 rounds to zero in float32: the column is
+    marked lossy and always taken to share the query's support, though its
+    float32 values share nothing with it. A column that holds a float32
+    non-zero in the query's support shares it too; the others do not."""
+    rows = np.zeros((4, 8))
+    rows[0, 3], rows[0, 5] = 1e-300, 1.0    # meets the query only at 1e-300
+    rows[1, 3], rows[1, 6] = 0.5, 0.5       # meets it at a float32 non-zero
+    rows[2, 6] = 1.0                        # meets it nowhere
+    rows[3, 1], rows[3, 3] = -0.0, -2.0     # meets it at -2.0
+    rows32, lossy = to_float32(rows)
+    assert lossy.tolist() == [True, False, False, False]
+    assert rows32.tobytes() == rows.astype(np.float32).tobytes()
+    qvec = np.zeros(8)
+    qvec[3] = 0.5
+    got = shares_support(np.ascontiguousarray(rows32.T), qvec, np.arange(4))
+    assert got.tolist() == [False, True, False, True]
+    assert (got | lossy).tolist() == [True, True, False, True]
+    assert float(np.dot(qvec, rows[0])) != 0.0
 
 
 def test_tokenize_handles_refs():

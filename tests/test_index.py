@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import tempfile
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -189,7 +191,8 @@ class IndexMachine(RuleBasedStateMachine):
     `now` leaves alone what was encoded after it, a sleep inside an outer
     transaction that raises leaves the snapshot as it was, a lapsed lability
     window changes nothing, and a reload through a file or in memory gives
-    back the same snapshot."""
+    back the same snapshot. The record map's newest encoding time, and with
+    it `logical_now`, equals a walk over every record and memory."""
 
     @initialize()
     def start(self):
@@ -478,6 +481,7 @@ class IndexMachine(RuleBasedStateMachine):
         assert sorted(index.keys) == self.live_ids()
         assert [index.row(key) for key in index.keys] == list(range(len(index)))
         records = [self.store.records[key] for key in index.keys]
+        assert all(v is r.embedding for v, r in zip(index._vectors, records, strict=True))
         if records:
             embeddings = np.array([r.embedding for r in records], dtype=np.float32)
             assert np.array_equal(index._matrix[:, :len(index)], embeddings.T)
@@ -486,6 +490,16 @@ class IndexMachine(RuleBasedStateMachine):
             for tier in (TIER_HOT, TIER_WARM):
                 assert index.where(every, tier=tier).tolist() == \
                     [row for row, r in enumerate(records) if r.tier == tier]
+
+    @invariant()
+    def logical_now_is_the_full_walk(self):
+        store = self.store
+        encoded = [r.encoded_at for r in store.records.values()]
+        assert store.records.newest() == max(encoded, default=None)
+        times = encoded + [m.created_at for m in store.graph.memories.values()]
+        if store.watermark is not None:
+            times.append(store.watermark)
+        assert store.logical_now() == max(times, default=None)
 
     @invariant()
     def totals_are_the_full_sums(self):
@@ -799,3 +813,70 @@ def test_index_is_derived_and_rebuilt_after_a_load():
     assert_scan_matches(loaded, "alpha 3", 2, T0 + hours(1))
     assert len(loaded._index) == loaded.active_count()
 
+
+
+def test_array_rank_keys_order_as_rank_key():
+    """The scan ranks its candidates from the index's columns: the `stamp`
+    column must be `timestamp()` bit for bit, and the order must be
+    `_rank_key`'s. Event times 1 us apart and shared by two records each,
+    at T0, in year 1 and in year 9999; two scores, and a query dimension
+    that half the rows lack (settled at +0.0), in both tiers. In years 1
+    and 9999 a count of microseconds passes 2^53: there `micros / 1e6` in
+    float64 rounds twice and misses `timestamp()`, and times 1 us apart
+    share one `timestamp()`, so the id breaks their tie."""
+    store = MemoryStore()
+    far_past = datetime(1, 1, 1, tzinfo=timezone.utc)
+    far_future = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc)
+    us = timedelta(microseconds=1)
+    times = [t for off in range(41) for t in (T0 + off * us, far_past + off * us,
+                                               far_future - off * us)]
+    names = [f"r{i:03d}" for i in range(2 * len(times))]
+    random.Random(5).shuffle(names)
+    for i, name in enumerate(names):
+        vec = np.zeros(256)
+        vec[0], vec[1 + i % 200] = 0.5 * (i % 3 == 0), 0.5
+        event = make_event(name, ts=times[i // 2], content=name)
+        store.records[name] = EpisodicRecord(event=event, embedding=vec,
+                                             tier=(TIER_HOT, TIER_WARM)[i % 5 == 0],
+                                             ttl_expires_at=far_future)
+    index = store.embedding_index()
+    stamps = [store.records[key].event.timestamp.timestamp() for key in index.keys]
+    assert index.column("stamp").tobytes() == np.array(stamps).tobytes()
+    assert (index.column("timestamp") / 1e6 != index.column("stamp")).any()
+    assert len(set(stamps)) < len(set(times))
+    qvec = np.zeros(256)
+    qvec[0] = 1.0
+    for k in (1, 2, 3, 5, 10, 41, 82, 100, 200, len(names)):
+        got = _episodic_scan(store, qvec, k, far_future)
+        assert bits(got) == bits(scan_oracle(store, qvec, k, far_future))
+
+
+def test_an_entry_that_underflows_in_float32_is_rescored():
+    """A record and a graph memory whose embeddings meet the query only at
+    an entry of 1e-300, which is zero in float32: each is rescored, not
+    settled at +0.0, so it ranks above the candidates that score exactly
+    0.0, as in the reference. Both are the oldest and hold the largest id,
+    so at 0.0 they would rank last."""
+    store = MemoryStore(StoreConfig(maturation_enabled=False))
+    qvec = store.embedder.embed("Kestrel")
+    (dim,) = qvec.nonzero()[0]
+    others = [d for d in range(256) if d != dim]
+    for i in range(6):
+        vec = np.zeros(256)
+        vec[others[i]] = 1.0
+        if i == 5:
+            vec[dim] = 1e-300 * np.sign(qvec[dim])
+        event = make_event(f"r{i}", ts=T0 + hours(5 - i), content=f"Kestrel note {i}")
+        store.records[event.id] = EpisodicRecord(event=event, embedding=vec,
+                                                 entities=("Kestrel",))
+        vec = vec.copy()
+        vec[others[i]], vec[others[i + 10]] = 0.0, 1.0
+        store.graph.insert_memory(f"Kestrel gist {i}", vec, frozenset({f"src{i}"}),
+                                  ("Kestrel",), T0 + hours(5 - i))
+    now = T0 + hours(6)
+    scan = _episodic_scan(store, qvec, 2, now)
+    assert bits(scan) == bits(scan_oracle(store, qvec, 2, now))
+    assert scan[0].memory_id == "r5" and scan[0].base_sim > 0.0
+    got = hybrid_retrieve(store, "Kestrel", 2, now)
+    assert got == hybrid_reference(store, "Kestrel", 2, now)
+    assert {h.memory_id for h in got.hits} == {"r5", "sem-000005"}

@@ -168,6 +168,40 @@ def test_record_map_keeps_pending_ids_and_holders_through_every_writer(embedder)
         assert derived_kept(twin) == derived_kept(m)
 
 
+def test_record_map_keeps_the_newest_encoding_time(embedder, monkeypatch):
+    """`newest` is the latest `encoded_at` of any record, tombstones
+    included, through every writer. It walks the records only once every
+    record encoded at that time has left the map, not when one of them is
+    replaced by a record encoded at the same time."""
+    def rec(eid, h, state=STATE_RETAINED):
+        return replace(make_record(embedder, eid=eid, ts=T0 + hours(h)), state=state)
+
+    walks = []
+    values = RecordMap.values
+    monkeypatch.setattr(RecordMap, "values", lambda self: walks.append(1) or values(self))
+    m = RecordMap({"a": rec("a", 1), "b": rec("b", 3), "c": rec("c", 3)})
+    steps = [
+        (lambda: None, T0 + hours(3), 0),
+        (lambda: m.__setitem__("b", rec("b", 3, STATE_TOMBSTONE)), T0 + hours(3), 0),
+        (lambda: m.__delitem__("c"), T0 + hours(3), 0),
+        (lambda: m.__setitem__("d", rec("d", 5)), T0 + hours(5), 0),
+        (lambda: m.__setitem__("d", rec("d", 5, STATE_PROMOTED)), T0 + hours(5), 0),
+        (lambda: m.pop("d"), T0 + hours(3), 2),
+        (lambda: m.__setitem__("e", rec("e", 2)), T0 + hours(3), 0),
+        (lambda: m.__delitem__("b"), T0 + hours(2), 2),
+        (lambda: m.__delitem__("e"), T0 + hours(1), 2),
+        (lambda: m.pop("a"), None, 2),
+    ]
+    for step, newest, walked in steps:
+        walks.clear()
+        step()
+        assert m.newest() == newest
+        assert len(walks) == walked
+        assert m.newest() == max((r.encoded_at for r in values(m)), default=None)
+    for twin in (copy.copy(m), pickle.loads(pickle.dumps(m))):
+        assert twin.newest() == m.newest()
+
+
 def test_admitted_ids_only_grow_and_roll_back_to_a_savepoint():
     """`add` is the one writer and `order` lists the ids in the order
     added; a savepoint is the order's length, a rollback drops the ids
