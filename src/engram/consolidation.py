@@ -22,8 +22,8 @@ dedup, and reads 0. Only the changed survivors are written.
 Each rule has one implementation. `absorb` is the merge of a duplicate into
 its survivor, for `exact_dedup` and `near_dedup` alike. Scoring's frequency
 factor takes its candidates from `MemoryStore.near`, and `near_dedup` its
-pairs from an `EmbeddingIndex` over the pool; both decide each pair with
-`np.dot`, as the pairwise definitions do.
+pairs from an `EmbeddingMatrix` of the pool's embeddings; both decide each
+pair with `np.dot`, as the pairwise definitions do.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import forgetting
 from .codec import encode
-from .embedding import row_dots
+from .embedding import EmbeddingMatrix, row_dots
 from .graph import KnowledgeGraph, SemanticMemory
 from .model import (
     STATE_PENDING,
@@ -51,7 +51,7 @@ from .model import (
     hours_between,
 )
 from .scoring import classify, score_record
-from .store import EmbeddingIndex, MemoryStore
+from .store import MemoryStore
 
 log = logging.getLogger("engram.consolidation")
 
@@ -175,19 +175,17 @@ def near_dedup(batch: Sequence[EpisodicRecord], threshold: float
     `survivor_order`); the survivor merges source ids and keeps max
     importance. A record that is not pending always survives.
 
-    The pairs to score come from an `EmbeddingIndex` written with `batch`,
-    which holds every pair whose similarity may reach the threshold. Each
-    record takes one row: `batch` holds no tombstones, and no two of its
-    records share an id. Returns (survivors, removed), each in
-    `survivor_order`."""
+    The pairs to score come from `EmbeddingMatrix.rows_reaching` over the
+    embeddings of `batch` in `survivor_order`, one column each, which
+    holds every pair whose similarity may reach the threshold. Returns
+    (survivors, removed), each in `survivor_order`."""
     ordered = sorted(batch, key=survivor_order)
-    index = EmbeddingIndex()
-    index.write([(r.id, r) for r in ordered])
-    rows = [index.row(r.id) for r in ordered]
-    position = {row: p for p, row in enumerate(rows)}
+    embeddings = EmbeddingMatrix()
+    embeddings.append([r.embedding for r in ordered])
     pairs: list[list[int]] = [[] for _ in ordered]
-    for p, row in index.rows_reaching(rows, np.ones(len(index), dtype=bool), threshold):
-        pairs[p].append(position[row])
+    for p, q in embeddings.rows_reaching(range(len(ordered)), np.ones(len(ordered), dtype=bool),
+                                         threshold):
+        pairs[p].append(q)
     survivors: list[EpisodicRecord] = []
     removed: list[EpisodicRecord] = []
     at: dict[int, int] = {}  # position in `ordered` -> in `survivors`

@@ -15,7 +15,7 @@ import os
 import re
 import time
 import urllib.error
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,17 +103,181 @@ def shares_support(matrix: np.ndarray, qvec: np.ndarray, rows: np.ndarray) -> np
     return matrix[qvec.nonzero()[0][:, None], rows].any(axis=0)
 
 
-def exact_dots(vectors: list[np.ndarray], rows: np.ndarray, shared: np.ndarray,
-               qvec: np.ndarray) -> np.ndarray:
-    """`np.dot(qvec, vectors[row])` for each of `rows`, bit for bit: +0.0
-    where `shared` is False (`shares_support`), without reading the
-    vector, and one `row_dots` product over the others."""
-    dots = np.zeros(len(rows))
-    rest = shared.nonzero()[0]
-    if len(rest):
-        dots[rest] = row_dots(np.array([vectors[row] for row in rows[rest].tolist()],
-                                       dtype=np.float64), qvec)
-    return dots
+_U64 = 2.0 ** -53      # unit roundoff of float64
+_U32 = 2.0 ** -24      # unit roundoff of float32
+_TINY32 = 2.0 ** -149  # spacing of the float32 subnormals
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n: the relative error bound of an n-term dot product
+    accumulated in any order with unit roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def dot_error_bound(d: int, qnorm, rownorm):
+    """A bound on |s32 - s64| for two float64 vectors q and e of length d,
+    where s64 is `np.dot(q, e)` and s32 is the dot product of their float32
+    roundings accumulated in float32 in any order, as a float32 BLAS call
+    computes it. Broadcasts over arrays of norms.
+
+    |s64 - q.e| <= gamma_d(u64) sum|q_j e_j|. Rounding both entries to
+    float32 moves each product by at most (2 u32 + u32^2) |q_j e_j|, and the
+    float32 sum adds gamma_d(u32) (1 + u32)^2 sum|q_j e_j|. Cauchy-Schwarz
+    bounds sum|q_j e_j| by ||q|| ||e||. An entry or product below the
+    float32 normal range rounds by an absolute amount instead, at most half
+    a subnormal spacing: 2^-149 (sqrt(d) (||q|| + ||e||) + d) covers those,
+    twice over. The last factor covers the rounding of the float64 norms and
+    of this formula itself."""
+    rel = (_gamma(d, _U64) + (1.0 + _U32) ** 2 * _gamma(d, _U32)
+           + 2.0 * _U32 + _U32 ** 2)
+    tiny = _TINY32 * (math.sqrt(d) * (qnorm + rownorm) + d)
+    return (rel * qnorm * rownorm + tiny) * (1.0 + _gamma(2 * d + 4, _U64))
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.setflags(write=False)
+# float32 cells of one batch x store product in `rows_reaching`
+_PRODUCT_CELLS = 1 << 18
+# embeddings rounded to float32 at a time
+_CHUNK = 128
+
+
+class EmbeddingMatrix:
+    """Embeddings as the float32 products that rank them read them, one
+    column each: the column store behind the embedding index, the graph's
+    query state and near-dedup.
+
+    `vectors` holds, by column, the float64 embedding array the column was
+    written from. `matrix` is dimension-major, shape (dimension,
+    capacity), so that each embedding dimension is one contiguous row
+    across the columns, and a query's product reads only the rows of its
+    non-zero dimensions (`column_scores`). `norms` holds each embedding's
+    float64 norm, `math.sqrt(np.dot(e, e))` bit for bit, and `lossy`
+    whether a non-zero entry of it rounds to zero in the matrix, kept from
+    the first such column on. Columns grow with headroom, so that a
+    trickle of new ones does not reallocate.
+
+    The float32 products only choose candidates: `bound` is the
+    `dot_error_bound` that keeps every column whose float64 score could
+    be chosen, and `exact_scores` rescores the candidates in float64, bit
+    for bit as `np.dot`, from the arrays the columns hold. A zero term adds
+    nothing to a sum, so the bound for `dimension` terms also covers a
+    product taken over fewer of them."""
+
+    def __init__(self) -> None:
+        self.vectors: list[np.ndarray] = []
+        self.matrix = np.zeros((0, 0), dtype=np.float32)
+        self.norms = np.zeros(0)
+        self.lossy = np.zeros(0, dtype=bool)
+        self._any_lossy = False  # whether a lossy column was ever written
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def capacity(self) -> int:
+        """The columns the arrays hold room for, the unused ones included."""
+        return self.matrix.shape[1]
+
+    def append(self, embeddings: Sequence[np.ndarray]) -> None:
+        """Write `embeddings` into the next columns, in order."""
+        if not embeddings:
+            return
+        n = len(self.vectors)
+        size = n + len(embeddings)
+        dim = self.matrix.shape[0] if n else len(embeddings[0])
+        if size > self.capacity or dim != self.matrix.shape[0]:
+            capacity = size + size // 8 + 16
+            matrix = np.zeros((dim, capacity), dtype=np.float32)
+            if n:
+                matrix[:, :n] = self.matrix[:, :n]
+            self.matrix = matrix
+            for name in ("norms", "lossy"):
+                column = np.zeros(capacity, dtype=getattr(self, name).dtype)
+                column[:n] = getattr(self, name)[:n]
+                setattr(self, name, column)
+        for lo in range(0, len(embeddings), _CHUNK):
+            part = embeddings[lo:lo + _CHUNK]
+            self._write(slice(n + lo, n + lo + len(part)), part)
+        self.vectors.extend(embeddings)
+
+    def set(self, cols: Sequence[int], embeddings: Sequence[np.ndarray]) -> None:
+        """Write `embeddings[i]` into column `cols[i]`, for each i."""
+        for lo in range(0, len(cols), _CHUNK):
+            self._write(np.asarray(cols[lo:lo + _CHUNK], dtype=np.intp),
+                        embeddings[lo:lo + _CHUNK])
+        for col, embedding in zip(cols, embeddings):
+            self.vectors[col] = embedding
+
+    def _write(self, cols, embeddings: Sequence[np.ndarray]) -> None:
+        # np.array copies a list of vectors in one pass; np.stack takes
+        # three times as long
+        part = np.array(embeddings, dtype=np.float64)
+        part32, lossy = to_float32(part)
+        self.matrix[:, cols] = part32.T
+        if self._any_lossy or lossy.any():
+            self.lossy[cols] = lossy
+            self._any_lossy = True
+        # one ddot per row, as `np.dot(e, e)` takes it
+        self.norms[cols] = np.sqrt((part[:, None, :] @ part[:, :, None])[:, 0, 0])
+
+    def move(self, dst: np.ndarray, src: np.ndarray, size: int) -> None:
+        """Give each column `dst[i]` the values of column `src[i]`, all read
+        before any is written, then keep the first `size` columns."""
+        self.matrix[:, dst] = self.matrix[:, src]
+        self.norms[dst] = self.norms[src]
+        self.lossy[dst] = self.lossy[src]
+        moved = [self.vectors[col] for col in src.tolist()]
+        for col, vector in zip(dst.tolist(), moved):
+            self.vectors[col] = vector
+        del self.vectors[size:]
+
+    def scores(self, qvec: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The float32 products of `qvec` with the columns `cols`, by
+        `column_scores`."""
+        return column_scores(self.matrix[:, :len(self.vectors)], qvec, cols)
+
+    def bound(self, qvec: np.ndarray, cols: Optional[np.ndarray] = None) -> float:
+        """The `dot_error_bound` of `qvec` with the widest of `cols`, or of
+        every column when `cols` is None."""
+        norms = self.norms[:len(self.vectors)] if cols is None else self.norms[cols]
+        return dot_error_bound(self.matrix.shape[0], math.sqrt(float(np.dot(qvec, qvec))),
+                               float(norms.max()))
+
+    def exact_scores(self, qvec: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """`np.dot(qvec, vectors[col])` for each of `cols`, bit for bit: +0.0
+        for a column that shares no non-zero dimension with `qvec`
+        (`shares_support`), without reading its vector, and one `row_dots`
+        product over the others."""
+        shared = shares_support(self.matrix, qvec, cols)
+        if self._any_lossy:
+            shared |= self.lossy[cols]
+        dots = np.zeros(len(cols))
+        rest = shared.nonzero()[0]
+        if len(rest):
+            dots[rest] = row_dots(np.array([self.vectors[col] for col in cols[rest].tolist()],
+                                           dtype=np.float64), qvec)
+        return dots
+
+    def rows_reaching(self, rows: Sequence[int], among: np.ndarray,
+                      threshold: float) -> Iterator[tuple[int, int]]:
+        """Pairs (i, j): column `rows[i]` and a column j where `among` is
+        True, whose float64 score may reach `threshold`. One float32
+        product per chunk of `rows`; each row of it is held to the bound
+        for the largest norm among the columns it is paired with."""
+        n, dim = len(self.vectors), self.matrix.shape[0]
+        if not n:
+            return
+        rows = np.asarray(rows, dtype=np.intp)
+        widest = float(self.norms[:n].max())
+        step = max(1, _PRODUCT_CELLS // n)
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            s = self.matrix[:, part].T @ self.matrix[:, :n]
+            floor = threshold - dot_error_bound(dim, self.norms[part], widest)
+            reach = ~(s < floor[:, None]) & among
+            for i, j in zip(*np.nonzero(reach)):
+                yield lo + int(i), int(j)
 
 
 def tokenize(text: str) -> list[str]:

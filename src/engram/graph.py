@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .codec import decode
-from .embedding import column_scores, exact_dots, shares_support, to_float32
+from .embedding import _NO_ROWS, EmbeddingMatrix
 from .errors import NegativeElapsed
 from .model import StoreConfig, evolve, hours_between
 
@@ -121,18 +121,6 @@ class SemanticMemory:
         return activation(self.created_at, now,
                           config.maturation_half_life_h, config.maturation_slope)
 
-    def priming_weight(self, now: datetime, config: StoreConfig) -> float:
-        """`priming_weight` of this memory's `created_at`."""
-        return priming_weight(self.created_at, now, config)
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)
-_NO_ROWS.setflags(write=False)
-
-
-def _norm(embedding: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(embedding, embedding)))
-
 
 @dataclass
 class SleepGroup:
@@ -149,62 +137,35 @@ class QueryState:
 
     `groups` maps each `created_at` to its `SleepGroup`. `by_source` maps a
     source id to the ids of the memories holding it, and `shared` holds the
-    ids of the memories that share a source id with another memory. The
-    float32 `matrix` is dimension-major, one column per memory in the order
-    added (`ids[row]`, `rows[id]`), with the float64 norm of each embedding
-    in `norms`, so that one product scores any set of memories. By column,
-    `vectors` holds each memory's embedding array, `stamps` its
-    `created_at.timestamp()`, and `lossy` whether a non-zero entry of its
-    embedding rounds to zero in the matrix (kept from the first such
-    column on), so that a query scores and ranks memories exactly without
-    reading them."""
+    ids of the memories that share a source id with another memory. Each
+    memory takes one column, in the order added (`ids[col]`, `rows[id]`),
+    of `embeddings`, an `EmbeddingMatrix`, so that one product scores any
+    set of memories, and of `stamps`, its `created_at.timestamp()`: a query
+    scores and ranks memories exactly without reading them."""
 
     def __init__(self, memories: Iterable[SemanticMemory]):
         self.ids: list[str] = []
-        self.vectors: list[np.ndarray] = []  # by column: the memory's embedding
         self.rows: dict[str, int] = {}
         self.groups: dict[datetime, SleepGroup] = {}
         self.by_source: dict[str, set[str]] = {}
         self.shared: set[str] = set()
-        self.matrix = np.zeros((0, 0), dtype=np.float32)
-        self.norms = np.zeros(0)
+        self.embeddings = EmbeddingMatrix()
         self.stamps = np.zeros(0)
-        self.lossy = np.zeros(0, dtype=bool)
-        self.any_lossy = False  # whether a lossy column was ever written
         self.add(list(memories))
-
-    def _resize(self, size: int, dim: int) -> None:
-        # headroom, so that a sleep's few new memories do not reallocate
-        n, capacity = len(self.ids), size + size // 8 + 16
-        matrix = np.zeros((dim, capacity), dtype=np.float32)
-        if n:
-            matrix[:, :n] = self.matrix[:, :n]
-        self.matrix = matrix
-        for name in ("norms", "stamps", "lossy"):
-            column = np.zeros(capacity, dtype=getattr(self, name).dtype)
-            column[:n] = getattr(self, name)[:n]
-            setattr(self, name, column)
 
     def add(self, mems: list[SemanticMemory]) -> None:
         """Give memories the next columns, in order, and enter each in its
-        group and in the source map: one matrix write and one row array
+        group and in the source map: one matrix append and one row array
         per group for the whole batch, so that a sleep's memories cost one
         pass."""
         if not mems:
             return
-        n, dim = len(self.ids), len(mems[0].embedding)
-        if n + len(mems) > self.matrix.shape[1] or dim != self.matrix.shape[0]:
-            self._resize(n + len(mems), dim)
-        cols = slice(n, n + len(mems))
-        part32, lossy = to_float32(np.array([mem.embedding for mem in mems]))
-        self.matrix[:, cols] = part32.T
-        self._note_lossy(cols, lossy)
-        self.norms[cols] = [_norm(mem.embedding) for mem in mems]
-        self.stamps[cols] = [mem.created_at.timestamp() for mem in mems]
+        n = len(self.ids)
+        self.embeddings.append([mem.embedding for mem in mems])
+        self.stamps = np.concatenate((self.stamps, [mem.created_at.timestamp() for mem in mems]))
         added: dict[datetime, list[int]] = {}
         for row, mem in enumerate(mems, start=n):
             self.ids.append(mem.id)
-            self.vectors.append(mem.embedding)
             self.rows[mem.id] = row
             group = self.groups.get(mem.created_at)
             if group is None:
@@ -221,35 +182,6 @@ class QueryState:
         for created, rows in added.items():
             group = self.groups[created]
             group.rows = np.concatenate([group.rows, np.array(rows, dtype=np.intp)])
-
-    def set_embedding(self, mem: SemanticMemory) -> None:
-        """Write a new embedding of a memory into its column."""
-        row = self.rows[mem.id]
-        self.vectors[row] = mem.embedding
-        part32, lossy = to_float32(mem.embedding[None, :])
-        self.matrix[:, row] = part32[0]
-        self._note_lossy([row], lossy)
-        self.norms[row] = _norm(mem.embedding)
-
-    def _note_lossy(self, cols, lossy: np.ndarray) -> None:
-        # the mask is kept from the first lossy column on
-        if self.any_lossy or lossy.any():
-            self.lossy[cols] = lossy
-            self.any_lossy = True
-
-    def scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The float32 products of `qvec` with the embeddings of `rows`."""
-        return column_scores(self.matrix[:, :len(self.ids)], qvec, rows)
-
-    def exact_scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The float64 `np.dot(qvec, embedding)` of each of `rows`, bit for
-        bit (`embedding.exact_dots`): a memory that shares no non-zero
-        dimension with `qvec` scores +0.0 without a product, and one
-        stacked product over the others' embeddings scores the rest."""
-        shared = shares_support(self.matrix, qvec, rows)
-        if self.any_lossy:
-            shared |= self.lossy[rows]
-        return exact_dots(self.vectors, rows, shared, qvec)
 
 
 class KnowledgeGraph:
@@ -271,9 +203,9 @@ class KnowledgeGraph:
     own row, not from a scan of every edge.
 
     `query_state()` is derived state too: the memories grouped by
-    `created_at`, a source id -> memory ids map and an embedding matrix
+    `created_at`, a source id -> memory ids map and an `EmbeddingMatrix`
     (`QueryState`). It is built from `memories` on first use and kept
-    current: `replace_memory` writes a new embedding into it, and
+    current: `replace_memory` sets a new embedding in its matrix, and
     `insert_memory` notes the new id, which the next `query_state()` call
     adds with the rest of its sleep in one batch. It is never persisted,
     and `copy` leaves it behind, so a loaded or rolled-back graph builds it
@@ -391,9 +323,9 @@ class KnowledgeGraph:
             raise ValueError(f"memory {mem.id!r} may change its access count, "
                              "gist and embedding only")
         self.memories[mem.id] = mem
-        if self._query is not None and mem.id in self._query.rows \
-                and mem.embedding is not old.embedding:
-            self._query.set_embedding(mem)
+        state = self._query
+        if state is not None and mem.id in state.rows and mem.embedding is not old.embedding:
+            state.embeddings.set([state.rows[mem.id]], [mem.embedding])
 
     def query_state(self) -> QueryState:
         """The memories as a query reads them: built on first use, and

@@ -10,8 +10,9 @@ The episodic tiers are one product over the store's embedding index. The
 graph pathway takes one priming weight and one recency boost per sleep its
 walk reaches, and scores the matured memories in one product over the
 graph's query state; past the walk's sets of reached ids, its cost follows
-the sleeps, not the memories. Both rank the candidates that can make the
-top k as arrays: a candidate that shares no non-zero dimension with the
+the sleeps, not the memories. The index and the query state each hold an
+`EmbeddingMatrix`, whose `bound` and `exact_scores` both pathways use.
+Both rank the candidates that can make the top k as arrays: a candidate that shares no non-zero dimension with the
 query scores +0.0 without a product, one stacked product scores the rest
 exactly as `np.dot` does, and one lexsort over the index's or query
 state's columns picks the k winners. Only the winners read their records
@@ -39,7 +40,7 @@ from .model import (
     evolve,
     hours_between,
 )
-from .store import EmbeddingIndex, MemoryStore, dot_error_bound
+from .store import EmbeddingIndex, MemoryStore
 
 log = logging.getLogger("engram.retrieval")
 
@@ -113,7 +114,7 @@ def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
 
     One float32 product picks every group's candidates
     (`EmbeddingIndex.top_candidates`), and one ranking step settles them
-    as arrays (`EmbeddingIndex.exact_scores`): a candidate that shares no
+    as arrays (`EmbeddingMatrix.exact_scores`): a candidate that shares no
     non-zero dimension with the query scores +0.0 without a product, and
     one stacked product over the embeddings the index holds rescores the
     rest. `_winners` then takes each group's k best by score, tier
@@ -144,7 +145,7 @@ def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
     candidates = index.top_candidates(qvec, passing, k)
     rows = np.concatenate(candidates)
     at = rows.tolist()
-    sims = index.exact_scores(qvec, rows)
+    sims = index.embeddings.exact_scores(qvec, rows)
     stamp = index.column("stamp")
     out, lo = [], 0
     for group in candidates:
@@ -284,9 +285,10 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
     otherwise; a matured group's members take one recency boost. Only the
     memories that share a source id with another memory are checked in
     order; the others are skipped by a lookup of each covered id. One
-    float32 product scores every matured candidate, and `dot_error_bound`
-    keeps each one whose final score may be among the k best. Those are
-    ranked as arrays: `QueryState.exact_scores` settles a memory that
+    float32 product over the query state's `EmbeddingMatrix` scores every
+    matured candidate, and the matrix's `bound` keeps each one whose final
+    score may be among the k best. Those are ranked as arrays: the
+    matrix's `exact_scores` settles a memory that
     shares no non-zero dimension with the query at +0.0 and scores the rest
     in one stacked product, the final score is that times the recency
     boost, and `_winners` takes the k best by final score, creation time
@@ -340,10 +342,9 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
     if not len(rows):
         return [], silent
     if len(rows) > k:
-        s = state.scores(qvec, rows).astype(np.float64)
+        s = state.embeddings.scores(qvec, rows).astype(np.float64)
         r = boost[rows]
-        bound = dot_error_bound(state.matrix.shape[0], math.sqrt(float(np.dot(qvec, qvec))),
-                                float(state.norms[rows].max()))
+        bound = state.embeddings.bound(qvec, rows)
         # |final - s * r| is within `width`, the products' rounding included
         approx = s * r
         width = np.abs(r) * (bound + 2.0 ** -48 * (np.abs(s) + bound))
@@ -351,7 +352,7 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
         if math.isfinite(floor):
             rows = rows[~(approx + width < floor)]
     at = rows.tolist()
-    sims = state.exact_scores(qvec, rows)
+    sims = state.embeddings.exact_scores(qvec, rows)
     recency = boost[rows]
     ranked = []
     for i in _winners(len(at), lambda: np.array((state.stamps[rows], sims * recency)),

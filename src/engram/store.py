@@ -1,5 +1,5 @@
 """Tiered memory store: ingest, quarantine bookkeeping, lability tracking,
-versioned snapshots, and the embedding index every similarity scan reads.
+versioned snapshots, and the embedding index of the live records.
 
 Batch lifecycle jobs run in `MemoryStore.transaction()`: they hold the
 store's writer lock, so they see a consistent state, and a job that raises
@@ -11,15 +11,16 @@ order. The admitted ids only grow, and keep the order they were added
 in: the checkpoint takes that order's length instead of a copy, and a
 rollback cuts the order back to it, dropping the ids added since.
 
-The embedding index is derived state: a dimension-major float32 matrix, one
-column per live (non-tombstone) record, with parallel arrays of their
-filter fields. It is never persisted or checkpointed. The episodic scan
-reads it: a query's product reads only the matrix rows of the query's
-non-zero dimensions, and the k-th highest score is read off a sort, which
-ties cannot slow. The candidates are then scored exactly from the
-embedding arrays the index holds, with no record read, and ranked by the
-index's columns. `MemoryStore.near` is the one candidate search behind the
-frequency factor, near-dedup and interference. `MemoryStore.records` marks
+The embedding index is derived state: one column per live (non-tombstone)
+record in an `EmbeddingMatrix`, the float32 column store of
+`engram.embedding`, with parallel arrays of their filter fields. It is
+never persisted or checkpointed. The episodic scan reads it: a query's
+product reads only the matrix rows of the query's non-zero dimensions, and
+the k-th highest score is read off a sort, which ties cannot slow. The
+candidates are then scored exactly from the embedding arrays the matrix
+holds, with no record read, and ranked by the index's columns.
+`MemoryStore.near` is the one candidate search behind the frequency factor
+and interference, and finds the stored records of near-dedup's pool. `MemoryStore.records` marks
 the ids it writes, and the next scan (or the end of a forgetting run)
 brings just those rows up to date. A store loaded from a snapshot or rolled
 back gets a new map and a fresh index, which its first scan fills the same
@@ -57,14 +58,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .codec import decode, encode, field_keys, write
-from .embedding import (
-    HashEmbedder,
-    column_scores,
-    exact_dots,
-    normalize,
-    shares_support,
-    to_float32,
-)
+from .embedding import _NO_ROWS, EmbeddingMatrix, HashEmbedder, normalize
 from .errors import (
     DuplicateId,
     EmbeddingFailure,
@@ -267,84 +261,34 @@ def _micros(ts: datetime) -> int:
     return (ts - _EPOCH) // _MICROSECOND
 
 
-_U64 = 2.0 ** -53      # unit roundoff of float64
-_U32 = 2.0 ** -24      # unit roundoff of float32
-_TINY32 = 2.0 ** -149  # spacing of the float32 subnormals
-
-
-def _gamma(n: int, u: float) -> float:
-    """Higham's gamma_n: the relative error bound of an n-term dot product
-    accumulated in any order with unit roundoff u."""
-    return n * u / (1.0 - n * u)
-
-
-def dot_error_bound(d: int, qnorm, rownorm):
-    """A bound on |s32 - s64| for two float64 vectors q and e of length d,
-    where s64 is `np.dot(q, e)` and s32 is the dot product of their float32
-    roundings accumulated in float32 in any order, as a float32 BLAS call
-    computes it. Broadcasts over arrays of norms.
-
-    |s64 - q.e| <= gamma_d(u64) sum|q_j e_j|. Rounding both entries to
-    float32 moves each product by at most (2 u32 + u32^2) |q_j e_j|, and the
-    float32 sum adds gamma_d(u32) (1 + u32)^2 sum|q_j e_j|. Cauchy-Schwarz
-    bounds sum|q_j e_j| by ||q|| ||e||. An entry or product below the
-    float32 normal range rounds by an absolute amount instead, at most half
-    a subnormal spacing: 2^-149 (sqrt(d) (||q|| + ||e||) + d) covers those,
-    twice over. The last factor covers the rounding of the float64 norms and
-    of this formula itself."""
-    rel = (_gamma(d, _U64) + (1.0 + _U32) ** 2 * _gamma(d, _U32)
-           + 2.0 * _U32 + _U32 ** 2)
-    tiny = _TINY32 * (math.sqrt(d) * (qnorm + rownorm) + d)
-    return (rel * qnorm * rownorm + tiny) * (1.0 + _gamma(2 * d + 4, _U64))
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)
-_NO_ROWS.setflags(write=False)
-# float32 cells of one batch x store product in `rows_reaching`
-_PRODUCT_CELLS = 1 << 18
-
-
 class EmbeddingIndex:
-    """A float32 matrix of the live (non-tombstone) records' embeddings with
-    parallel arrays of what scans filter and rank on: encoding and event
-    times in integer microseconds, the event time as `timestamp()` gives
-    it (`stamp`), importance, the float64 norm of the embedding, whether a
-    non-zero entry of the embedding rounds to zero in the matrix (`lossy`,
-    kept from the first such row on), and interned codes of tier, session
-    and state. The tier codes follow the tiers' ranking priority: hot 0,
-    warm 1. Each record takes one row index: a column of the matrix and a
-    slot of each array.
+    """The live (non-tombstone) records' embeddings, in an
+    `EmbeddingMatrix`, with parallel arrays of what scans filter and rank
+    on: encoding and event times in integer microseconds, the event time
+    as `timestamp()` gives it (`stamp`), importance, and interned codes of
+    tier, session and state. The tier codes follow the tiers' ranking
+    priority: hot 0, warm 1. Each record takes one row index: a column of
+    the matrix and a slot of each array.
 
-    The matrix is dimension-major, shape (dimension, capacity), so that each
-    embedding dimension is one contiguous row across the records. A query
-    embedding from `HashEmbedder` has one non-zero dimension per distinct
-    token, so its product reads just those rows; a dense query reads the
-    matrix in one mat-vec. A new record goes in the next free column, and
-    removing one moves the last column into its place. The index holds no
-    records, only their keys and the embedding arrays its columns hold, so
-    a record the store drops is freed at once.
-
-    The float32 products only choose candidates. `exact_scores` rescores
-    those in float64, bit for bit as `np.dot` of the records' embeddings,
-    from the embedding arrays the rows hold, and `dot_error_bound` keeps
-    every record that the float64 score could pick among the candidates,
-    so results are those of a float64 scan. A zero term adds
-    nothing to a sum, so the bound for `dimension` terms also covers a
-    product taken over fewer of them."""
+    A new record goes in the next free row, and removing one moves the last
+    row into its place. The index holds no records, only their keys and the
+    embedding arrays its matrix holds, so a record the store drops is freed
+    at once. `top_candidates` picks a query's candidates with one float32
+    product and the matrix's `bound`; `embeddings.exact_scores` rescores
+    them as `np.dot` does, so results are those of a float64 scan."""
 
     _COLUMNS = (("encoded", np.int64), ("timestamp", np.int64), ("stamp", np.float64),
-                ("importance", np.float64), ("norm", np.float64), ("lossy", np.bool_),
-                ("tier", np.int32), ("session", np.int32), ("state", np.int32))
+                ("importance", np.float64), ("tier", np.int32), ("session", np.int32),
+                ("state", np.int32))
     _CODED = ("tier", "session", "state")
 
     def __init__(self) -> None:
         self.keys: list[str] = []  # row -> record key
-        self._vectors: list[np.ndarray] = []  # row -> the embedding its column holds
-        self._any_lossy = False  # whether a lossy row was ever written
+        self.embeddings = EmbeddingMatrix()
         self._rows: dict[str, int] = {}
         self._codes: dict[str, dict[str, int]] = {c: {} for c in self._CODED}
         self._codes["tier"] = {TIER_HOT: 0, TIER_WARM: 1}
-        self._resize(0, 0)
+        self._resize(0)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -374,12 +318,8 @@ class EmbeddingIndex:
         self.write(live)
         records.dirty.clear()
 
-    def _resize(self, capacity: int, dim: int) -> None:
+    def _resize(self, capacity: int) -> None:
         n = len(self.keys)
-        matrix = np.zeros((dim, capacity), dtype=np.float32)
-        if n:
-            matrix[:, :n] = self._matrix[:, :n]
-        self._matrix = matrix
         for name, dtype in self._COLUMNS:
             col = np.zeros(capacity, dtype=dtype)
             if n:
@@ -392,49 +332,25 @@ class EmbeddingIndex:
 
         A record whose embedding is the array its row already holds (a new
         state, tier or importance of the same record) keeps its matrix
-        column. Of the others, the rewritten rows go first and the new ones
-        after them: new keys take consecutive rows, so each chunk writes
-        its new rows into the matrix as one slice. Indexed by row, a write
-        reaches every dimension's row once per column, a page apart."""
+        column. The others are set in their columns, and new keys take
+        the next rows, in order."""
         if not items:
             return
-        rows_of, keys, vectors = self._rows, self.keys, self._vectors
+        rows_of, keys, vectors = self._rows, self.keys, self.embeddings.vectors
         n = len(keys)
         rows = [rows_of.get(k, -1) for k, _r in items]
+        recs = [r for _k, r in items]
+        changed = [i for i, row in enumerate(rows)
+                   if row >= 0 and recs[i].embedding is not vectors[row]]
         fresh = [i for i, row in enumerate(rows) if row < 0]
-        size = n + len(fresh)
-        dim = self._matrix.shape[0] if n else len(items[0][1].embedding)
-        if size > self._matrix.shape[1] or dim != self._matrix.shape[0]:
-            # headroom, so that a trickle of new records does not reallocate
-            self._resize(size + size // 8 + 16, dim)
+        self.embeddings.set([rows[i] for i in changed], [recs[i].embedding for i in changed])
+        self.embeddings.append([recs[i].embedding for i in fresh])
+        if len(vectors) > len(self._encoded):
+            self._resize(self.embeddings.capacity)
         for row, i in enumerate(fresh, start=n):
             rows_of[items[i][0]] = rows[i] = row
             keys.append(items[i][0])
-            vectors.append(None)
-        recs = [r for _k, r in items]
-        changed = [i for i in range(len(items))
-                   if rows[i] < n and recs[i].embedding is not vectors[rows[i]]]
-        moved = changed + fresh
-        at_all = np.array([rows[i] for i in moved], dtype=np.intp)
         step = 128
-        for lo in range(0, len(moved), step):
-            # np.array copies a list of vectors in one pass; np.stack takes
-            # three times as long
-            part = np.array([recs[i].embedding for i in moved[lo:lo + step]])
-            at = at_all[lo:lo + step]
-            part32, lossy = to_float32(part)
-            if self._any_lossy or lossy.any():
-                self._lossy[at] = lossy
-                self._any_lossy = True
-            split = min(max(len(changed) - lo, 0), len(at))  # the chunk's rewritten rows
-            first = n + lo + split - len(changed)  # and the row of its first new one
-            if split:
-                self._matrix[:, at[:split]] = part32[:split].T
-            if split < len(at):
-                self._matrix[:, first:first + len(at) - split] = part32[split:].T
-            self._norm[at] = np.sqrt(np.einsum("ij,ij->i", part, part))
-        for i in moved:
-            vectors[rows[i]] = recs[i].embedding
         for lo in range(0, len(recs), step):
             self._write_fields(rows[lo:lo + step], recs[lo:lo + step])
 
@@ -460,6 +376,8 @@ class EmbeddingIndex:
         """Drop the row of each of `keys`, in order, by moving the last row
         into its place. The keys move one by one; the matrix columns and
         arrays move once, each from the row it started in."""
+        if not keys:
+            return
         source: dict[int, int] = {}  # row -> the row it now takes its values from
         for key in keys:
             row = self._rows.pop(key)
@@ -468,17 +386,14 @@ class EmbeddingIndex:
             if row != last:
                 source[row] = moved
                 self.keys[row] = self.keys[last]
-                self._vectors[row] = self._vectors[last]
                 self._rows[self.keys[row]] = row
             self.keys.pop()
-            self._vectors.pop()
-        if source:
-            dst = np.fromiter(source, dtype=np.intp, count=len(source))
-            src = np.fromiter(source.values(), dtype=np.intp, count=len(source))
-            self._matrix[:, dst] = self._matrix[:, src]
-            for name, _dtype in self._COLUMNS:
-                col = getattr(self, "_" + name)
-                col[dst] = col[src]
+        dst = np.fromiter(source, dtype=np.intp, count=len(source))
+        src = np.fromiter(source.values(), dtype=np.intp, count=len(source))
+        self.embeddings.move(dst, src, len(self.keys))
+        for name, _dtype in self._COLUMNS:
+            col = getattr(self, "_" + name)
+            col[dst] = col[src]
 
     # -- scans ---------------------------------------------------------------
 
@@ -513,22 +428,6 @@ class EmbeddingIndex:
         codes = [self._codes["state"][s] for s in states if s in self._codes["state"]]
         return np.isin(self.column("state"), codes)
 
-    def scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The float32 products of `qvec` with the embeddings of `rows`, by
-        `column_scores`."""
-        return column_scores(self._matrix[:, :len(self.keys)], qvec, rows)
-
-    def exact_scores(self, qvec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The float64 `np.dot(qvec, embedding)` of each of `rows`, bit for
-        bit (`embedding.exact_dots`): a row that shares no non-zero
-        dimension with `qvec` scores +0.0 without a product, and one
-        stacked product over the embeddings the rows hold scores the rest.
-        No record is read."""
-        shared = shares_support(self._matrix, qvec, rows)
-        if self._any_lossy:
-            shared |= self._lossy[rows]
-        return exact_dots(self._vectors, rows, shared, qvec)
-
     def rank_keys(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The keys a query ranks `rows` by after their `scores`, as the rows
         of one array, least significant first: the event time as
@@ -547,21 +446,20 @@ class EmbeddingIndex:
         k highest, that is, every row whose score bound reaches the lowest
         score the group's k-th highest can have; a group of at most k rows
         is returned whole. Each row is held to the bound for the widest live
-        row. The caller ranks the candidates: `exact_scores` gives their
-        float64 scores, and `rank_keys` the keys that break score ties.
+        row. The caller ranks the candidates: `embeddings.exact_scores`
+        gives their float64 scores, and `rank_keys` the keys that break
+        score ties.
 
-        One float32 product, `scores` over every group's rows, serves them
-        all. The k-th score is read off a float32 sort: `np.partition`
+        One float32 product, `embeddings.scores` over every group's rows,
+        serves them all. The k-th score is read off a float32 sort: `np.partition`
         slows down on the long runs of equal scores that a sparse query
         gives, and a sort does not."""
         if not any(0 < k < len(group) for group in groups):
             return list(groups)
         rows = np.concatenate(groups)
-        s32 = self.scores(qvec, rows)
+        s32 = self.embeddings.scores(qvec, rows)
         s = s32.astype(np.float64)
-        bound = dot_error_bound(self._matrix.shape[0],
-                                math.sqrt(float(np.dot(qvec, qvec))),
-                                float(self._norm[:len(self.keys)].max()))
+        bound = self.embeddings.bound(qvec)
         out, lo = [], 0
         for group in groups:
             m, hi = len(group), lo + len(group)
@@ -572,26 +470,6 @@ class EmbeddingIndex:
             out.append(group)
             lo = hi
         return out
-
-    def rows_reaching(self, rows: Sequence[int], among: np.ndarray,
-                      threshold: float) -> Iterator[tuple[int, int]]:
-        """Pairs (i, j): `rows[i]` and a row j where `among` is True, whose
-        float64 score may reach `threshold`. One float32 product per chunk
-        of `rows`; each row of it is held to the bound for the largest norm
-        among the rows it is paired with."""
-        n, dim = len(self.keys), self._matrix.shape[0]
-        if not n:
-            return
-        rows = np.asarray(rows, dtype=np.intp)
-        widest = float(self._norm[:n].max())
-        step = max(1, _PRODUCT_CELLS // n)
-        for lo in range(0, len(rows), step):
-            part = rows[lo:lo + step]
-            s = self._matrix[:, part].T @ self._matrix[:, :n]
-            floor = threshold - dot_error_bound(dim, self._norm[part], widest)
-            reach = ~(s < floor[:, None]) & among
-            for i, j in zip(*np.nonzero(reach)):
-                yield lo + int(i), int(j)
 
 
 class MemoryStore:
@@ -702,7 +580,7 @@ class MemoryStore:
                 among = index.in_states(states)
                 among[rows] = True
             out: list[list[EpisodicRecord]] = [[] for _ in records]
-            for i, j in index.rows_reaching(rows, among, threshold):
+            for i, j in index.embeddings.rows_reaching(rows, among, threshold):
                 out[i].append(self.records[index.keys[j]])
             return out
 

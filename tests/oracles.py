@@ -239,10 +239,16 @@ def query_state_view(state):
     n = len(state.ids)
     return (state.ids, state.rows,
             {created: (g.ids, g.keys, g.rows.tolist()) for created, g in state.groups.items()},
-            state.by_source, state.shared,
-            state.matrix[:, :n].tobytes(), state.norms[:n].tobytes(),
-            state.stamps[:n].tobytes(), state.lossy[:n].tobytes(),
-            [v.tobytes() for v in state.vectors])
+            state.by_source, state.shared, state.stamps[:n].tobytes(),
+            embedding_matrix_view(state.embeddings))
+
+
+def embedding_matrix_view(embeddings):
+    """An `EmbeddingMatrix` as plain values, its unused columns left out:
+    equal for two that hold the same embeddings in the same columns."""
+    n = len(embeddings)
+    return (embeddings.matrix[:, :n].tobytes(), embeddings.norms[:n].tobytes(),
+            embeddings.lossy[:n].tobytes(), [v.tobytes() for v in embeddings.vectors])
 
 
 # The earlier `retrieval._memory_hit`, word for word.

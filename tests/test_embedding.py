@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from engram.embedding import (
+    EmbeddingMatrix,
     HashEmbedder,
     RemoteEmbedder,
     normalize,
@@ -20,6 +21,8 @@ from engram.embedding import (
     tokenize,
 )
 from engram.errors import DimensionMismatch, ProviderUnavailable, ZeroVector
+
+from oracles import embedding_matrix_view
 
 
 def test_normalize_unit_norm():
@@ -114,6 +117,59 @@ def test_a_column_whose_shared_entry_underflows_shares_support():
     assert got.tolist() == [False, True, False, True]
     assert (got | lossy).tolist() == [True, True, False, True]
     assert float(np.dot(qvec, rows[0])) != 0.0
+
+
+def _embeddings(rng: np.random.Generator, count: int, d: int) -> list[np.ndarray]:
+    """`count` sparse vectors of `d` entries, some of them 1e-300, which is
+    zero in float32; each its own array, as a record's embedding is."""
+    rows = rng.standard_normal((count, d))
+    rows[rng.random((count, d)) < 0.6] = 0.0
+    rows[rng.random((count, d)) < 0.05] = 1e-300
+    return [row.copy() for row in rows]
+
+
+@given(d=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       ops=st.lists(st.tuples(st.sampled_from(["append", "set", "move"]),
+                              st.integers(0, 300)), min_size=1, max_size=6))
+def test_an_embedding_matrix_equals_one_built_from_its_vectors(d, seed, ops):
+    """After any sequence of appends, sets and moves that drop columns, the
+    matrix, the norms and the lossy mask equal those of a matrix built by
+    appending its vectors, byte for byte: a 1e-300 entry marks its column
+    lossy, and a rewrite without one clears the mark. Batches cross the
+    128-column chunks. `exact_scores` of every column is `np.dot`, to the
+    bit, for a query with 1e-300 entries too."""
+    rng = np.random.default_rng(seed)
+    embeddings = EmbeddingMatrix()
+    model: list[np.ndarray] = []  # the vectors, by column
+    for op, size in ops:
+        n = len(model)
+        if op == "append" or not n:
+            vectors = _embeddings(rng, size, d)
+            embeddings.append(vectors)
+            model.extend(vectors)
+        elif op == "set":
+            cols = rng.permutation(n)[:size].tolist()
+            vectors = _embeddings(rng, len(cols), d)
+            embeddings.set(cols, vectors)
+            for col, vector in zip(cols, vectors):
+                model[col] = vector
+        else:
+            keep = size % (n + 1)
+            dst = rng.permutation(keep)[:rng.integers(0, keep + 1)]
+            src = rng.integers(0, n, len(dst))
+            embeddings.move(dst.astype(np.intp), src.astype(np.intp), keep)
+            moved = [model[col] for col in src]
+            for col, vector in zip(dst, moved):
+                model[col] = vector
+            del model[keep:]
+        assert len(embeddings) == len(model)
+        assert all(v is m for v, m in zip(embeddings.vectors, model, strict=True))
+        fresh = EmbeddingMatrix()
+        fresh.append(list(model))
+        assert embedding_matrix_view(embeddings) == embedding_matrix_view(fresh)
+    qvec = _embeddings(rng, 1, d)[0]
+    got = embeddings.exact_scores(qvec, np.arange(len(model)))
+    assert [x.hex() for x in got] == [float(np.dot(qvec, v)).hex() for v in model]
 
 
 def test_tokenize_handles_refs():

@@ -14,6 +14,7 @@ from engram.graph import (
     SemanticMemory,
     activation,
     extract_entities,
+    priming_weight,
 )
 from engram.model import StoreConfig, evolve
 
@@ -74,7 +75,7 @@ def test_maturation_disabled_short_circuits():
                           ("Alice",), T0)
     config = StoreConfig(maturation_enabled=False)
     assert mem.activation(T0, config) == 1.0
-    assert mem.priming_weight(T0, config) == 0.0
+    assert priming_weight(mem.created_at, T0, config) == 0.0
 
 
 def test_silent_memory_primes_until_mature():
@@ -82,9 +83,9 @@ def test_silent_memory_primes_until_mature():
     mem = g.insert_memory("gist", EMB.embed("gist"), frozenset({"e"}),
                           ("Alice",), T0)
     config = StoreConfig()
-    assert mem.priming_weight(T0, config) == pytest.approx(0.0293, abs=5e-4)
+    assert priming_weight(mem.created_at, T0, config) == pytest.approx(0.0293, abs=5e-4)
     later = T0 + hours(400)
-    assert mem.priming_weight(later, config) == 0.0
+    assert priming_weight(mem.created_at, later, config) == 0.0
 
 
 # -- graph structure ------------------------------------------------------
@@ -263,7 +264,7 @@ def test_a_first_memory_sets_the_dimension_of_an_empty_query_state():
     g = KnowledgeGraph()
     assert g.query_state().groups == {}
     mem = g.insert_memory("a", EMB.embed("a"), frozenset({"s1"}), ("A",), T0)
-    assert g.query_state().matrix.shape[0] == 256
+    assert g.query_state().embeddings.matrix.shape[0] == 256
     assert query_state_view(g.query_state()) == query_state_view(QueryState([mem]))
 
 

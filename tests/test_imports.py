@@ -1,7 +1,9 @@
 """Every imported name in `src/` and `tests/` is used, every parameter of a
 function in `src/` is read, `src/` builds its changed values with
-`model.evolve`, never with `dataclasses.replace`, and no module in `src/`
-but `store.py` names `RecordMap`, whose writes only the store makes.
+`model.evolve`, never with `dataclasses.replace`, no module in `src/`
+but `store.py` names `RecordMap`, whose writes only the store makes, and
+no module in `src/` but `embedding.py` reads the float32 matrix, the norms
+or the lossy mask of an `EmbeddingMatrix`, which keeps them consistent.
 
 Stdlib stand-ins for a linter's unused-import and unused-argument rules. A
 name counts as used when the module reads it anywhere (a quoted annotation
@@ -111,6 +113,12 @@ def name_uses(source: str, name: str) -> list[int]:
     return sorted(lines)
 
 
+def attribute_uses(source: str, names: set[str]) -> list[int]:
+    """The lines that read or write an attribute named in `names`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -145,6 +153,11 @@ def test_the_check_sees_what_it_should():
         "def f(records):\n"
         "    return RM(records), store.RecordMap, 'RecordMap'\n")
     assert name_uses(source, "RecordMap") == [1, 4]
+    source = (
+        "def f(state, matrix, lossy):\n"
+        "    state.embeddings.norms[0] = matrix.lossy\n"
+        "    return lossy, state.embeddings.capacity\n")
+    assert attribute_uses(source, _MATRIX_FIELDS) == [2, 2]
 
 
 def test_no_unused_parameters_in_src():
@@ -164,4 +177,16 @@ def test_only_the_store_names_its_record_map():
                                                     "RecordMap")
              for path in SOURCES if path.is_relative_to(ROOT / "src")
              and path.name != "store.py"}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+# what `EmbeddingMatrix` keeps consistent with its `vectors`
+_MATRIX_FIELDS = {"matrix", "norms", "lossy"}
+
+
+def test_only_the_embedding_module_reads_an_embedding_matrix():
+    found = {str(path.relative_to(ROOT)): attribute_uses(path.read_text(encoding="utf-8"),
+                                                         _MATRIX_FIELDS)
+             for path in SOURCES if path.is_relative_to(ROOT / "src")
+             and path.name != "embedding.py"}
     assert {path: lines for path, lines in found.items() if lines} == {}

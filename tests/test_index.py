@@ -36,7 +36,7 @@ from hypothesis.stateful import (
 from engram import forgetting
 from engram.codec import encode
 from engram.consolidation import MODES, run_consolidation
-from engram.embedding import HashEmbedder
+from engram.embedding import HashEmbedder, dot_error_bound
 from engram.errors import AlreadyTombstone, LabilityExpired
 from engram.forgetting import rank_forget_candidates, run_forgetting, tombstone
 from engram.graph import QueryState
@@ -60,7 +60,7 @@ from engram.retrieval import (
     reinforce,
 )
 from engram.scoring import frequency_factor
-from engram.store import EmbeddingIndex, MemoryStore, dot_error_bound
+from engram.store import EmbeddingIndex, MemoryStore
 
 from conftest import T0, hours, make_event, minutes
 from oracles import (
@@ -481,10 +481,11 @@ class IndexMachine(RuleBasedStateMachine):
         assert sorted(index.keys) == self.live_ids()
         assert [index.row(key) for key in index.keys] == list(range(len(index)))
         records = [self.store.records[key] for key in index.keys]
-        assert all(v is r.embedding for v, r in zip(index._vectors, records, strict=True))
+        assert all(v is r.embedding
+                   for v, r in zip(index.embeddings.vectors, records, strict=True))
         if records:
             embeddings = np.array([r.embedding for r in records], dtype=np.float32)
-            assert np.array_equal(index._matrix[:, :len(index)], embeddings.T)
+            assert np.array_equal(index.embeddings.matrix[:, :len(index)], embeddings.T)
             assert index.column("importance").tolist() == [r.importance for r in records]
             every = np.ones(len(index), dtype=bool)
             for tier in (TIER_HOT, TIER_WARM):
@@ -739,7 +740,7 @@ def test_dot_error_bound_holds(d, seed, scale, sparse, sparse_query):
     index.write([(f"r{i}", EpisodicRecord(event=make_event(f"r{i}"), embedding=row))
                  for i, row in enumerate(rows)])
     for picked in (np.arange(len(rows)), np.array([5, 0])):
-        by_index = index.scores(q, picked).astype(np.float64)
+        by_index = index.embeddings.scores(q, picked).astype(np.float64)
         assert (abs(by_index - s64[picked]) <= bound[picked]).all()
 
 
@@ -765,12 +766,15 @@ def test_removals_in_one_sync_leave_the_rows_of_one_by_one_removals(size, data):
         stepped.embedding_index()
     index, reference = batched.embedding_index(), stepped.embedding_index()
     assert index.keys == reference.keys
-    assert np.array_equal(index._matrix[:, :len(index)], reference._matrix[:, :len(index)])
-    for name in ("encoded", "timestamp", "importance", "norm", "tier", "session", "state"):
+    assert np.array_equal(index.embeddings.matrix[:, :len(index)],
+                          reference.embeddings.matrix[:, :len(index)])
+    assert index.embeddings.norms[:len(index)].tolist() == \
+        reference.embeddings.norms[:len(index)].tolist()
+    for name in ("encoded", "timestamp", "importance", "tier", "session", "state"):
         assert index.column(name).tolist() == reference.column(name).tolist()
     for row, key in enumerate(index.keys):
         assert index.row(key) == row
-        assert np.array_equal(index._matrix[:, row],
+        assert np.array_equal(index.embeddings.matrix[:, row],
                               batched.records[key].embedding.astype(np.float32))
 
 
@@ -790,7 +794,7 @@ def test_scan_cuts_at_the_kth_score_inside_a_tie_group():
     qvec[0], qvec[7] = 0.8, 0.6
     index = store.embedding_index()
     rows = np.flatnonzero(index.visible(T0 + hours(1)))
-    scores = index.scores(qvec, rows)
+    scores = index.embeddings.scores(qvec, rows)
     assert len(np.unique(scores)) == 6
     for k in (1, 10, 399, 400, 401, 1000, 1999):
         kth = np.sort(scores)[len(rows) - k]

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from engram.consolidation import MODE_AGGRESSIVE, MODE_DEDUP, run_consolidation
 from engram.embedding import normalize
+from engram.graph import priming_weight
 from engram.model import TIER_HOT, TIER_WARM, StoreConfig, evolve
 from engram.retrieval import (
     TIER_GRAPH,
@@ -164,7 +165,7 @@ def test_memories_of_one_sleep_each_prime_their_own_entities():
     first, second = (store.graph.memories[m] for m in ("sem-000000", "sem-000001"))
     assert (first.entities, second.entities) == (("Kestrel",), ("Orion",))
     assert first.created_at == second.created_at
-    assert first.priming_weight(now, store.config) > 0.0
+    assert priming_weight(first.created_at, now, store.config) > 0.0
     hits = assert_matches_reference(store, "Kestrel Orion status", 4, now, None).hits
     assert sorted(h.memory_id for h in hits) == ["e5", "e6"]
     assert all(h.priming_boost > 1.0 for h in hits)
