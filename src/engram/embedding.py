@@ -3,7 +3,11 @@ remote HTTP provider with retry.
 
 The hash embedder is the default: token-level feature hashing with signed
 buckets, so texts sharing most tokens land close in cosine space without any
-external model.
+external model. Each instance memoizes the bucket and sign of the tokens it
+has hashed, at most `_MEMO_TOKENS` of them, so ingest, gists and queries
+hash each distinct token once; the embeddings are those of one hash per
+token occurrence. The remote embedder never memoizes: a provider's answer
+is its own to keep or change.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import numpy as np
 from .errors import DimensionMismatch, ProviderUnavailable, ZeroVector
 
 _TOKEN_RE = re.compile(r"[#@]?[\w'-]+")
+# distinct tokens a `HashEmbedder` memoizes the code of before it clears
+# its memo: a few MB at most
+_MEMO_TOKENS = 1 << 15
 
 
 def normalize(values) -> np.ndarray:
@@ -289,29 +296,58 @@ class HashEmbedder:
 
     Each token is hashed (keyed blake2b, so results are stable across
     processes) to a bucket and a sign; the bucket histogram is L2-normalized.
-    Empty or token-free text maps to a fixed basis vector so every input has
-    a well-defined unit embedding.
+    Text whose histogram is all zeros maps to a fixed basis vector so every
+    input has a well-defined unit embedding.
+
+    Each instance memoizes the (bucket, sign) code of the tokens it has
+    hashed, so a token costs one blake2b per embedder, not one per
+    occurrence. The memo holds at most `_MEMO_TOKENS` tokens and is cleared
+    when full; a code is a pure function of the token, the dimension and
+    the seed, so the memo never changes a result. It is not shared between
+    instances.
     """
 
     def __init__(self, dimension: int = 256, seed: int = 0):
-        if dimension < 8:
-            raise ValueError("dimension must be >= 8")
+        if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 8:
+            raise ValueError(f"dimension must be an int >= 8, not {dimension!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not -2**63 <= seed < 2**63:
+            raise ValueError(f"seed must be an int in [-2**63, 2**63), not {seed!r}")
         self.dimension = dimension
         self.seed = seed
-        self._key = seed.to_bytes(8, "little", signed=True)
+        # the keyed state, copied per token: cheaper than a keyed constructor
+        self._hasher = hashlib.blake2b(digest_size=8,
+                                       key=seed.to_bytes(8, "little", signed=True))
+        # every (bucket, sign), so that a memo entry adds no object of its own
+        self._codes = [(bucket, sign) for sign in (-1, 1) for bucket in range(dimension)]
+        self._memo: dict[str, tuple[int, int]] = {}
+
+    def _code(self, tok: str) -> tuple[int, int]:
+        """The (bucket, sign) of `tok`, hashed and memoized."""
+        h = self._hasher.copy()
+        h.update(tok.encode("utf-8"))
+        n = int.from_bytes(h.digest(), "little")
+        code = self._codes[n % self.dimension + self.dimension * ((n >> 32) & 1)]
+        if len(self._memo) >= _MEMO_TOKENS:
+            self._memo.clear()
+        self._memo[tok] = code
+        return code
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        """The unit embedding of `text`. Text with no token, or whose signed
+        counts all cancel ("w12 w23" at seed 0 and dimension 256), maps to
+        the basis vector e0."""
+        memo = self._memo
+        counts: dict[int, int] = {}
         for tok in tokenize(text):
-            h = int.from_bytes(
-                hashlib.blake2b(tok.encode("utf-8"), digest_size=8,
-                                key=self._key).digest(),
-                "little",
-            )
-            bucket = h % self.dimension
-            sign = 1.0 if (h >> 32) & 1 else -1.0
-            vec[bucket] += sign
-        if float(np.linalg.norm(vec)) < 1e-12:
+            bucket, sign = memo.get(tok) or self._code(tok)
+            counts[bucket] = counts.get(bucket, 0) + sign
+        vec = np.zeros(self.dimension, dtype=np.float64)
+        if any(counts.values()):
+            # one write per bucket: below about 50 buckets, cheaper than
+            # building index and value arrays for one fancy-index write
+            for bucket, count in counts.items():
+                vec[bucket] = count
+        else:
             vec[0] = 1.0
         return normalize(vec)
 

@@ -49,25 +49,20 @@ def extract_entities(content: str) -> tuple[str, ...]:
     """
     entities: dict[str, None] = {}
     for sentence in _SENTENCE_SPLIT_RE.split(content):
-        tokens = _WORD_RE.findall(sentence)
         run: list[str] = []
-        for i, tok in enumerate(tokens):
-            if tok.startswith("@") or tok.startswith("#"):
-                entities.setdefault(tok, None)
-                if run:
-                    entities.setdefault(" ".join(run), None)
-                    run = []
-                continue
-            capitalized = tok[0].isupper()
-            if capitalized and i == 0 and tok.lower() in _SENTENCE_INITIAL_STOPWORDS:
-                capitalized = False
-            if capitalized:
+        for i, tok in enumerate(_WORD_RE.findall(sentence)):
+            # a token opens with "#" or "@", both below "A", or an ASCII letter
+            first = tok[0]
+            if first < "A":
+                entities[tok] = None
+            elif first <= "Z" and (i or tok.lower() not in _SENTENCE_INITIAL_STOPWORDS):
                 run.append(tok)
-            elif run:
-                entities.setdefault(" ".join(run), None)
+                continue
+            if run:
+                entities[" ".join(run)] = None
                 run = []
         if run:
-            entities.setdefault(" ".join(run), None)
+            entities[" ".join(run)] = None
     return tuple(entities)
 
 

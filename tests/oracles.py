@@ -1,6 +1,8 @@
 """Slow oracles for the engine's fast paths.
 
-Each oracle is the plain loop the engine once ran, or its definition: dedup
+Each oracle is the plain loop the engine once ran, or its definition: the
+hash embedder with one keyed blake2b per token occurrence, entity
+extraction with two prefix tests and a case test per token, dedup
 over the whole store, forget priorities from `forgetting.interference`
 (criterion 3) over every live record, the budget walk one `degrade` and one
 store write per step, the episodic scan over every record, the graph walk
@@ -17,6 +19,7 @@ on purpose, and they live here, not in `src/`."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from datetime import datetime, timezone
@@ -25,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from engram.consolidation import absorb, survivor_order
+from engram.embedding import normalize, tokenize
 from engram.forgetting import (
     EPSILON,
     ForgettingReport,
@@ -32,7 +36,12 @@ from engram.forgetting import (
     interference,
     rank_forget_candidates,
 )
-from engram.graph import SemanticMemory
+from engram.graph import (
+    _SENTENCE_INITIAL_STOPWORDS,
+    _SENTENCE_SPLIT_RE,
+    _WORD_RE,
+    SemanticMemory,
+)
 from engram.model import (
     STATE_PENDING,
     STATE_PROMOTED,
@@ -50,6 +59,58 @@ from engram.retrieval import (
     RetrievalResult,
     _rank_key,
 )
+
+
+class ReferenceHashEmbedder:
+    """The hash embedder as a plain per-token loop: one keyed blake2b per
+    token occurrence, one vector write per token, and the e0 fallback
+    decided by the vector's norm."""
+
+    def __init__(self, dimension: int = 256, seed: int = 0):
+        self.dimension = dimension
+        self.seed = seed
+        self._key = seed.to_bytes(8, "little", signed=True)
+
+    def embed(self, text: str) -> np.ndarray:
+        vec = np.zeros(self.dimension, dtype=np.float64)
+        for tok in tokenize(text):
+            h = int.from_bytes(
+                hashlib.blake2b(tok.encode("utf-8"), digest_size=8,
+                                key=self._key).digest(),
+                "little",
+            )
+            bucket = h % self.dimension
+            sign = 1.0 if (h >> 32) & 1 else -1.0
+            vec[bucket] += sign
+        if float(np.linalg.norm(vec)) < 1e-12:
+            vec[0] = 1.0
+        return normalize(vec)
+
+
+def reference_extract_entities(content: str) -> tuple[str, ...]:
+    """Entity extraction as two prefix tests and a case test per token."""
+    entities: dict[str, None] = {}
+    for sentence in _SENTENCE_SPLIT_RE.split(content):
+        tokens = _WORD_RE.findall(sentence)
+        run: list[str] = []
+        for i, tok in enumerate(tokens):
+            if tok.startswith("@") or tok.startswith("#"):
+                entities.setdefault(tok, None)
+                if run:
+                    entities.setdefault(" ".join(run), None)
+                    run = []
+                continue
+            capitalized = tok[0].isupper()
+            if capitalized and i == 0 and tok.lower() in _SENTENCE_INITIAL_STOPWORDS:
+                capitalized = False
+            if capitalized:
+                run.append(tok)
+            elif run:
+                entities.setdefault(" ".join(run), None)
+                run = []
+        if run:
+            entities.setdefault(" ".join(run), None)
+    return tuple(entities)
 
 
 def live_records(store):

@@ -89,11 +89,13 @@ def _embedding(d):
     lambda d: _embedding(d)["v"].__setitem__(0, None),
     lambda d: d.update(centroid_sum={"i": [0], "n": 0, "v": [1.0]}),
     lambda d: d.update(centroid_sum=[0.5, "1.5"]),
+    lambda d: d["config"].update(embed_seed=2 ** 64),
+    lambda d: d["config"].update(embed_dimension=256.0),
 ], ids=["record-without-event", "record-without-embedding", "config-typo",
         "indices-decreasing", "index-repeated", "index-past-the-end",
         "index-negative", "fewer-values-than-indices", "array-extra-key",
         "array-without-length", "value-null", "centroid-index-past-the-end",
-        "dense-centroid-with-a-string"])
+        "dense-centroid-with-a-string", "seed-past-64-bits", "fractional-dimension"])
 def test_malformed_snapshot_rejected(store, corrupt):
     d = _snapshot(store)
     corrupt(d)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from engram import embedding
 from engram.embedding import (
     EmbeddingMatrix,
     HashEmbedder,
@@ -22,7 +23,7 @@ from engram.embedding import (
 )
 from engram.errors import DimensionMismatch, ProviderUnavailable, ZeroVector
 
-from oracles import embedding_matrix_view
+from oracles import ReferenceHashEmbedder, embedding_matrix_view
 
 
 def test_normalize_unit_norm():
@@ -177,6 +178,17 @@ def test_tokenize_handles_refs():
         ["ping", "@alice", "about", "#482", "it's", "due"]
 
 
+# texts over a small vocabulary, so that tokens repeat within and across
+# texts: mentions, refs, apostrophes, hyphens, non-ASCII letters and bare
+# marks among the separators
+_VOCAB = ["alice", "Alice", "@alice", "#482", "it's", "follow-up", "café",
+          "ÉCOLE", "naïve", "Ωmega", "w12", "w23", "the", "x", "'", "-",
+          "@", "#", "42"]
+_texts = st.lists(st.tuples(st.sampled_from(_VOCAB),
+                            st.sampled_from([" ", "  ", ", ", ". ", "\n", "", "#", "@"])),
+                  max_size=24).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
 class TestHashEmbedder:
     def test_deterministic_across_instances(self):
         a = HashEmbedder(256, seed=0).embed("the quick brown fox")
@@ -196,6 +208,42 @@ class TestHashEmbedder:
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
             HashEmbedder(4)
+
+    @pytest.mark.parametrize("dimension, seed", [
+        (256.0, 0), (True, 0), ("256", 0),
+        (256, 2 ** 63), (256, -2 ** 63 - 1), (256, 2 ** 64), (256, 1.0),
+    ])
+    def test_rejects_a_non_int_dimension_or_a_seed_past_64_bits(self, dimension, seed):
+        with pytest.raises(ValueError):
+            HashEmbedder(dimension, seed)
+
+    @pytest.mark.parametrize("seed", [2 ** 63 - 1, -2 ** 63])
+    def test_accepts_the_64_bit_seed_range(self, seed):
+        v = HashEmbedder(8, seed).embed("alice")
+        assert v.tobytes() == ReferenceHashEmbedder(8, seed).embed("alice").tobytes()
+
+    def test_cancelling_counts_map_to_e0(self):
+        """Both tokens of "w12 w23" hash to bucket 0 at seed 0, with
+        opposite signs: the histogram is zero, as for an empty text."""
+        e0 = np.zeros(256)
+        e0[0] = 1.0
+        assert HashEmbedder(256, 0).embed("w12 w23").tobytes() == e0.tobytes()
+        assert ReferenceHashEmbedder(256, 0).embed("w12 w23").tobytes() == e0.tobytes()
+
+    @given(texts=st.lists(_texts, max_size=16),
+           cap=st.sampled_from([embedding._MEMO_TOKENS, 1, 3, 8]))
+    def test_memoized_embed_equals_the_reference(self, texts, cap):
+        """Four embedders, seeds 0 and 1 at dimensions 8 and 256, take the
+        texts in turn, each memo also under a cap that the stream drives
+        it past: every embedding is the per-token loop's, to the byte."""
+        pairs = [(HashEmbedder(d, seed), ReferenceHashEmbedder(d, seed))
+                 for seed in (0, 1) for d in (8, 256)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding, "_MEMO_TOKENS", cap)
+            for i, text in enumerate(texts):
+                fast, ref = pairs[i % len(pairs)]
+                assert fast.embed(text).tobytes() == ref.embed(text).tobytes()
+                assert len(fast._memo) <= cap
 
     @given(st.text(max_size=80))
     def test_always_unit_norm(self, text):

@@ -19,7 +19,12 @@ from engram.graph import (
 from engram.model import StoreConfig, evolve
 
 from conftest import T0, hours, roundtrip
-from oracles import neighbors_by_edge_scan, query_state_view, traverse_by_edge_scan
+from oracles import (
+    neighbors_by_edge_scan,
+    query_state_view,
+    reference_extract_entities,
+    traverse_by_edge_scan,
+)
 
 EMB = HashEmbedder(256, 0)
 
@@ -47,6 +52,25 @@ def test_extract_refs_and_mentions():
 def test_extract_deduplicates_preserving_order():
     out = extract_entities("Alice met Bob. Alice left.")
     assert out == ("Alice", "Bob")
+
+
+# capitalised words, stopword openers in both cases, mentions and refs,
+# lowercase and non-ASCII words, and apostrophes and hyphens inside words
+_ENTITY_WORDS = ["Alice", "Bob", "New", "York", "X", "Zoe", "O'Neil", "Jean-Luc",
+                 "The", "the", "And", "and", "It", "Yes", "@bob", "#482", "@Alice",
+                 "#Q3-plan", "met", "paris", "it's", "école", "Émile", "x2", "42"]
+
+
+@given(sentences=st.lists(
+    st.tuples(st.lists(st.sampled_from(_ENTITY_WORDS), min_size=1, max_size=6),
+              st.sampled_from([". ", "! ", "? ", "\n", "...", ", ", " ", "?!\n"])),
+    max_size=6))
+def test_extract_equals_the_reference(sentences):
+    """Runs of one token and longer, broken by mentions and refs inside
+    them, by lowercase words and by sentence punctuation: the same
+    entities, in the same order, as the reference scan."""
+    content = "".join(" ".join(words) + end for words, end in sentences)
+    assert extract_entities(content) == reference_extract_entities(content)
 
 
 # -- maturation sigmoid ---------------------------------------------------

@@ -14,12 +14,22 @@ from engram.model import (
     STATE_PROMOTED,
     STATE_RETAINED,
     STATE_TOMBSTONE,
+    StoreConfig,
     estimate_tokens,
 )
 from engram.store import AdmittedIds, MemoryStore, RecordMap
 
 from conftest import T0, hours, make_event, make_record, minutes
 from oracles import derived_by_walk, derived_kept
+
+
+@pytest.mark.parametrize("setting", [
+    {"embed_seed": 2 ** 63}, {"embed_seed": -2 ** 63 - 1},
+    {"embed_dimension": 256.0}, {"embed_dimension": True}, {"embed_dimension": 4},
+])
+def test_an_out_of_range_embedder_setting_is_refused(setting):
+    with pytest.raises(ValueError):
+        MemoryStore(StoreConfig(**setting))
 
 
 def test_ingest_rejects_duplicate_id(store):
