@@ -4,7 +4,8 @@ The shipped thresholds (0.559 / 0.404 / 0.542) come from an unpublished
 corpus; this module re-derives them from any labeled corpus,
 deterministically, with no benchmark exposure. The scorer's weights are
 fixed (`scoring.FIVE_FACTOR_DEFAULTS`); `roc_auc` measures how well a
-signal separates substantive turns from filler.
+signal separates substantive turns from filler. Each pair's similarity is
+its `np.dot`, bit for bit, from one stacked product per turn.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codec import encode
+from .embedding import row_dots
 from .errors import DegenerateLabels, InsufficientSamples
 
 LABEL_SUBSTANTIVE = "substantive"
@@ -95,19 +97,19 @@ def percentile(samples: Sequence[float], p: float) -> float:
 
 def similarity_distributions(corpus: CalibrationCorpus, embedder
                              ) -> tuple[list[float], list[float], list[float]]:
-    """All unordered turn pairs split by session membership; |all| equals
-    |within| + |cross| by construction."""
+    """All unordered turn pairs in (i, j) order, split by session
+    membership; |all| equals |within| + |cross| by construction. One
+    `row_dots` product scores each turn's pairs with the later turns."""
     turns = corpus.all_turns()
-    vecs = [embedder.embed(t.text) for _sid, t in turns]
+    vecs = np.array([embedder.embed(t.text) for _sid, t in turns])
+    sessions = np.array([sid for sid, _t in turns])
     within: list[float] = []
     cross: list[float] = []
-    for i in range(len(turns)):
-        for j in range(i + 1, len(turns)):
-            sim = float(np.dot(vecs[i], vecs[j]))
-            if turns[i][0] == turns[j][0]:
-                within.append(sim)
-            else:
-                cross.append(sim)
+    for i in range(len(turns) - 1):
+        sims = row_dots(vecs[i + 1:], vecs[i])
+        same = sessions[i + 1:] == sessions[i]
+        within += sims[same].tolist()
+        cross += sims[~same].tolist()
     return within, cross, within + cross
 
 

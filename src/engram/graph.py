@@ -190,12 +190,12 @@ class KnowledgeGraph:
     the snapshot. Nodes and memories are immutable values, replaced by key,
     so `copy` needs to copy only the containers.
 
-    `co_occurs` holds each edge once, under its sorted key pair; it is the
-    persisted form. `adjacent` holds the same edges by endpoint, both ways:
-    entity key -> {neighbour key: weight}. It is derived state, written by
-    `insert_memory` beside `co_occurs` and rebuilt by `from_dict`, so the
-    snapshot never holds it. A walk reads an entity's neighbours from its
-    own row, not from a scan of every edge.
+    `adjacent` holds the co-occurrence edges by endpoint, both ways:
+    entity key -> {neighbour key: weight}. A memory adds 1 to the edge of
+    each pair of distinct case-folded names it holds. A walk reads an
+    entity's neighbours from its own row, not from a scan of every edge.
+    `co_occurs` derives the persisted form from it: each edge once, under
+    its sorted key pair.
 
     `query_state()` is derived state too: the memories grouped by
     `created_at`, a source id -> memory ids map and an `EmbeddingMatrix`
@@ -213,7 +213,6 @@ class KnowledgeGraph:
         self.entities: dict[str, EntityNode] = {}          # key: casefolded name
         self.memories: dict[str, SemanticMemory] = {}
         self.entity_memories: dict[str, set[str]] = {}     # entity key -> memory ids
-        self.co_occurs: dict[tuple[str, str], int] = {}    # sorted key pair -> weight
         self.adjacent: dict[str, dict[str, int]] = {}      # key -> neighbour key -> weight
         self._by_source_set: dict[frozenset[str], str] = {}
         self._next_memory_seq = 0
@@ -286,25 +285,24 @@ class KnowledgeGraph:
         self._by_source_set[source_ids] = mem_id
         if self._query is not None:
             self._unqueried.append(mem_id)
-        keys = []
         for name in names:
             self.touch_entity(name, created_at)
-            key = self._key(name)
-            self.entity_memories[key].add(mem_id)
-            keys.append(key)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                pair = tuple(sorted((keys[i], keys[j])))
-                if pair[0] != pair[1]:
-                    self._add_edge(pair, self.co_occurs.get(pair, 0) + 1)
+            self.entity_memories[self._key(name)].add(mem_id)
+        keys = list(dict.fromkeys(map(self._key, names)))
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                self._add_edge(a, b, self.adjacent.get(a, {}).get(b, 0) + 1)
         self._importance_stale = True
         return mem
 
-    def _add_edge(self, pair: tuple[str, str], weight: int) -> None:
-        a, b = pair
-        self.co_occurs[pair] = weight
+    def _add_edge(self, a: str, b: str, weight: int) -> None:
         self.adjacent.setdefault(a, {})[b] = weight
         self.adjacent.setdefault(b, {})[a] = weight
+
+    @property
+    def co_occurs(self) -> dict[tuple[str, str], int]:
+        """Each edge once, under its sorted key pair, read off `adjacent`."""
+        return {(a, b): w for a, row in self.adjacent.items() for b, w in row.items() if a < b}
 
     def replace_memory(self, mem: SemanticMemory) -> None:
         """Store a new value of a stored memory: its access count, gist or
@@ -340,7 +338,6 @@ class KnowledgeGraph:
         g.entities = dict(self.entities)
         g.memories = dict(self.memories)
         g.entity_memories = {k: set(v) for k, v in self.entity_memories.items()}
-        g.co_occurs = dict(self.co_occurs)
         g.adjacent = {k: dict(row) for k, row in self.adjacent.items()}
         g._by_source_set = dict(self._by_source_set)
         g._next_memory_seq = self._next_memory_seq
@@ -419,6 +416,9 @@ class KnowledgeGraph:
             for name in mem.entities:
                 g.entity_memories.setdefault(g._key(name), set()).add(mem.id)
         for a, b, w in d["co_occurs"]:
-            g._add_edge((a, b), w)
+            # `co_occurs` writes each edge as a sorted pair of entity keys
+            if not (a < b and a in g.entities and b in g.entities):
+                raise ValueError(f"edge ({a!r}, {b!r}) is not a sorted pair of entities")
+            g._add_edge(a, b, w)
         g._next_memory_seq = d["next_memory_seq"]
         return g

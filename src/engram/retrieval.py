@@ -12,11 +12,13 @@ walk reaches, and scores the matured memories in one product over the
 graph's query state; past the walk's sets of reached ids, its cost follows
 the sleeps, not the memories. The index and the query state each hold an
 `EmbeddingMatrix`, whose `bound` and `exact_scores` both pathways use.
-Both rank the candidates that can make the top k as arrays: a candidate that shares no non-zero dimension with the
-query scores +0.0 without a product, one stacked product scores the rest
-exactly as `np.dot` does, and one lexsort over the index's or query
-state's columns picks the k winners. Only the winners read their records
-or memories and become `Hit`s.
+Both rank the candidates that can make the top k as arrays: a candidate
+that shares no non-zero dimension with the query scores +0.0 without a
+product, one stacked product scores the rest exactly as `np.dot` does, and
+one lexsort over `_rank_keys`, the array form of `_rank_key`, picks the k
+winners. Only the winners read their records or memories and become
+`Hit`s. Lability, reconsolidation and reinforcement share one lookup of
+their target, `_target`.
 """
 
 from __future__ import annotations
@@ -82,13 +84,25 @@ def _rank_key(hit: Hit):
             -hit.timestamp.timestamp(), hit.memory_id)
 
 
+def _rank_keys(rows: np.ndarray, scores: np.ndarray, stamps: np.ndarray,
+               tiers: Optional[np.ndarray] = None) -> np.ndarray:
+    """`_rank_key` of `rows` but the id, as `_winners` reads it: the rows
+    `stamps[rows]`, the negated tier priorities `tiers[rows]` (the index's
+    tier codes) when tiers differ, and `scores`."""
+    keys = np.empty((2 if tiers is None else 3, len(rows)))
+    stamps.take(rows, out=keys[0])
+    if tiers is not None:
+        np.negative(tiers[rows], out=keys[1])
+    keys[-1] = scores
+    return keys
+
+
 def _winners(n: int, keys: Callable[[], np.ndarray], name: Callable[[int], str],
              k: int) -> Sequence[int]:
     """The positions of the k best of `n` candidates, in no set order: the
     greatest by the rows of the 2-D array `keys()`, compared from the last
-    row back, then the least by `name(i)`. With the rows (event time
-    stamp, negated tier priority, score), that is `_rank_key` order; ids
-    are unique, so the order is total.
+    row back, then the least by `name(i)`. With the rows of `_rank_keys`,
+    that is `_rank_key` order; ids are unique, so the order is total.
 
     With at most k candidates all of them win, and no key is read. Else
     one lexsort ranks them by the keys, and names are read only when the
@@ -117,9 +131,9 @@ def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
     as arrays (`EmbeddingMatrix.exact_scores`): a candidate that shares no
     non-zero dimension with the query scores +0.0 without a product, and
     one stacked product over the embeddings the index holds rescores the
-    rest. `_winners` then takes each group's k best by score, tier
-    priority, event time and id from the index's columns. Only the
-    winners read their records and become `Hit`s."""
+    rest. `_winners` then takes each group's k best by the `_rank_keys` of
+    the index's time stamp and tier columns. Only the winners read their
+    records and become `Hit`s, which sort by `_rank_key`."""
     if importance_filter is None:
         importance_filter = store.config.importance_filter
     lam = store.config.lambda_decay
@@ -146,23 +160,20 @@ def _top_hits(store: MemoryStore, index: EmbeddingIndex, qvec: np.ndarray,
     rows = np.concatenate(candidates)
     at = rows.tolist()
     sims = index.embeddings.exact_scores(qvec, rows)
-    stamp = index.column("stamp")
+    stamp, tier = index.column("stamp"), index.column("tier")
     out, lo = [], 0
     for group in candidates:
         hi = lo + len(group)
-        ranked = []
-        for i in _winners(hi - lo, lambda: index.rank_keys(rows[lo:hi], sims[lo:hi]),
+        hits = []
+        for i in _winners(hi - lo, lambda: _rank_keys(rows[lo:hi], sims[lo:hi], stamp, tier),
                           lambda i: keys[at[lo + i]], k):
-            row = at[lo + i]
-            rec = records[keys[row]]
+            rec = records[keys[at[lo + i]]]
             sim = float(sims[lo + i])
-            # `_rank_key` of the hit, its time stamp read off the index
-            ranked.append(((-sim, _TIER_PRIORITY[rec.tier], -float(stamp[row]), rec.id),
-                           Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim, final_score=sim,
-                               timestamp=rec.event.timestamp, content=rec.content,
-                               source_ids=rec.source_ids)))
-        ranked.sort()
-        out.append([hit for _key, hit in ranked])
+            hits.append(Hit(memory_id=rec.id, tier=rec.tier, base_sim=sim, final_score=sim,
+                            timestamp=rec.event.timestamp, content=rec.content,
+                            source_ids=rec.source_ids))
+        hits.sort(key=_rank_key)
+        out.append(hits)
         lo = hi
     return out
 
@@ -291,10 +302,11 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
     matrix's `exact_scores` settles a memory that
     shares no non-zero dimension with the query at +0.0 and scores the rest
     in one stacked product, the final score is that times the recency
-    boost, and `_winners` takes the k best by final score, creation time
-    and id from the query state's columns. Graph hits share a tier, so
-    those k are the only ones that can make the top k: only they read
-    their memories and become `Hit`s."""
+    boost, and `_winners` takes the k best by the `_rank_keys` of final
+    score and creation time, then id, from the query state's columns.
+    Graph hits share a tier, so those k are the only ones that can make
+    the top k: only they read their memories and become `Hit`s, unsorted,
+    since `hybrid_retrieve` sorts them with the episodic hits."""
     graph, config = store.graph, store.config
     if not seed_entities:
         return [], {}
@@ -354,23 +366,32 @@ def _graph_pathway(store: MemoryStore, qvec: np.ndarray, seed_entities: dict[str
     at = rows.tolist()
     sims = state.embeddings.exact_scores(qvec, rows)
     recency = boost[rows]
-    ranked = []
-    for i in _winners(len(at), lambda: np.array((state.stamps[rows], sims * recency)),
+    hits = []
+    for i in _winners(len(at), lambda: _rank_keys(rows, sims * recency, state.stamps),
                       lambda i: state.ids[at[i]], k):
         mem = graph.memories[state.ids[at[i]]]
         sim, boosted = float(sims[i]), float(recency[i])
-        final = sim * boosted
-        # `_rank_key` of the hit past its tier, which graph hits share
-        ranked.append(((-final, -float(state.stamps[at[i]]), mem.id),
-                       Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
-                           recency_boost=boosted, final_score=final,
-                           timestamp=mem.created_at, content=mem.gist,
-                           source_ids=tuple(sorted(mem.source_ids)),
-                           hop_distance=next(d for d, level in enumerate(levels)
-                                             if mem.id in level))))
-    ranked.sort()
-    hits = [hit for _key, hit in ranked]
+        hits.append(Hit(memory_id=mem.id, tier=TIER_GRAPH, base_sim=sim,
+                        recency_boost=boosted, final_score=sim * boosted,
+                        timestamp=mem.created_at, content=mem.gist,
+                        source_ids=tuple(sorted(mem.source_ids)),
+                        hop_distance=next(d for d, level in enumerate(levels)
+                                          if mem.id in level)))
     return hits, silent
+
+
+def _target(store: MemoryStore, memory_id: str):
+    """The live record `memory_id`, else the graph memory of that id. A
+    tombstone raises `AlreadyTombstone`, an unknown id `KeyError`."""
+    rec = store.records.get(memory_id)
+    if rec is not None:
+        if rec.state == STATE_TOMBSTONE:
+            raise AlreadyTombstone(memory_id)
+        return rec
+    mem = store.graph.memories.get(memory_id)
+    if mem is None:
+        raise KeyError(memory_id)
+    return mem
 
 
 def open_lability(store: MemoryStore, memory_id: str,
@@ -379,17 +400,12 @@ def open_lability(store: MemoryStore, memory_id: str,
     the access. A tombstone raises `AlreadyTombstone`."""
     window = timedelta(minutes=store.config.lability_window_min)
     with store.lock:
-        rec = store.records.get(memory_id)
-        if rec is not None:
-            if rec.state == STATE_TOMBSTONE:
-                raise AlreadyTombstone(memory_id)
-            store.replace(evolve(rec, access_count=rec.access_count + 1,
-                                 last_accessed=now))
+        target = _target(store, memory_id)
+        if isinstance(target, SemanticMemory):
+            store.graph.replace_memory(evolve(target, access_count=target.access_count + 1))
         else:
-            mem = store.graph.memories.get(memory_id)
-            if mem is None:
-                raise KeyError(memory_id)
-            store.graph.replace_memory(evolve(mem, access_count=mem.access_count + 1))
+            store.replace(evolve(target, access_count=target.access_count + 1,
+                                 last_accessed=now))
         expires = now + window
         store.labile_until[memory_id] = expires
     return LabilityHandle(memory_id=memory_id, opened_at=now, expires_at=expires)
@@ -421,53 +437,46 @@ def reconsolidate(store: MemoryStore, handle: LabilityHandle,
     new_vec = store.embedder.embed(new_content)
 
     with store.lock:
-        rec = store.records.get(handle.memory_id)
-        mem: Optional[SemanticMemory] = None
-        if rec is not None:
-            if rec.state == STATE_TOMBSTONE:
-                raise AlreadyTombstone(handle.memory_id)
-            old_vec, old_content, encoded_at = rec.embedding, rec.content, rec.encoded_at
-        else:
-            mem = store.graph.memories.get(handle.memory_id)
-            if mem is None:
-                raise KeyError(handle.memory_id)
-            old_vec, old_content, encoded_at = mem.embedding, mem.gist, mem.created_at
+        target = _target(store, handle.memory_id)
+        is_memory = isinstance(target, SemanticMemory)
+        old_content, encoded_at = ((target.gist, target.created_at) if is_memory
+                                   else (target.content, target.encoded_at))
 
-        severity = min(max(1.0 - float(np.dot(new_vec, old_vec)), 0.0), 1.0)
+        severity = min(max(1.0 - float(np.dot(new_vec, target.embedding)), 0.0), 1.0)
         if severity < 1e-9:  # identical content up to float residue
             severity = 0.0
-        recency = math.exp(-config.lambda_decay * max(hours_between(encoded_at, now), 0.0))
+        # a `now` before the encoding reads as no time elapsed
+        recency = decayed_importance(1.0, encoded_at, max(now, encoded_at), config.lambda_decay)
         alpha = blend_strength(confidence, severity, recency, config)
         log.info("reconsolidate %s alpha=%.4f confidence=%.3f severity=%.3f recency=%.3f",
                  handle.memory_id, alpha, confidence, severity, recency)
         if alpha == 0.0:
-            return rec if rec is not None else mem
+            return target
 
-        blended = normalize((1.0 - alpha) * old_vec + alpha * new_vec)
+        blended = normalize((1.0 - alpha) * target.embedding + alpha * new_vec)
         if alpha > 0.5:
             content = new_content
         else:
             content = old_content + "\n[amendment] " + new_content
-        if rec is not None:
-            updated = rec.with_content(content, embedding=blended)
+        if is_memory:
+            updated = evolve(target, gist=content, embedding=blended)
+            store.graph.replace_memory(updated)
+        else:
+            updated = target.with_content(content, embedding=blended)
             store.replace(updated)
-            return updated
-        mem = evolve(mem, gist=content, embedding=blended)
-        store.graph.replace_memory(mem)
-        return mem
+        return updated
 
 
 def reinforce(store: MemoryStore, memory_id: str, outcome: str) -> float:
     """Outcome feedback: success nudges importance up (clamped at 1);
     failure leaves the score but tags the record as an error signal so the
     interference path never deletes it. A tombstone raises
-    `AlreadyTombstone` and is left as it is."""
+    `AlreadyTombstone` and is left as it is; a graph memory or an unknown
+    id raises `KeyError`."""
     with store.lock:
-        rec = store.records.get(memory_id)
-        if rec is None:
+        rec = _target(store, memory_id)
+        if isinstance(rec, SemanticMemory):
             raise KeyError(memory_id)
-        if rec.state == STATE_TOMBSTONE:
-            raise AlreadyTombstone(memory_id)
         if outcome == "success":
             updated = evolve(rec, importance=min(1.0, rec.importance +
                                                  store.config.reinforce_step))

@@ -1,10 +1,12 @@
 """Importance scoring: five-factor composite, decay, and
 promote/retain/prune classification.
 
-Each factor has one implementation. `score_record` takes the frequency
-factor from the pairwise `frequency_factor`, over the earlier records that
-consolidation draws from `MemoryStore.near`: the candidates that may reach
-the threshold, which `frequency_factor` then decides with `np.dot`."""
+Each factor has one implementation. The recency factor is the decay curve
+of `model.decayed_importance` at importance 1. `score_record` takes the
+frequency factor from the pairwise `frequency_factor`, over the earlier
+records that consolidation draws from `MemoryStore.near`: the candidates
+that may reach the threshold, which `frequency_factor` then decides with
+`np.dot`."""
 
 from __future__ import annotations
 
@@ -15,13 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, NegativeElapsed
-from .model import (
-    EpisodicRecord,
-    MemoryEvent,
-    StoreConfig,
-    hours_between,
-)
+from .errors import EmptyBatch
+from .model import EpisodicRecord, MemoryEvent, StoreConfig, decayed_importance
 
 FIVE_FACTOR_DEFAULTS = {
     "recency": 0.25,
@@ -33,10 +30,7 @@ FIVE_FACTOR_DEFAULTS = {
 
 
 def recency_factor(encoded_at: datetime, now: datetime, lam: float) -> float:
-    dt = hours_between(encoded_at, now)
-    if dt < 0:
-        raise NegativeElapsed(f"now precedes encoding by {-dt:.3f}h")
-    return math.exp(-lam * dt)
+    return decayed_importance(1.0, encoded_at, now, lam)
 
 
 def frequency_factor(record: EpisodicRecord, earlier: Sequence[EpisodicRecord],

@@ -428,17 +428,6 @@ class EmbeddingIndex:
         codes = [self._codes["state"][s] for s in states if s in self._codes["state"]]
         return np.isin(self.column("state"), codes)
 
-    def rank_keys(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """The keys a query ranks `rows` by after their `scores`, as the rows
-        of one array, least significant first: the event time as
-        `timestamp()` gives it, the negated tier code (hot ranks first),
-        and `scores`."""
-        keys = np.empty((3, len(rows)))
-        self._stamp.take(rows, out=keys[0])
-        np.negative(self._tier[rows], out=keys[1])
-        keys[2] = scores
-        return keys
-
     def top_candidates(self, qvec: np.ndarray, groups: Sequence[np.ndarray],
                        k: int) -> list[np.ndarray]:
         """For each of `groups`, disjoint arrays of rows: the rows of the
@@ -447,8 +436,8 @@ class EmbeddingIndex:
         score the group's k-th highest can have; a group of at most k rows
         is returned whole. Each row is held to the bound for the widest live
         row. The caller ranks the candidates: `embeddings.exact_scores`
-        gives their float64 scores, and `rank_keys` the keys that break
-        score ties.
+        gives their float64 scores, and the `stamp` and `tier` columns
+        break score ties.
 
         One float32 product, `embeddings.scores` over every group's rows,
         serves them all. The k-th score is read off a float32 sort: `np.partition`
@@ -720,6 +709,15 @@ class MemoryStore:
             store.batch_seq = d["batch_seq"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
+        # every embedding, and the centroid sum, has the embedder's length
+        lengths = {len(r.embedding) for r in records.values()}
+        lengths.update(len(m.embedding) for m in store.graph.memories.values())
+        if store.centroid_sum is not None:
+            lengths.add(len(store.centroid_sum))
+        if getattr(store.embedder, "dimension", None) is not None:
+            lengths.add(store.embedder.dimension)
+        if len(lengths) > 1:
+            raise SnapshotFormatError(f"embeddings of lengths {sorted(lengths)}")
         return store
 
     @classmethod

@@ -11,8 +11,9 @@ with two full episodic scans, one priming weight per reached memory and a
 sorted `Hit` per matured memory, a graph's query state as plain values
 to hold against a rebuild, clustering with every pair
 average recomputed, a record map's pending ids and content holders by a
-walk over every record, the v1 rendering of a snapshot, and a snapshot
-with its tombstones in the existence-metadata form. Oracle and engine share
+walk over every record, the v1 rendering of a snapshot, a snapshot
+with its tombstones in the existence-metadata form, and calibration's
+similarity distributions by one `np.dot` per pair. Oracle and engine share
 the pinned pairwise rules (`absorb`, `survivor_order`, `interference`); they
 differ in how candidates are found and sums are kept. The oracles are slow
 on purpose, and they live here, not in `src/`."""
@@ -485,3 +486,21 @@ def thin_tombstones(text: str) -> str:
             rec["score_breakdown"] = {}
             rec["fidelity"] = 5
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def similarity_distributions_by_pair_loop(corpus, embedder
+                                          ) -> tuple[list[float], list[float], list[float]]:
+    """The earlier `calibration.similarity_distributions`: one `np.dot` per
+    unordered turn pair, in (i, j) order, split by session membership."""
+    turns = corpus.all_turns()
+    vecs = [embedder.embed(t.text) for _sid, t in turns]
+    within: list[float] = []
+    cross: list[float] = []
+    for i in range(len(turns)):
+        for j in range(i + 1, len(turns)):
+            sim = float(np.dot(vecs[i], vecs[j]))
+            if turns[i][0] == turns[j][0]:
+                within.append(sim)
+            else:
+                cross.append(sim)
+    return within, cross, within + cross

@@ -18,6 +18,8 @@ from engram.embedding import HashEmbedder
 from engram.errors import DegenerateLabels, InsufficientSamples
 from engram.model import StoreConfig
 
+from oracles import similarity_distributions_by_pair_loop
+
 EMB = HashEmbedder(256, 0)
 
 
@@ -77,6 +79,18 @@ def test_distribution_counts_on_corpus():
     n = 12
     assert len(all_pairs) == n * (n - 1) // 2
     assert len(within) == 4 * 3  # 4 sessions x C(3,2)
+
+
+def test_distributions_equal_the_pair_loop():
+    """One stacked product per turn gives the per-pair loop's lists, float
+    for float, on a generated corpus plus a session of a single turn."""
+    corpus = generate_corpus(sessions=12)
+    corpus.sessions.append(("lone", [Turn("a single turn on saffron", "substantive", 0)]))
+    got = similarity_distributions(corpus, EMB)
+    want = similarity_distributions_by_pair_loop(corpus, EMB)
+    assert [[x.hex() for x in dist] for dist in got] == \
+        [[x.hex() for x in dist] for dist in want]
+    assert len(got[2]) == 121 * 120 // 2
 
 
 # -- thresholds ------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from engram.cli import main
 from engram.codec import decode, dumps, encode
+from engram.embedding import RemoteEmbedder
 from engram.errors import SnapshotFormatError
 from engram.forgetting import apply_ttl, degrade
 from engram.graph import EntityNode, SemanticMemory
@@ -75,6 +76,13 @@ def _embedding(d):
     return d["records"][0]["embedding"]
 
 
+def _cut(array, n):
+    """Shorten an encoded sparse array to length `n`, dropping its entries
+    past the end."""
+    kept = [(i, v) for i, v in zip(array["i"], array["v"]) if i < n]
+    array.update(n=n, i=[i for i, _v in kept], v=[v for _i, v in kept])
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda d: d["records"][0].pop("event"),
     lambda d: d["records"][0].pop("embedding"),
@@ -91,16 +99,32 @@ def _embedding(d):
     lambda d: d.update(centroid_sum=[0.5, "1.5"]),
     lambda d: d["config"].update(embed_seed=2 ** 64),
     lambda d: d["config"].update(embed_dimension=256.0),
+    lambda d: _cut(_embedding(d), 128),
+    lambda d: d["config"].update(embed_dimension=128),
 ], ids=["record-without-event", "record-without-embedding", "config-typo",
         "indices-decreasing", "index-repeated", "index-past-the-end",
         "index-negative", "fewer-values-than-indices", "array-extra-key",
         "array-without-length", "value-null", "centroid-index-past-the-end",
-        "dense-centroid-with-a-string", "seed-past-64-bits", "fractional-dimension"])
+        "dense-centroid-with-a-string", "seed-past-64-bits", "fractional-dimension",
+        "embedding-cut-to-128", "embedder-of-another-dimension"])
 def test_malformed_snapshot_rejected(store, corrupt):
     d = _snapshot(store)
     corrupt(d)
     with pytest.raises(SnapshotFormatError):
         MemoryStore.from_state_dict(d)
+
+
+def test_mixed_embedding_lengths_rejected_by_an_embedder_of_no_set_dimension(store):
+    """An embedder whose dimension is not yet known loads a snapshot whose
+    embeddings share one length, and refuses one whose centroid sum is
+    shorter than its record's embedding."""
+    d = _snapshot(store)
+    embedder = RemoteEmbedder(endpoint="unused", post=lambda *args: {"embedding": [1.0]})
+    assert embedder.dimension is None
+    assert MemoryStore.from_state_dict(d, embedder=embedder).state_dict() == store.state_dict()
+    d.update(centroid_sum={"i": [0], "n": 128, "v": [1.0]})
+    with pytest.raises(SnapshotFormatError):
+        MemoryStore.from_state_dict(d, embedder=embedder)
 
 
 def test_snapshot_record_without_defaulted_key_loads_default(store):

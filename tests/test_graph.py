@@ -141,6 +141,18 @@ def test_entity_keys_casefolded():
     assert g.entities["alice"].name == "Alice"  # first-seen display form
 
 
+def test_case_variants_of_a_name_add_one_to_an_edge():
+    """A memory naming "Bob", "BOB" and "Eve" co-occurs bob with eve once:
+    each pair of case-folded names counts once per memory, and no name
+    co-occurs with itself."""
+    g = KnowledgeGraph()
+    g.insert_memory("m", EMB.embed("m"), frozenset({"s1"}), ("Bob", "BOB", "Eve"), T0)
+    assert g.co_occurs == {("bob", "eve"): 1}
+    assert g.adjacent == {"bob": {"eve": 1}, "eve": {"bob": 1}}
+    g.insert_memory("n", EMB.embed("n"), frozenset({"s2"}), ("eve", "Bob"), T0)
+    assert g.co_occurs == {("bob", "eve"): 2}
+
+
 def test_entity_importance_degree_normalized():
     g = _tri_graph()
     # degrees: B = 2 mentions + 2 co-occur = 4 (max); A = 2 + 1 = 3; C = 1 + 1 = 2
@@ -225,6 +237,17 @@ def test_from_dict_rebuilds_the_adjacency_map():
     again = KnowledgeGraph.from_dict(json.loads(json.dumps(encode(g.snapshot_state()))))
     assert again.adjacent == g.adjacent == {"a": {"b": 2}, "b": {"a": 2, "c": 1},
                                             "c": {"b": 1}}
+
+
+@pytest.mark.parametrize("edge", [["b", "a", 1], ["a", "a", 1], ["a", "nobody", 1]],
+                         ids=["unsorted", "self-loop", "unknown-entity"])
+def test_from_dict_refuses_an_edge_it_would_not_write(edge):
+    """The snapshot's edge list is read off the adjacency map, so a pair
+    that the map cannot give back would not survive a save."""
+    state = json.loads(json.dumps(encode(_tri_graph().snapshot_state())))
+    state["co_occurs"].append(edge)
+    with pytest.raises(ValueError):
+        KnowledgeGraph.from_dict(state)
 
 
 def test_neighbors_of_an_unknown_key_is_empty():

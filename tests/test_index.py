@@ -178,8 +178,8 @@ class IndexMachine(RuleBasedStateMachine):
     """Random lifecycles of a small store. After every step, and for each
     drawn query, the index-backed scan equals `scan_oracle` and
     `hybrid_retrieve` equals `hybrid_reference`; after every step, the
-    graph's `adjacent` map is the one rebuilt from `co_occurs` and its
-    query state the one built from `memories`, `snapshot_json` equals the
+    graph's `adjacent` map is symmetric and its query state the one built
+    from `memories`, `snapshot_json` equals the
     canonical dump of `state_dict`, the running live count and token total
     equal their full sums, the pending
     ids (in order) and the content holders equal a walk over every record,
@@ -527,6 +527,10 @@ class IndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def adjacency_is_the_edge_map(self):
+        """`co_occurs` is read off `adjacent`, taking each edge once from
+        its lesser endpoint's row, so rebuilding `adjacent` from it gives
+        `adjacent` back only if each edge is in both endpoints' rows, with
+        one weight: the check that `adjacent` is symmetric."""
         graph = self.store.graph
         rebuilt: dict[str, dict[str, int]] = {}
         for (a, b), weight in graph.co_occurs.items():

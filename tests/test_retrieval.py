@@ -457,6 +457,27 @@ def test_reconsolidate_semantic_memory(store):
     assert updated.gist == "Granite rollout reverted"
 
 
+def test_reconsolidate_before_the_encoding_reads_recency_one(store, monkeypatch):
+    """A `now` before a record's `encoded_at`, or a memory's `created_at`,
+    is no time elapsed: the blend reads recency 1.0, and nothing raises."""
+    seen = []
+
+    def blend(confidence, severity, recency, config):
+        seen.append(recency)
+        return blend_strength(confidence, severity, recency, config)
+
+    monkeypatch.setattr(retrieval, "blend_strength", blend)
+    store.ingest(make_event("a", ts=T0, content="deploy at noon"))
+    mem = store.graph.insert_memory("Granite rollout done",
+                                    EMB.embed("Granite rollout done"),
+                                    frozenset({"s"}), ("Granite",), T0)
+    early = T0 - minutes(30)
+    for target in ("a", mem.id):
+        handle = open_lability(store, target, early)
+        reconsolidate(store, handle, "deploy at noon sharp", 0.3, early + minutes(5))
+    assert seen == [1.0, 1.0]
+
+
 def test_reinforce_success_and_failure(store):
     store.ingest(make_event("a", ts=T0, content="some fact"))
     store.records["a"] = replace(store.records["a"], importance=0.97)
