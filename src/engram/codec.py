@@ -41,6 +41,22 @@ instance starts without the memo; `encode` reads only the fields, so the
 memo never reaches the JSON. `write` walks dicts (with str keys) and
 lists, so a snapshot reuses the memoized text of every stored value it
 holds; every other value, a tuple included, is written whole.
+
+A `Spliced` value is one whose holder keeps its canonical text current
+itself, for a container too large to encode on every snapshot: `encode`
+reads its `data()`, built afresh from the holder's state, and `dumps` and
+`write` splice in its `text()`. The store's admitted ids and the graph's
+edge list are the two; each holder builds its text from `canonical`, the
+text of plain JSON data, and says what drops it.
+
+Each datetime object a dataclass value holds is formatted once: encoding
+the value keeps, for that call only, the text of each datetime it has
+formatted, keyed by object identity, and reuses it wherever the value
+holds that object again (a record's `encoded_at` that is its event's
+`timestamp`, a `last_accessed` that is its `encoded_at`). Nothing is kept
+between calls, and an equal datetime that is another object is formatted
+anew, so one fold or zone never takes another's text. Decoding parses
+each timestamp string on its own.
 """
 
 from __future__ import annotations
@@ -65,19 +81,35 @@ def encode(value: Any) -> Any:
     return value if enc is None else enc(value)
 
 
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the canonical text of plain JSON data: keys sorted, no spaces
+canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _MEMO = "_codec_text"  # the instance `__dict__` key of a frozen value's text
 
 
+class Spliced:
+    """A value whose holder keeps its canonical text: `data()` returns the
+    value, built afresh, and `text()` its canonical text, which the holder
+    keeps current."""
+
+    __slots__ = ("data", "text")
+
+    def __init__(self, data: Callable[[], Any], text: Callable[[], str]):
+        self.data = data
+        self.text = text
+
+
 def dumps(value: Any) -> str:
-    """The canonical JSON text of `value`, memoized on a frozen dataclass."""
+    """The canonical JSON text of `value`, memoized on a frozen dataclass
+    and read off a `Spliced` value's holder."""
     params = getattr(type(value), "__dataclass_params__", None)
     if params is None or not params.frozen:
-        return _canonical(encode(value))
+        if type(value) is Spliced:
+            return value.text()
+        return canonical(encode(value))
     memo = value.__dict__
     text = memo.get(_MEMO)
     if text is None:
-        text = memo[_MEMO] = _canonical(encode(value))
+        text = memo[_MEMO] = canonical(encode(value))
     return text
 
 
@@ -87,7 +119,7 @@ def write(value: Any, out: list[str]) -> None:
     if type(value) is dict:
         sep = "{"
         for key in sorted(value):
-            out.append(sep + _canonical(key) + ":")
+            out.append(sep + canonical(key) + ":")
             write(value[key], out)
             sep = ","
         out.append("}" if sep == "," else "{}")
@@ -155,6 +187,8 @@ def _encoder(tp: Any) -> Converter:
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin in (Union, types.UnionType):
         return _optional(args, _encoder)
+    if origin is Spliced:
+        return lambda v: encode(v.data())
     if dataclasses.is_dataclass(origin):
         return _dataclass_encoder(origin)
     if origin is datetime:
@@ -231,14 +265,31 @@ def _array(data: Any) -> np.ndarray:
     return out
 
 
-def _dataclass_encoder(cls: type) -> Callable[[Any], dict]:
-    plan = _fields(cls, _encoder)
+def _time(dt: datetime, times: dict[int, str]) -> str:
+    """`rfc3339(dt)`, formatted once per datetime object in `times`."""
+    text = times.get(id(dt))
+    if text is None:
+        text = times[id(dt)] = rfc3339(dt)
+    return text
 
-    def enc(obj: Any) -> dict:
+
+def _dataclass_encoder(cls: type) -> Callable[..., dict]:
+    # (name, key, converter, shares, has_default) per field: a datetime field
+    # takes `_time`, and it and a dataclass field share `times`, which maps
+    # the id of each datetime formatted so far to its text; ids stay unique
+    # while the outermost value holds every one of them
+    hints = typing.get_type_hints(cls)
+    plan = [(name, key, _time, True, has_default) if hints[name] is datetime
+            else (name, key, fenc, dataclasses.is_dataclass(hints[name]), has_default)
+            for name, key, fenc, has_default in _fields(cls, _encoder)]
+
+    def enc(obj: Any, times: Optional[dict[int, str]] = None) -> dict:
+        if times is None:
+            times = {}
         out = {}
-        for name, key, fenc, _default in plan:
+        for name, key, fenc, shares, _default in plan:
             v = getattr(obj, name)
-            out[key] = v if fenc is None else fenc(v)
+            out[key] = v if fenc is None else fenc(v, times) if shares else fenc(v)
         return out
 
     return enc

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .codec import decode
+from .codec import Spliced, canonical, decode
 from .embedding import _NO_ROWS, EmbeddingMatrix
 from .errors import NegativeElapsed
 from .model import StoreConfig, evolve, hours_between
@@ -219,6 +219,8 @@ class KnowledgeGraph:
         self._importance_stale = False
         self._query: Optional[QueryState] = None
         self._unqueried: list[str] = []  # ids inserted since the query state read them
+        # entity key -> the text of its edges to greater keys, while current
+        self._edge_rows: dict[str, str] = {}
 
     # -- entities ---------------------------------------------------------
 
@@ -298,6 +300,7 @@ class KnowledgeGraph:
     def _add_edge(self, a: str, b: str, weight: int) -> None:
         self.adjacent.setdefault(a, {})[b] = weight
         self.adjacent.setdefault(b, {})[a] = weight
+        self._edge_rows.pop(min(a, b), None)
 
     @property
     def co_occurs(self) -> dict[tuple[str, str], int]:
@@ -342,6 +345,7 @@ class KnowledgeGraph:
         g._by_source_set = dict(self._by_source_set)
         g._next_memory_seq = self._next_memory_seq
         g._importance_stale = self._importance_stale
+        g._edge_rows = dict(self._edge_rows)
         return g
 
     # -- traversal --------------------------------------------------------
@@ -393,14 +397,32 @@ class KnowledgeGraph:
 
     def snapshot_state(self) -> dict[str, Any]:
         """The graph's JSON form with its nodes and memories in place, for
-        `codec.write` to splice in their memoized text."""
+        `codec.write` to splice in their memoized text, and its edge list
+        `Spliced`: the graph keeps its text, row by row."""
         self._refresh_importance()
         return {
             "entities": [self.entities[k] for k in sorted(self.entities)],
             "memories": [self.memories[k] for k in sorted(self.memories)],
-            "co_occurs": tuple((a, b, w) for (a, b), w in sorted(self.co_occurs.items())),
+            "co_occurs": Spliced(self._edge_list, self._edge_list_text),
             "next_memory_seq": self._next_memory_seq,
         }
+
+    def _edge_list(self) -> tuple[tuple[str, str, int], ...]:
+        """The persisted edge list: each edge once, as a sorted (a, b, weight)."""
+        return tuple((a, b, w) for (a, b), w in sorted(self.co_occurs.items()))
+
+    def _edge_list_text(self) -> str:
+        """`codec.dumps(self._edge_list())`, joined from each entity's text
+        of its edges to greater keys, kept until `_add_edge` writes one."""
+        rows, texts = self._edge_rows, []
+        for a in sorted(self.adjacent):
+            text = rows.get(a)
+            if text is None:
+                row = sorted([a, b, w] for b, w in self.adjacent[a].items() if a < b)
+                text = rows[a] = ",".join(map(canonical, row))
+            if text:
+                texts.append(text)
+        return "[" + ",".join(texts) + "]"
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "KnowledgeGraph":

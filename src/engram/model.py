@@ -154,8 +154,10 @@ class MemoryEvent:
     causes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("event id must be non-empty")
+        if type(self.id) is not str or not self.id:
+            raise ValueError(f"event id must be a non-empty string, not {self.id!r}")
+        if self.timestamp.utcoffset() is None:
+            raise ValueError(f"event {self.id!r}: naive timestamp {self.timestamp}")
         if self.actor not in ACTORS:
             raise ValueError(f"unknown actor {self.actor!r}")
         object.__setattr__(self, "metadata", read_only(self.metadata))

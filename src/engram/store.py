@@ -26,13 +26,22 @@ brings just those rows up to date. A store loaded from a snapshot or rolled
 back gets a new map and a fresh index, which its first scan fills the same
 way.
 
-A snapshot is read under the lock. Its text splices in each stored value's
-canonical JSON, which `codec.dumps` encodes on the first snapshot that holds
-the value and memoizes on it; an unchanged record is never encoded twice.
-Nothing is encoded at load or in `replace`. `MemoryStore.fingerprint` is the
-sha256 of the snapshot text. Snapshots are written as version 2, where every
-array (embeddings, the centroid sum) is the codec's sparse object of its
-non-zero entries; version 1, with dense float lists, is still read.
+A snapshot is read under the lock, and its text costs what changed since
+the last one. It splices in each stored value's canonical JSON, which
+`codec.dumps` encodes on the first snapshot that holds the value and
+memoizes on it; an unchanged record is never encoded twice, and a new
+value formats each of its datetime objects once. The admitted ids keep
+their sorted list and its text (`AdmittedIds.text`), which a snapshot
+brings up to date by sorting only the ids added since the last one,
+merging them in and joining the list; a rollback that drops ids the list
+holds drops both, and the next snapshot builds them anew. The graph keeps
+its edge list's text, entity by entity, and its one edge writer drops the
+text of the entity it writes.
+Nothing is encoded at load or in `replace`, and `state_dict` reads none of
+these texts. `MemoryStore.fingerprint` is the sha256 of the snapshot text.
+Snapshots are written as version 2, where every array (embeddings, the
+centroid sum) is the codec's sparse object of its non-zero entries;
+version 1, with dense float lists, is still read.
 
 The record map has one write path. Item assignment, `del` and `pop` report
 each write to one hook, `RecordMap._note`, which marks the id for the index
@@ -57,7 +66,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import decode, encode, field_keys, write
+from .codec import Spliced, canonical, decode, encode, field_keys, write
 from .embedding import _NO_ROWS, EmbeddingMatrix, HashEmbedder, normalize
 from .errors import (
     DuplicateId,
@@ -220,14 +229,22 @@ class AdmittedIds(set):
     `order` lists the ids in the order given and added, and only grows but
     for `rollback`. A savepoint is its length, and `rollback` drops the ids
     added after one. So savepoints nest without bookkeeping: a rollback to
-    an outer savepoint also drops the ids added after any inner one."""
+    an outer savepoint also drops the ids added after any inner one.
 
-    __slots__ = ("order",)
+    `text()` is the canonical JSON text of the sorted ids, which the set
+    keeps for the ids `order` held at the last call, sorted in a list: each
+    call sorts only the ids added since, merges them into that list and
+    joins it. An id whose text is more than its quotes (an escape) makes
+    every later call encode each id anew. The first call builds the list,
+    not `__init__`, and a rollback that drops ids the list holds drops it."""
+
+    __slots__ = ("order", "_sorted", "_text", "_escaped")
 
     def __init__(self, ids=()):
         order = list(ids)
         super().__init__(order)
         self.order = order
+        self._drop_text()
 
     def add(self, key: str) -> None:
         if key not in self:
@@ -239,6 +256,28 @@ class AdmittedIds(set):
         for key in self.order[savepoint:]:
             set.discard(self, key)
         del self.order[savepoint:]
+        if savepoint < len(self._sorted):
+            self._drop_text()
+
+    def _drop_text(self) -> None:
+        # `_text` is the text of `_sorted`, the ids of `order[:len(_sorted)]`
+        self._sorted: list[str] = []
+        self._text = "[]"
+        self._escaped = False
+
+    def text(self) -> str:
+        """`codec.dumps(tuple(sorted(self)))`, kept current."""
+        ids = self._sorted
+        if len(ids) == len(self.order):
+            return self._text
+        new = self.order[len(ids):]
+        self._escaped = self._escaped or any(
+            len(canonical(key)) != len(key) + 2 for key in new)
+        ids += new
+        ids.sort()  # one merge of the sorted run with the new ids
+        self._text = "[" + ",".join(map(canonical, ids)) + "]" if self._escaped \
+            else '["' + '","'.join(ids) + '"]'
+        return self._text
 
     def _refuse(self, *_args, **_kwargs):
         raise TypeError(f"{type(self).__name__} grows only through add")
@@ -634,14 +673,16 @@ class MemoryStore:
     def _state(self) -> dict[str, Any]:
         """The snapshot's state with the stored values in place. Lists hold
         stored values, whose memoized text `codec.write` splices in; other
-        sequences are tuples, written whole."""
+        sequences are tuples, written whole. The admitted ids are
+        `Spliced`: their set keeps their text."""
+        admitted = self.admitted_ids
         return {
             "version": SNAPSHOT_VERSION,
             "config": self.config,
             "records": [self.records[k] for k in sorted(self.records)],
             "graph": self.graph.snapshot_state(),
             "quarantine": [self.quarantine[k] for k in sorted(self.quarantine)],
-            "admitted_ids": tuple(sorted(self.admitted_ids)),
+            "admitted_ids": Spliced(lambda: tuple(sorted(admitted)), admitted.text),
             "watermark": self.watermark,
             "centroid_sum": self.centroid_sum,
             "centroid_count": self.centroid_count,
@@ -700,13 +741,20 @@ class MemoryStore:
             for qd in d["quarantine"]:
                 entry = decode(QuarantineEntry, qd)
                 store.quarantine[entry.event.id] = entry
-            store.admitted_ids = AdmittedIds(d["admitted_ids"])
+            admitted = d["admitted_ids"]
+            if type(admitted) is not list or not all(type(k) is str for k in admitted):
+                raise SnapshotFormatError("admitted_ids: not a list of strings")
+            store.admitted_ids = AdmittedIds(admitted)
+            if len(store.admitted_ids) != len(admitted):
+                raise SnapshotFormatError("admitted_ids: an id listed twice")
             store.watermark = decode(Optional[datetime], d["watermark"])
             store.centroid_sum = decode(Optional[np.ndarray], d["centroid_sum"])
-            store.centroid_count = d["centroid_count"]
             store.labile_until = decode(dict[str, datetime], d["labile_until"])
-            store.total_ingested = d["total_ingested"]
-            store.batch_seq = d["batch_seq"]
+            for name in ("centroid_count", "total_ingested", "batch_seq"):
+                count = d[name]
+                if type(count) is not int or count < 0:
+                    raise SnapshotFormatError(f"{name}: {count!r} is not a count")
+                setattr(store, name, count)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
         # every embedding, and the centroid sum, has the embedder's length

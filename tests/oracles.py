@@ -11,7 +11,8 @@ with two full episodic scans, one priming weight per reached memory and a
 sorted `Hit` per matured memory, a graph's query state as plain values
 to hold against a rebuild, clustering with every pair
 average recomputed, a record map's pending ids and content holders by a
-walk over every record, the v1 rendering of a snapshot, a snapshot
+walk over every record, a snapshot's text with every value encoded anew,
+the v1 rendering of a snapshot, a snapshot
 with its tombstones in the existence-metadata form, and calibration's
 similarity distributions by one `np.dot` per pair. Oracle and engine share
 the pinned pairwise rules (`absorb`, `survivor_order`, `interference`); they
@@ -28,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from engram.codec import encode
 from engram.consolidation import absorb, survivor_order
 from engram.embedding import normalize, tokenize
 from engram.forgetting import (
@@ -60,6 +62,7 @@ from engram.retrieval import (
     RetrievalResult,
     _rank_key,
 )
+from engram.store import SNAPSHOT_VERSION
 
 
 class ReferenceHashEmbedder:
@@ -451,6 +454,37 @@ def cluster_reference(batch: Sequence[EpisodicRecord], distance: float
     for key in sorted(clusters):
         out.append([records[i] for i in sorted(clusters[key])])
     return out
+
+
+def snapshot_text_from_scratch(store) -> str:
+    """`store.snapshot_json()` as its definition: every stored value
+    encoded anew, the admitted ids sorted and the edge list derived from
+    `adjacent`, with none of the texts the store, its values or its graph
+    keep read, and one canonical dump."""
+    graph = store.graph
+    graph._refresh_importance()  # as the snapshot does before it reads the nodes
+    edges = sorted([a, b, w] for a, row in graph.adjacent.items()
+                   for b, w in row.items() if a < b)
+
+    def by_key(values: dict) -> list:
+        return [encode(values[k]) for k in sorted(values)]
+
+    state = {
+        "version": SNAPSHOT_VERSION,
+        "config": encode(store.config),
+        "records": by_key(store.records),
+        "graph": {"entities": by_key(graph.entities), "memories": by_key(graph.memories),
+                  "co_occurs": edges, "next_memory_seq": graph._next_memory_seq},
+        "quarantine": by_key(store.quarantine),
+        "admitted_ids": sorted(store.admitted_ids),
+        "watermark": encode(store.watermark),
+        "centroid_sum": encode(store.centroid_sum),
+        "centroid_count": store.centroid_count,
+        "labile_until": encode(store.labile_until),
+        "total_ingested": store.total_ingested,
+        "batch_seq": store.batch_seq,
+    }
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def _dense(obj: dict):

@@ -7,6 +7,7 @@ import pickle
 from dataclasses import replace
 from datetime import datetime
 from typing import Optional
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from engram import codec
 from engram.cli import main
-from engram.codec import decode, dumps, encode
+from engram.codec import canonical as canonical_text, decode, dumps, encode, rfc3339
 from engram.embedding import RemoteEmbedder
 from engram.errors import SnapshotFormatError
 from engram.forgetting import apply_ttl, degrade
 from engram.graph import EntityNode, SemanticMemory
 from engram.harness import StreamSpec
-from engram.model import FidelityLevel, MemoryEvent, StoreConfig, evolve
+from engram.model import EpisodicRecord, FidelityLevel, MemoryEvent, StoreConfig, evolve
 from engram.store import MemoryStore
 
 from conftest import T0, hours, make_event, make_record
@@ -101,12 +103,23 @@ def _cut(array, n):
     lambda d: d["config"].update(embed_dimension=256.0),
     lambda d: _cut(_embedding(d), 128),
     lambda d: d["config"].update(embed_dimension=128),
+    lambda d: d.update(admitted_ids=[1, "a"]),
+    lambda d: d.update(admitted_ids="ab"),
+    lambda d: d.update(admitted_ids=[None]),
+    lambda d: d.update(admitted_ids=["a", "a"]),
+    lambda d: d.update(total_ingested="1"),
+    lambda d: d.update(batch_seq=1.5),
+    lambda d: d.update(centroid_count=None),
+    lambda d: d.update(batch_seq=-1),
 ], ids=["record-without-event", "record-without-embedding", "config-typo",
         "indices-decreasing", "index-repeated", "index-past-the-end",
         "index-negative", "fewer-values-than-indices", "array-extra-key",
         "array-without-length", "value-null", "centroid-index-past-the-end",
         "dense-centroid-with-a-string", "seed-past-64-bits", "fractional-dimension",
-        "embedding-cut-to-128", "embedder-of-another-dimension"])
+        "embedding-cut-to-128", "embedder-of-another-dimension",
+        "admitted-id-not-a-string", "admitted-ids-a-string", "admitted-id-null",
+        "admitted-id-twice", "total-ingested-a-string", "batch-seq-fractional",
+        "centroid-count-null", "batch-seq-negative"])
 def test_malformed_snapshot_rejected(store, corrupt):
     d = _snapshot(store)
     corrupt(d)
@@ -186,6 +199,21 @@ def canonical(value):
     return json.dumps(encode(value), sort_keys=True, separators=(",", ":"))
 
 
+_json_data = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(_json_data)
+def test_plain_data_text_is_json_dumps(data):
+    """The codec's one encoder for plain data writes what `json.dumps`
+    writes: keys sorted, no spaces, non-ASCII escaped, NaN and the
+    infinities as JSON's."""
+    assert dumps(data) == canonical_text(data) == \
+        json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def stored_values(embedder):
     """A record, a semantic memory and an entity node."""
     return (
@@ -234,6 +262,30 @@ def test_copies_of_a_value_with_memoized_text_give_its_text(embedder):
             changed = replace(twin, created_at=T0 + hours(1)) \
                 if isinstance(twin, SemanticMemory) else replace(twin, importance=0.25)
             assert dumps(changed) == canonical(changed) != text
+
+
+def test_each_datetime_object_is_formatted_once(monkeypatch, embedder):
+    """A record encoded on its event's arrival holds one datetime for its
+    event time, `encoded_at` and `last_accessed`: it is formatted once.
+    Equal datetimes that are other objects are formatted each on its own:
+    two wall times that differ only in `fold` are equal, yet an hour apart."""
+    formatted = []
+    monkeypatch.setattr(codec, "rfc3339", lambda dt: formatted.append(dt) or rfc3339(dt))
+    record = make_record(embedder)
+    assert record.encoded_at is record.event.timestamp is record.last_accessed
+    text = dumps(record)
+    assert len(formatted) == 2  # and ttl_expires_at
+    assert text == canonical(record)
+    assert dumps(decode(EpisodicRecord, json.loads(text))) == text
+
+    ambiguous = datetime(2026, 11, 1, 1, 30, tzinfo=ZoneInfo("America/New_York"))
+    later = ambiguous.replace(fold=1)
+    assert later == ambiguous
+    twin = EpisodicRecord(event=make_event(ts=ambiguous), embedding=record.embedding,
+                          encoded_at=later, last_accessed=later)
+    data = json.loads(dumps(twin))
+    assert (data["event"]["ts"], data["encoded_at"]) == \
+        ("2026-11-01T05:30:00Z", "2026-11-01T06:30:00Z")
 
 
 def test_a_tombstone_text_drops_its_content(store):

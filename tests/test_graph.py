@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from engram.codec import encode
+from engram.codec import dumps, encode
 from engram.embedding import HashEmbedder
 from engram.errors import NegativeElapsed
 from engram.graph import (
@@ -229,6 +229,27 @@ def test_insert_into_a_copy_leaves_the_original_unchanged():
     assert {key: g.neighbors(key) for key in g.entities} == before
     assert g.adjacent == rows and "d" not in g.adjacent
     assert c.neighbors("a") == [("b", 2), ("d", 1)]
+
+
+def test_edge_list_text_follows_every_edge_write():
+    """The graph's kept text of its edge list is the canonical text of the
+    list it derives, after a reweighted edge and a new one, in a copy as
+    in the original, and the copy's writes leave the original's text."""
+    def text(graph):
+        return dumps(graph.snapshot_state()["co_occurs"])
+
+    def derived(graph):
+        return json.dumps(encode(graph.snapshot_state())["co_occurs"], separators=(",", ":"))
+
+    g = _tri_graph()
+    before = text(g)
+    assert before == derived(g)
+    c = g.copy()
+    c.insert_memory("abd", EMB.embed("abd"), frozenset({"s9"}), ("A", "B", "D"), T0)
+    assert text(c) == derived(c) != before
+    assert text(g) == derived(g) == before
+    g.insert_memory("ab2", EMB.embed("ab2"), frozenset({"s8"}), ("A", "B"), T0)
+    assert text(g) == derived(g) != before
 
 
 def test_from_dict_rebuilds_the_adjacency_map():

@@ -70,6 +70,7 @@ from oracles import (
     live_records,
     query_state_view,
     scan_oracle,
+    snapshot_text_from_scratch,
 )
 
 VOCAB = ["alpha", "beta", "gamma", "kestrel", "deploy", "release", "Alice", "Bob"]
@@ -180,7 +181,8 @@ class IndexMachine(RuleBasedStateMachine):
     `hybrid_retrieve` equals `hybrid_reference`; after every step, the
     graph's `adjacent` map is symmetric and its query state the one built
     from `memories`, `snapshot_json` equals the
-    canonical dump of `state_dict`, the running live count and token total
+    canonical dump of `state_dict` and the text built from scratch (inside
+    a sleep's transaction too), the running live count and token total
     equal their full sums, the pending
     ids (in order) and the content holders equal a walk over every record,
     the admitted ids' order lists each of them once, every id once
@@ -346,7 +348,9 @@ class IndexMachine(RuleBasedStateMachine):
     def sleep_in_a_transaction(self, mode, budget, days, commit):
         # a sleep, consolidation then forgetting, each its own transaction
         # inside an outer one that commits or raises; a raise undoes both
-        # jobs, the ids their commits admitted included
+        # jobs, the ids their commits admitted included. The snapshot taken
+        # before the raise brings the admitted ids' text up to ids that the
+        # rollback then drops.
         store = self.store
         self.clock += hours(24 * days)
         before = store.snapshot_json()
@@ -355,6 +359,7 @@ class IndexMachine(RuleBasedStateMachine):
             with store.transaction():
                 assert run_consolidation(store, self.clock, mode=mode).accounting_holds()
                 run_forgetting(store, self.clock, budget=budget)
+                assert store.snapshot_json() == snapshot_text_from_scratch(store)
                 if not commit:
                     raise Injected("after the sleep")
         except Injected:
@@ -547,8 +552,10 @@ class IndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def snapshot_is_the_canonical_state(self):
-        assert self.store.snapshot_json() == json.dumps(
-            self.store.state_dict(), sort_keys=True, separators=(",", ":"))
+        text = self.store.snapshot_json()
+        assert text == json.dumps(self.store.state_dict(), sort_keys=True,
+                                  separators=(",", ":"))
+        assert text == snapshot_text_from_scratch(self.store)
 
     @invariant()
     def promoted_ids_stay(self):

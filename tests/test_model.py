@@ -85,7 +85,21 @@ def test_event_validation():
     with pytest.raises(ValueError):
         make_event(eid="")
     with pytest.raises(ValueError):
+        make_event(eid=5)  # ids sort and persist as strings
+    with pytest.raises(ValueError):
         make_event(actor="nobody")
+
+
+def test_naive_timestamp_rejected():
+    """A naive timestamp names no instant: its text, and so the store's
+    fingerprint, would follow the host's time zone. Only an aware one is an
+    event time, at any offset."""
+    with pytest.raises(ValueError, match="naive"):
+        make_event(ts=datetime(2026, 1, 5))
+    with pytest.raises(ValueError, match="naive"):
+        evolve(make_event(), timestamp=datetime(2026, 1, 5))
+    east = make_event(ts=datetime(2026, 1, 5, 5, 45, tzinfo=timezone(hours(5.75))))
+    assert rfc3339(east.timestamp) == "2026-01-05T00:00:00Z"
 
 
 @given(events)

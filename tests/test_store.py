@@ -5,6 +5,8 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from engram import store as store_module
 from engram.consolidation import MODE_AGGRESSIVE, run_consolidation
@@ -246,6 +248,40 @@ def test_admitted_ids_only_grow_and_roll_back_to_a_savepoint():
         assert type(twin) is AdmittedIds and twin == ids
         assert twin.order == ["a", "b", "f"] and twin.order is not ids.order
     assert AdmittedIds(iter(["x", "y"])).order == ["x", "y"]
+
+
+_ids = st.text(st.sampled_from(["a", "b", "z", '"', "\\", ",", "\n", "é", "😀"]),
+               min_size=1, max_size=3)
+
+
+@given(start=st.lists(_ids, unique=True, max_size=4),
+       steps=st.lists(st.one_of(st.tuples(st.just("add"), _ids),
+                                st.tuples(st.sampled_from(["save", "text"]), st.none()),
+                                st.tuples(st.just("rollback"), st.integers(0, 9))),
+                      max_size=40))
+def test_admitted_ids_text_is_the_sorted_set(start, steps):
+    """Through any run of adds, savepoints, rollbacks and reads, the set
+    and its order are a sorted-set model's, and `text()` is the canonical
+    text of the model's ids sorted, built from scratch. Ids hold the
+    characters JSON escapes, a comma and non-ASCII."""
+    ids, model, savepoints = AdmittedIds(start), list(start), []
+    for op, arg in steps:
+        if op == "add":
+            ids.add(arg)
+            if arg not in model:
+                model.append(arg)
+        elif op == "save":
+            savepoints.append(len(model))
+        elif op == "rollback" and savepoints:
+            # a rollback to a savepoint ends it and every later one
+            point = savepoints[arg % len(savepoints)]
+            del savepoints[arg % len(savepoints):]
+            ids.rollback(point)
+            del model[point:]
+        elif op == "text":
+            assert ids.text() == json.dumps(sorted(model), separators=(",", ":"))
+        assert ids == set(model) and ids.order == model
+    assert ids.text() == json.dumps(sorted(model), separators=(",", ":"))
 
 
 def test_snapshot_roundtrip_byte_identical(store, tmp_path):
